@@ -182,10 +182,6 @@ class RobustLocalSystem:
 # -- helpers ----------------------------------------------------------------
 
 
-def _positions(cols: AxisSet, sub: AxisSet) -> list[int]:
-    return cols.positions_of(sub)
-
-
 def _as_inequalities(poly: HPolytope) -> tuple[np.ndarray, np.ndarray]:
     """Rewrite a polytope as pure inequality rows (equalities become pairs)."""
     blocks_A = [poly.A_ineq, poly.A_eq, -poly.A_eq]
@@ -235,7 +231,7 @@ def build_equalities(spec, index, i: int) -> tuple[np.ndarray, np.ndarray]:
     for _ in range(H):
         powers.append(A_ii @ powers[-1])
 
-    own_state_pos = {t: _positions(cols, index.own_state_axes(t, i))
+    own_state_pos = {t: cols.positions_of(index.own_state_axes(t, i))
                      for t in range(H + 1)}
     rows = []
     rhs = []
@@ -247,11 +243,11 @@ def build_equalities(spec, index, i: int) -> tuple[np.ndarray, np.ndarray]:
             if j == i:
                 continue
             for tau in range(t):
-                pos = _positions(cols, index.own_state_axes(tau, j))
+                pos = cols.positions_of(index.own_state_axes(tau, j))
                 R[:, pos] -= powers[t - tau - 1] @ A_ij
         for j, B_ij in agent.B.items():
             for tau in range(t):
-                pos = _positions(cols, index.own_input_axes(tau, j))
+                pos = cols.positions_of(index.own_input_axes(tau, j))
                 R[:, pos] -= powers[t - tau - 1] @ B_ij
         rows.append(R)
         rhs.append(sum(powers[t - tau - 1] for tau in range(t)) @ agent.K)
@@ -273,13 +269,13 @@ def _coupling_row_vector(row: CouplingRow, spec, index, i: int, t: int,
             raise ValidationError(
                 f"agent {i}: coupling state coefficients for {j} have length "
                 f"{c.shape[0]}, expected {spec.state_dims[j]}")
-        vec[_positions(cols, index.own_state_axes(t, j))] = c
+        vec[cols.positions_of(index.own_state_axes(t, j))] = c
     for j, c in row.input_coefs.items():
         if c.shape != (spec.input_dims[j],):
             raise ValidationError(
                 f"agent {i}: coupling input coefficients for {j} have length "
                 f"{c.shape[0]}, expected {spec.input_dims[j]}")
-        vec[_positions(cols, index.own_input_axes(t, j))] = c
+        vec[cols.positions_of(index.own_input_axes(t, j))] = c
     return vec, -row.offset
 
 
@@ -306,10 +302,10 @@ def _build_inequalities(spec, index, i: int, *, include_start: bool):
     for t in range(H + 1):
         for j in members:
             add(spec.state_sets[j],
-                _positions(cols, index.own_state_axes(t, j)), ("state", j, t))
+                cols.positions_of(index.own_state_axes(t, j)), ("state", j, t))
             if spec.input_dims[j]:
                 add(spec.input_sets[j],
-                    _positions(cols, index.own_input_axes(t, j)),
+                    cols.positions_of(index.own_input_axes(t, j)),
                     ("input", j, t))
 
     _require_affine_rows(spec.couplings[i], i)
@@ -324,7 +320,7 @@ def _build_inequalities(spec, index, i: int, *, include_start: bool):
                 g_blocks.append(np.array([-bound]))
                 sources.append(("coupling", l, t))
 
-    nbhd_state_pos = {t: _positions(cols, index.nbhd_state_axes(t, i))
+    nbhd_state_pos = {t: cols.positions_of(index.nbhd_state_axes(t, i))
                       for t in range(H + 1)}
     start = spec.start_sets[i] if spec.start_sets is not None else None
     if include_start and start is not None:
@@ -445,7 +441,7 @@ def disturbance_map(spec, index, i: int, *,
             pow_E.append(A @ pow_E[-1])
     for t in range(H + 1):
         for j in index.members[i]:
-            row_pos = _positions(cols, index.own_state_axes(t, j))
+            row_pos = cols.positions_of(index.own_state_axes(t, j))
             block_rows = slice(offs[j], offs[j + 1])
             for tau in range(t - shift + 1):
                 L[row_pos, tau * total_v:(tau + 1) * total_v] \
@@ -463,11 +459,16 @@ def robust_margin(spec, index, i: int, G: np.ndarray, *,
     boxes use the closed form (sum of positive parts at the upper bound and
     negative parts at the lower bound), anything else one small LP per block.
     """
+    return _margins(spec, G, disturbance_map(
+        spec, index, i, disturbance_lag=disturbance_lag))
+
+
+def _margins(spec, G: np.ndarray, L: np.ndarray) -> np.ndarray:
+    """:func:`robust_margin` for an already computed disturbance map ``L``."""
     _check_bounded(spec.dynamics)
     H = spec.horizon
     n_rows = G.shape[0]
     margins = np.zeros(n_rows)
-    L = disturbance_map(spec, index, i, disturbance_lag=disturbance_lag)
     if not L.size or not np.any(L):
         return margins
     C = G @ L
@@ -505,21 +506,15 @@ def assemble_robust_system(spec, index, i: int, *, mode: str = "pre",
     F, f = build_equalities(spec, index, i)
     G, g, sources = _build_inequalities(
         spec, index, i, include_start=(mode == "reach-check"))
-    cols = index.horizon_axes(i)
-    if any(spec.dynamics[j].has_disturbance() for j in range(spec.n_agents)):
-        margins = robust_margin(spec, index, i, G,
-                                disturbance_lag=disturbance_lag)
-    else:
-        margins = np.zeros(G.shape[0])
-        L = np.zeros((len(cols), spec.horizon *
-                      sum(spec.dynamics[j].disturbance_dim
-                          for j in range(spec.n_agents))))
-        return RobustLocalSystem(i, cols, F, f, G, g, margins, L, sources)
     L = disturbance_map(spec, index, i, disturbance_lag=disturbance_lag)
-    if np.any(margins):
-        logger.info("agent %d: disturbance margins tighten %d of %d rows",
-                    i, int(np.count_nonzero(margins)), G.shape[0])
-    return RobustLocalSystem(i, cols, F, f, G, g, margins, L, sources)
+    margins = np.zeros(G.shape[0])
+    if any(spec.dynamics[j].has_disturbance() for j in range(spec.n_agents)):
+        margins = _margins(spec, G, L)
+        if np.any(margins):
+            logger.info("agent %d: disturbance margins tighten %d of %d rows",
+                        i, int(np.count_nonzero(margins)), G.shape[0])
+    return RobustLocalSystem(i, index.horizon_axes(i), F, f, G, g, margins,
+                             L, sources)
 
 
 def robust_local_polytope(spec, index, i: int, mode: str = "pre", *,

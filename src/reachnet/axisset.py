@@ -304,7 +304,12 @@ def join_extrusions(sets: Sequence[LabeledSet], target: AxisSet, **kw) -> Labele
         if any(s.empty for s in sets):
             return LabeledSet(target, PointTable(np.zeros((0, len(target)))))
         axes_acc, table_acc = sets[0].axes, sets[0].table()
-        for s in sets[1:]:
+        pending = sets[1:]
+        while pending:
+            # a set sharing no axis with the accumulated table would make a
+            # cross product; join the first set that does share one instead
+            k = next((k for k, s in enumerate(pending) if s.axes & axes_acc), 0)
+            s = pending.pop(k)
             axes_acc, table_acc = _natural_join(axes_acc, table_acc, s.axes, s.table())
             if len(table_acc) == 0:
                 return LabeledSet(target, PointTable(np.zeros((0, len(target)))))

@@ -205,7 +205,9 @@ def _solve_linprog(lp: LinearProgram, pivot_cap: int) -> LpResult:
             ineq_duals=np.asarray(ineq_duals, dtype=float),
             eq_duals=np.asarray(eq_duals, dtype=float),
         )
-    if res.status == 2:
+    # status 2 also covers a model HiGHS rejects; only its infeasible
+    # verdict says so in the message
+    if res.status == 2 and "infeasible" in res.message.lower():
         return LpResult(INFEASIBLE)
     if res.status == 3:
         return LpResult(UNBOUNDED)

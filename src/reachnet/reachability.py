@@ -13,8 +13,8 @@ horizon.  This module:
   projection/extrusion exchange to a fixed point, then read off the
   backward-reachable start states and the admissible control sequences
   (:func:`run_distributed_reachability`),
-* and solves the same problem monolithically for cross-checking
-  (:func:`centralized_reachability`).
+* and builds the global trajectory set in one place for cross-checking, as
+  the join of all local systems (:func:`centralized_reachability`).
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import affine as _affine
-from . import lpsolve
 from .affine import AffineAgent, CouplingRow
 from .axisset import (
     AxisSet,
@@ -519,6 +518,10 @@ def local_system_solution(spec: NetworkSpec, index: AxisIndex, i: int,
     """
     if task not in TASKS:
         raise ValidationError(f"task must be one of {TASKS}, got {task!r}")
+    if disturbance_lag not in _affine.DISTURBANCE_LAGS:
+        raise ValidationError(
+            f"disturbance_lag must be one of {_affine.DISTURBANCE_LAGS}, "
+            f"got {disturbance_lag!r}")
     kind = _payload_kind(spec.dynamics[i])
     if kind is None:
         raise UnsupportedDynamics(
@@ -690,231 +693,14 @@ class CentralizedSolution:
     admissible_controls: LabeledSet | None
 
 
-def _centralized_margins(spec: NetworkSpec, index: AxisIndex, G: np.ndarray,
-                         disturbance_lag: str) -> np.ndarray:
-    """Worst-case row margins for the monolithic system, accumulated directly
-    from the one-step recursion (independent of the per-agent assembly)."""
-    H = spec.horizon
-    n = index.total_state_dim
-    v_dims = [spec.dynamics[j].disturbance_dim for j in range(spec.n_agents)]
-    v_offs = np.concatenate([[0], np.cumsum(v_dims)])
-    total_v = int(v_offs[-1])
-    margins = np.zeros(G.shape[0])
-    if not total_v or not H:
-        return margins
-    A_glob = np.zeros((n, n))
-    E_glob = np.zeros((n, total_v))
-    s_offs = np.concatenate([[0], np.cumsum(spec.state_dims)])
-    for k in range(spec.n_agents):
-        ag = spec.dynamics[k]
-        for j, blk in ag.A.items():
-            A_glob[s_offs[k]:s_offs[k + 1], s_offs[j]:s_offs[j + 1]] = blk
-        if v_dims[k]:
-            E_glob[s_offs[k]:s_offs[k + 1], v_offs[k]:v_offs[k + 1]] = ag.E
-    shift = 2 if disturbance_lag == "paper" else 1
-    # responses[t] maps the stacked disturbance to the step-t state deviation
-    responses = [np.zeros((n, H * total_v)) for _ in range(H + 1)]
-    for t in range(1, H + 1):
-        resp = A_glob @ responses[t - 1]
-        tau = t - shift
-        if 0 <= tau < H:
-            resp = resp.copy()
-            resp[:, tau * total_v:(tau + 1) * total_v] += E_glob
-        responses[t] = resp
-    width = (spec.horizon + 1) * index.step_width
-    L = np.zeros((width, H * total_v))
-    for t in range(H + 1):
-        pos = [lab - 1 for lab in index.global_state_axes(t)]
-        L[pos, :] = responses[t]
-    C = G @ L
-    boxes = [None if not v_dims[j]
-             else _affine._box_bounds(spec.dynamics[j].disturbance_set)
-             for j in range(spec.n_agents)]
-    _affine._check_bounded(spec.dynamics)
-    for r in range(G.shape[0]):
-        total = 0.0
-        for tau in range(H):
-            for j in range(spec.n_agents):
-                if not v_dims[j]:
-                    continue
-                c = C[r, tau * total_v + v_offs[j]:
-                      tau * total_v + v_offs[j + 1]]
-                if not np.any(c):
-                    continue
-                if boxes[j] is not None:
-                    lo, hi = boxes[j]
-                    total += float(np.sum(np.where(c > 0, c * hi, c * lo)))
-                else:
-                    total += lpsolve.support(
-                        spec.dynamics[j].disturbance_set, c)
-        margins[r] = total
-    return margins
-
-
-def _centralized_affine(spec: NetworkSpec, index: AxisIndex, task: str,
-                        disturbance_lag: str) -> LabeledSet:
-    H = spec.horizon
-    width = (H + 1) * index.step_width
-    cols = index.all_axes
-
-    F_blocks, f_blocks = [], []
-    for i in range(spec.n_agents):
-        ag = spec.dynamics[i]
-        n_i = spec.state_dims[i]
-        for t in range(H):
-            R = np.zeros((n_i, width))
-            R[:, cols.positions_of(index.own_state_axes(t + 1, i))] = np.eye(n_i)
-            for j, blk in ag.A.items():
-                R[:, cols.positions_of(index.own_state_axes(t, j))] -= blk
-            for j, blk in ag.B.items():
-                R[:, cols.positions_of(index.own_input_axes(t, j))] -= blk
-            F_blocks.append(R)
-            f_blocks.append(ag.K)
-    F = np.vstack(F_blocks) if F_blocks else np.zeros((0, width))
-    f = np.hstack(f_blocks) if f_blocks else np.zeros(0)
-
-    G_blocks, g_blocks = [], []
-
-    def add(poly: HPolytope, positions):
-        A, b = _affine._as_inequalities(poly)
-        if not A.shape[0]:
-            return
-        block = np.zeros((A.shape[0], width))
-        block[:, positions] = A
-        G_blocks.append(block)
-        g_blocks.append(b)
-
-    for t in range(H + 1):
-        for j in range(spec.n_agents):
-            add(spec.state_sets[j],
-                cols.positions_of(index.own_state_axes(t, j)))
-            if spec.input_dims[j]:
-                add(spec.input_sets[j],
-                    cols.positions_of(index.own_input_axes(t, j)))
-    for i in range(spec.n_agents):
-        _affine._require_affine_rows(spec.couplings[i], i)
-        for t in range(H):
-            for row in spec.couplings[i]:
-                vec = np.zeros(width)
-                for j, c in row.state_coefs.items():
-                    vec[cols.positions_of(index.own_state_axes(t, j))] = c
-                for j, c in row.input_coefs.items():
-                    vec[cols.positions_of(index.own_input_axes(t, j))] = c
-                G_blocks.append(vec[None, :])
-                g_blocks.append(np.array([-row.offset]))
-                if row.relation == "=":
-                    G_blocks.append(-vec[None, :])
-                    g_blocks.append(np.array([row.offset]))
-    for i in range(spec.n_agents):
-        pos0 = cols.positions_of(index.nbhd_state_axes(0, i))
-        if task == "reach-check" and spec.start_sets is not None and \
-                spec.start_sets[i] is not None:
-            add(spec.start_sets[i], pos0)
-        if spec.start_partitions is not None and \
-                spec.start_partitions[i] is not None:
-            for t in range(H):
-                add(spec.start_partitions[i],
-                    cols.positions_of(index.nbhd_state_axes(t, i)))
-        add(spec.goal_sets[i], cols.positions_of(index.nbhd_state_axes(H, i)))
-
-    G = np.vstack(G_blocks) if G_blocks else np.zeros((0, width))
-    g = np.hstack(g_blocks) if g_blocks else np.zeros(0)
-    if any(spec.dynamics[j].has_disturbance() for j in range(spec.n_agents)):
-        g = g - _centralized_margins(spec, index, G, disturbance_lag)
-    return polytope_set(cols, HPolytope(G, g, F, f, dim=width))
-
-
-def _centralized_finite(spec: NetworkSpec, index: AxisIndex,
-                        task: str) -> LabeledSet:
-    H = spec.horizon
-    N = spec.n_agents
-    cols = index.all_axes
-    dyn_nbs = [tuple(sorted(set(spec.dyn_neighbors[i]) | {i}))
-               for i in range(N)]
-    tables = [spec.dynamics[i].transitions for i in range(N)]
-    goals = [set(spec.goal_sets[i]) for i in range(N)]
-    starts = None
-    if task == "reach-check" and spec.start_sets is not None:
-        starts = [None if s is None else set(s) for s in spec.start_sets]
-    parts = None
-    if spec.start_partitions is not None:
-        parts = [None if p is None else set(p)
-                 for p in spec.start_partitions]
-
-    state_pos = {(t, j): cols.positions_of(index.own_state_axes(t, j))
-                 for t in range(H + 1) for j in range(N)}
-    input_pos = {(t, j): cols.positions_of(index.own_input_axes(t, j))
-                 for t in range(H + 1) for j in range(N)}
-
-    choices, keys = [], []
-    for t in range(H + 1):
-        for j in range(N):
-            keys.append(("x", t, j))
-            choices.append(spec.state_sets[j])
-    for t in range(H + 1):
-        for j in range(N):
-            keys.append(("u", t, j))
-            choices.append(spec.input_sets[j])
-
-    points = []
-    for combo in itertools.product(*choices):
-        ax, au = {}, {}
-        for key, val in zip(keys, combo):
-            kind, t, j = key
-            (ax if kind == "x" else au)[(t, j)] = val
-        ok = True
-        for t in range(H):
-            xs = {j: ax[(t, j)] for j in range(N)}
-            us = {j: au[(t, j)] for j in range(N)}
-            for i in range(N):
-                dyn_key = (_key([v for j in dyn_nbs[i] for v in xs[j]]),
-                           _key([v for j in dyn_nbs[i] for v in us[j]]),
-                           ax[(t + 1, i)])
-                if dyn_key not in tables[i]:
-                    ok = False
-                    break
-                for row in spec.couplings[i]:
-                    if not _eval_coupling(row, xs, us, i):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if not ok:
-            continue
-        for i in range(N):
-            members = index.members[i]
-            def mstack(t):
-                return _key([v for j in members for v in ax[(t, j)]])
-            if starts is not None and starts[i] is not None and \
-                    mstack(0) not in starts[i]:
-                ok = False
-                break
-            if parts is not None and parts[i] is not None and \
-                    any(mstack(t) not in parts[i] for t in range(H)):
-                ok = False
-                break
-            if mstack(H) not in goals[i]:
-                ok = False
-                break
-        if not ok:
-            continue
-        z = np.zeros(len(cols))
-        for t in range(H + 1):
-            for j in range(N):
-                z[state_pos[(t, j)]] = ax[(t, j)]
-                z[input_pos[(t, j)]] = au[(t, j)]
-        points.append(z)
-    return finite_set(cols, np.array(points).reshape(len(points), len(cols)))
-
-
 def centralized_reachability(
         spec: NetworkSpec, backend: str | None = None, *, task: str = "pre",
         disturbance_lag: str = "paper",
         dimension_cap: int = DEFAULT_DIMENSION_CAP,
         materialize: bool = True) -> CentralizedSolution:
-    """Monolithic solution over all coordinates at once (for cross-checks).
+    """The global trajectory set over all coordinates at once (for
+    cross-checks): the join of every agent's local system, which by the
+    paper's equivalence is exactly the monolithic solution.
 
     Refuses once the trajectory vector grows beyond ``dimension_cap``
     coordinates.  ``materialize=False`` skips the projections and returns
@@ -928,18 +714,10 @@ def centralized_reachability(
     if width > dimension_cap:
         raise DimensionCapExceeded(
             f"monolithic system has {width} coordinates (cap {dimension_cap})")
-    kind = _payload_kind(spec.dynamics[0])
-    if kind is None:
-        raise UnsupportedDynamics(
-            f"payload {type(spec.dynamics[0]).__name__} is neither affine "
-            "nor a finite transition table")
-    if backend is not None and backend != kind:
-        raise UnsupportedDynamics(
-            f"requested backend {backend!r} but the payload is {kind}")
-    if kind == "affine":
-        trajectories = _centralized_affine(spec, index, task, disturbance_lag)
-    else:
-        trajectories = _centralized_finite(spec, index, task)
+    trajectories = join_extrusions(
+        [local_system_solution(spec, index, i, backend, task=task,
+                               disturbance_lag=disturbance_lag)
+         for i in range(spec.n_agents)], index.all_axes)
     if not materialize:
         return CentralizedSolution(trajectories, None, None)
     start_axes = index.global_state_axes(0)

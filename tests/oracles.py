@@ -294,3 +294,116 @@ def disturbance_response(spec, d_seq, lag="paper"):
             nxt.append(x)
         resp.append(nxt)
     return resp
+
+
+def monolithic_affine_system(spec, task="pre", lag="paper"):
+    """The global trajectory system of an affine network, in one piece.
+
+    Writes ``(A_ub, b_ub, A_eq, b_eq)`` over the whole trajectory vector
+    [x(0) all agents, u(0) all agents, x(1), ...] straight from the one-step
+    recursion ``x_i(t+1) - sum_j A_ij x_j(t) - sum_j B_ij u_j(t) = K_i``,
+    with the state/input sets, coupling rows, start sets (reach-check),
+    start partitions and goals as inequality rows.  Every inequality row is
+    tightened by its worst-case disturbance response, built column by column
+    from :func:`disturbance_response` unit impulses and maximized over each
+    (step, agent) disturbance set by one raw scipy LP.
+    """
+    n, H = spec.n_agents, spec.horizon
+    s_off = np.concatenate([[0], np.cumsum(spec.state_dims)]).astype(int)
+    u_off = np.concatenate([[0], np.cumsum(spec.input_dims)]).astype(int)
+    step = int(s_off[-1] + u_off[-1])
+    width = (H + 1) * step
+
+    def xs(t, j):
+        return list(range(t * step + s_off[j], t * step + s_off[j + 1]))
+
+    def us(t, j):
+        base = t * step + s_off[-1]
+        return list(range(base + u_off[j], base + u_off[j + 1]))
+
+    def stack(t, i):
+        return [p for j in spec.members(i) for p in xs(t, j)]
+
+    A_eq, b_eq = [], []
+    for i in range(n):
+        ag = spec.dynamics[i]
+        for t in range(H):
+            R = np.zeros((spec.state_dims[i], width))
+            R[:, xs(t + 1, i)] = np.eye(spec.state_dims[i])
+            for j, blk in ag.A.items():
+                R[:, xs(t, j)] -= blk
+            for j, blk in ag.B.items():
+                R[:, us(t, j)] -= blk
+            A_eq.extend(R)
+            b_eq.extend(ag.K)
+
+    A_ub, b_ub = [], []
+
+    def add(poly, positions):
+        rows = [(a, b) for a, b in zip(poly.A_ineq, poly.b_ineq)]
+        rows += [(s * a, s * b) for a, b in zip(poly.A_eq, poly.b_eq)
+                 for s in (1.0, -1.0)]
+        if poly.trivially_empty:
+            rows.append((np.zeros(poly.dim), -1.0))
+        for a, b in rows:
+            row = np.zeros(width)
+            row[positions] = a
+            A_ub.append(row)
+            b_ub.append(b)
+
+    for t in range(H + 1):
+        for j in range(n):
+            add(spec.state_sets[j], xs(t, j))
+            if spec.input_dims[j]:
+                add(spec.input_sets[j], us(t, j))
+    for i in range(n):
+        for row in spec.couplings[i]:
+            for t in range(H):
+                vec = np.zeros(width)
+                for j, c in row.state_coefs.items():
+                    vec[xs(t, j)] = c
+                for j, c in row.input_coefs.items():
+                    vec[us(t, j)] = c
+                signs = (1.0, -1.0) if row.relation == "=" else (1.0,)
+                for s in signs:
+                    A_ub.append(s * vec)
+                    b_ub.append(-s * row.offset)
+    for i in range(n):
+        if task == "reach-check" and spec.start_sets is not None \
+                and spec.start_sets[i] is not None:
+            add(spec.start_sets[i], stack(0, i))
+        if spec.start_partitions is not None \
+                and spec.start_partitions[i] is not None:
+            for t in range(H):
+                add(spec.start_partitions[i], stack(t, i))
+        add(spec.goal_sets[i], stack(H, i))
+
+    A_ub = np.array(A_ub).reshape(-1, width)
+    b_ub = np.array(b_ub, dtype=float)
+    v_dims = [spec.dynamics[j].disturbance_dim for j in range(n)]
+    for tau in range(H):
+        for j in range(n):
+            if not v_dims[j]:
+                continue
+            # response of the trajectory to each coordinate of d_j(tau)
+            L = np.zeros((width, v_dims[j]))
+            for k in range(v_dims[j]):
+                d_seq = [[np.zeros(v_dims[a]) for a in range(n)]
+                         for _ in range(H)]
+                d_seq[tau][j][k] = 1.0
+                resp = disturbance_response(spec, d_seq, lag)
+                for t in range(H + 1):
+                    for a in range(n):
+                        L[xs(t, a), k] = resp[t][a]
+            dset = spec.dynamics[j].disturbance_set
+            for r, c in enumerate(A_ub @ L):
+                if not np.any(c):
+                    continue
+                res = linprog(-c, A_ub=dset.A_ineq, b_ub=dset.b_ineq,
+                              A_eq=dset.A_eq if dset.A_eq.size else None,
+                              b_eq=dset.b_eq if dset.A_eq.size else None,
+                              bounds=(None, None), method="highs")
+                assert res.status == 0, f"oracle LP failed: {res.message}"
+                b_ub[r] += res.fun  # minus the worst-case increase
+    A_eq = np.array(A_eq).reshape(-1, width)
+    return A_ub, b_ub, A_eq, np.array(b_eq, dtype=float)

@@ -13,6 +13,7 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from reachnet import lpsolve
 from reachnet.affine import (
@@ -35,9 +36,18 @@ from reachnet.errors import (
     ValidationError,
 )
 from reachnet.polytope import HPolytope, set_equal, vertices
-from reachnet.reachability import NetworkSpec, build_axis_index
+from reachnet.reachability import (
+    NetworkSpec,
+    build_axis_index,
+    centralized_reachability,
+)
 
-from .oracles import disturbance_response, pack_trajectory, simulate_network
+from .oracles import (
+    disturbance_response,
+    monolithic_affine_system,
+    pack_trajectory,
+    simulate_network,
+)
 from .test_reachability import (
     box,
     chain_spec,
@@ -530,3 +540,83 @@ class TestAssembledSystem:
             assert abs(slack) <= 1e-7
             checked += 1
         assert checked >= 1
+
+
+# ---------------------------------------------------------------------------
+# the join of all local systems against the monolithic one-step system
+# ---------------------------------------------------------------------------
+
+
+def _simplex_disturbed_spec(horizon: int) -> NetworkSpec:
+    tri = HPolytope([[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]], [0.0, 0.0, 1.0])
+    return scalar_spec(AffineAgent(1, 1, A={0: [[0.7]]}, B={0: [[1.0]]},
+                                   E=[[1.0, 0.5]], disturbance_set=tri),
+                       horizon=horizon)
+
+
+def _equality_coupled_spec() -> NetworkSpec:
+    """Two integrators; u_1(t) = 0.5 - x_0(t) is imposed as a '=' row."""
+    return NetworkSpec(
+        state_dims=(1, 1), input_dims=(1, 1),
+        dyn_neighbors=((), ()), con_neighbors=((1,), ()),
+        horizon=2,
+        state_sets=(box(-3, 3), box(-3, 3)),
+        input_sets=(box(-1, 1), box(-1, 1)),
+        goal_sets=(box([-1, -1], [1, 1]), box([-1, -2], [1, 2])),
+        dynamics=(AffineAgent(1, 1, A={0: [[0.9]]}, B={0: [[1.0]]}),
+                  AffineAgent(1, 1, A={1: [[1.1]]}, B={1: [[1.0]]})),
+        couplings=((CouplingRow({0: [1.0]}, {1: [1.0]}, -0.5, "="),), ()))
+
+
+MONOLITHIC_CASES = (
+    [(f"random{s}", lambda s=s: random_affine_spec(s), "pre", "paper")
+     for s in range(20)]
+    + [(f"robust-integrator-H{h}-{lag}",
+        lambda h=h: robust_integrator_spec(horizon=h), "pre", lag)
+       for h in (1, 2, 3) for lag in ("paper", "standard")]
+    + [(f"disturbed-pair{s}-H{h}-{lag}",
+        lambda s=s, h=h: disturbed_pair_spec(s, horizon=h), "pre", lag)
+       for s, h in ((0, 2), (1, 3)) for lag in ("paper", "standard")]
+    + [(f"simplex-disturbance-{lag}", lambda: _simplex_disturbed_spec(3),
+        "pre", lag) for lag in ("paper", "standard")]
+    + [("chain", chain_spec, "pre", "paper"),
+       ("equality-coupling", _equality_coupled_spec, "pre", "paper"),
+       ("reach-check", lambda: integrator_spec(
+           horizon=2, start_sets=(box(-1.5, 0.5),),
+           start_partitions=(box(-3, 3),)), "reach-check", "paper")])
+
+
+def _raw_support(A_ub, b_ub, A_eq, b_eq, direction):
+    """max direction . z over the system, by a raw scipy LP (None if empty)."""
+    res = linprog(-direction, A_ub=A_ub, b_ub=b_ub,
+                  A_eq=A_eq if A_eq.size else None,
+                  b_eq=b_eq if A_eq.size else None,
+                  bounds=(None, None), method="highs")
+    if res.status == 2:
+        return None
+    if res.status == 3:
+        return np.inf
+    assert res.status == 0, res.message
+    return -res.fun
+
+
+@pytest.mark.parametrize("name,make,task,lag", MONOLITHIC_CASES,
+                         ids=[case[0] for case in MONOLITHIC_CASES])
+def test_join_of_local_systems_matches_monolithic_system(name, make, task, lag):
+    spec = make()
+    joined = centralized_reachability(spec, task=task, disturbance_lag=lag,
+                                      materialize=False).trajectories.poly()
+    system = monolithic_affine_system(spec, task, lag)
+    width = system[0].shape[1]
+    assert joined.dim == width
+    empty = _raw_support(*system, np.zeros(width)) is None
+    assert lpsolve.is_empty(joined) == empty
+    if empty:
+        return
+    rng = np.random.default_rng(0)
+    dirs = np.vstack([np.eye(width), -np.eye(width),
+                      rng.standard_normal((8, width))])
+    for d in dirs:
+        want = _raw_support(*system, d)
+        got = lpsolve.support(joined, d)
+        assert got == pytest.approx(want, rel=1e-7, abs=1e-7)

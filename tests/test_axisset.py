@@ -26,6 +26,7 @@ from reachnet import (
     set_includes,
     sets_equal,
 )
+from reachnet import axisset
 from reachnet import polytope as pl
 from reachnet.errors import (
     BackendMismatch,
@@ -226,6 +227,38 @@ def test_join_disjoint_tables_is_product():
     b = finite_set([2], [(5,)])
     out = join_extrusions([a, b], AxisSet([1, 2]))
     assert as_tuple_set(out) == {(0, 5), (1, 5)}
+
+
+def test_grid_inbox_join_never_forms_a_cross_product(monkeypatch):
+    # 4x4 grid, one table per node over the labels of its incident edges;
+    # node 5's inbox in index order is 1, 4, 5, 6, 9, and nodes 1 and 4
+    # share no edge
+    edges = [((r, c), (r, c + 1)) for r in range(4) for c in range(3)] + \
+            [((r, c), (r + 1, c)) for r in range(3) for c in range(4)]
+    rng = np.random.default_rng(4)
+    inbox = []
+    for node in (1, 4, 5, 6, 9):
+        cell = divmod(node, 4)
+        labs = [k + 1 for k, e in enumerate(edges) if cell in e]
+        inbox.append(finite_set(labs, rng.integers(0, 3, size=(20, len(labs)))))
+    target = AxisSet.union_of(s.axes for s in inbox)
+
+    index_order = (inbox[0].axes, inbox[0].table())
+    for s in inbox[1:]:
+        index_order = axisset._natural_join(*index_order, s.axes, s.table())
+
+    shared = []
+    natural_join = axisset._natural_join
+
+    def recording(axes_a, ta, axes_b, tb):
+        shared.append(len(axes_a & axes_b))
+        return natural_join(axes_a, ta, axes_b, tb)
+
+    monkeypatch.setattr(axisset, "_natural_join", recording)
+    joined = join_extrusions(inbox, target)
+    assert len(shared) == 4 and min(shared) >= 1
+    assert index_order[0] == target
+    assert joined.table() == index_order[1]
 
 
 # ---- randomized join vs oracle ---------------------------------------------

@@ -137,7 +137,8 @@ def _solve_outcome(lp, pivot_cap):
 
 
 def test_direct_highs_and_linprog_fallback_agree(monkeypatch):
-    # the criterion-11 instances, then one case per verdict and the pivot cap
+    # the criterion-11 instances, then one case per verdict, the pivot cap,
+    # and a model HiGHS rejects (x = 0 is feasible, so it is not infeasible)
     rng = np.random.default_rng(7777)
     cases = []
     for _ in range(500):
@@ -155,14 +156,17 @@ def test_direct_highs_and_linprog_fallback_agree(monkeypatch):
     cases.append((lpsolve.LinearProgram(np.ones(6), A_ineq=cap_rng.normal(size=(30, 6)),
                                         b_ineq=np.abs(cap_rng.normal(size=30)) + 1),
                   1))
+    cases.append((lpsolve.LinearProgram([1.0], A_ineq=[[1e16], [-1.0]],
+                                        b_ineq=[1.0, 1.0]),
+                  lpsolve.DEFAULT_PIVOT_CAP))
 
     default = [_solve_outcome(lp, cap) for lp, cap in cases]
     monkeypatch.setattr(lpsolve, "_backend", lpsolve._solve_linprog)
     fallback = [_solve_outcome(lp, cap) for lp, cap in cases]
 
-    tail = [r if r is NumericalFailure else r.status for r in default[-4:]]
+    tail = [r if r is NumericalFailure else r.status for r in default[-5:]]
     assert tail == [lpsolve.INFEASIBLE, lpsolve.UNBOUNDED, lpsolve.OPTIMAL,
-                    NumericalFailure]
+                    NumericalFailure, NumericalFailure]
     for a, b in zip(default, fallback):
         if a is NumericalFailure or b is NumericalFailure:
             assert a is b

@@ -18,7 +18,6 @@ from reachnet.affine import AffineAgent, CouplingRow
 from reachnet.axisset import (
     AxisSet,
     finite_set,
-    join_extrusions,
     project_set,
     sets_equal,
 )
@@ -647,27 +646,6 @@ class TestAffineDistributedEqualsCentralized:
                                              idx.all_axes, rng)
                 assert gap <= 1e-8
 
-    def test_join_of_locals_is_global_solution(self):
-        # the per-node systems joined together equal the monolithic system
-        for seed in (1, 3):
-            spec = random_affine_spec(seed)
-            idx = build_axis_index(spec)
-            locals_ = [local_system_solution(spec, idx, i)
-                       for i in range(spec.n_agents)]
-            joined = join_extrusions(locals_, idx.all_axes)
-            cent = centralized_reachability(spec, materialize=False)
-            if lpsolve.is_empty(cent.trajectories.poly()):
-                assert joined.empty
-                continue
-            rng = np.random.default_rng(99 + seed)
-            n = len(idx.all_axes)
-            dirs = np.vstack([np.eye(n), -np.eye(n),
-                              rng.standard_normal((10, n))])
-            for dd in dirs:
-                gap = abs(lpsolve.support(joined.poly(), dd)
-                          - lpsolve.support(cent.trajectories.poly(), dd))
-                assert gap <= 1e-8
-
     def test_boundary_points_simulate_forward_admissibly(self):
         # soundness: support points of the global set, replayed through the
         # raw one-step recursion, satisfy dynamics, state boxes, coupling,
@@ -767,6 +745,12 @@ class TestGuardrails:
         fidx = build_axis_index(fin)
         with pytest.raises(UnsupportedDynamics):
             local_system_solution(fin, fidx, 0, "affine")
+
+    @pytest.mark.parametrize("route", [run_distributed_reachability,
+                                       centralized_reachability])
+    def test_unknown_disturbance_lag_rejected_on_nominal_spec(self, route):
+        with pytest.raises(ValidationError, match="disturbance_lag"):
+            route(integrator_spec(), disturbance_lag="bogus")
 
     def test_unknown_payload_rejected_at_solve_time(self):
         spec = NetworkSpec(
