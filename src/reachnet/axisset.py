@@ -38,7 +38,7 @@ from .polytope import ABS_TOL, HPolytope
 
 #: Decimal places used when quantizing coordinates for exact-match joins;
 #: matches the 1e-9 membership tolerance used everywhere else.
-_QUANT_DECIMALS = 9
+QUANT_DECIMALS = 9
 
 
 @dataclass(frozen=True)
@@ -115,7 +115,7 @@ class PointTable:
         if not np.all(np.isfinite(arr)):
             raise DimensionMismatch("point coordinates must be finite")
         if arr.shape[0]:
-            key = np.round(arr, _QUANT_DECIMALS)
+            key = np.round(arr, QUANT_DECIMALS)
             key += 0.0  # normalize -0.0
             _, idx = np.unique(key, axis=0, return_index=True)
             arr = key[np.sort(idx)]

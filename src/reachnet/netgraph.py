@@ -125,15 +125,13 @@ def run_rounds(
     initial_states: Sequence,
     step: StepFn,
     max_rounds: int,
-    raise_on_max: bool = True,
 ) -> RoundLog:
     """Run synchronous rounds until every node reports converged.
 
     Each round, every node's message is its state from the end of the
     previous round, so information travels one hop per round.  If the
     budget runs out first, MaxRoundsExceeded is raised with the partial log
-    attached (or the log is returned with ``converged=False`` when
-    ``raise_on_max`` is off).
+    attached.
     """
     if max_rounds < 1:
         raise ValidationError("max_rounds must be at least 1")
@@ -164,6 +162,4 @@ def run_rounds(
         if all(flags):
             log.converged = True
             return log
-    if raise_on_max:
-        raise MaxRoundsExceeded(max_rounds, trace=log, states=states)
-    return log
+    raise MaxRoundsExceeded(max_rounds, trace=log, states=states)

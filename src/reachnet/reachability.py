@@ -19,7 +19,6 @@ horizon.  This module:
 
 from __future__ import annotations
 
-import itertools
 import logging
 from dataclasses import dataclass, field
 
@@ -28,6 +27,7 @@ import numpy as np
 from . import affine as _affine
 from .affine import AffineAgent, CouplingRow
 from .axisset import (
+    QUANT_DECIMALS,
     AxisSet,
     LabeledSet,
     finite_set,
@@ -51,7 +51,6 @@ logger = logging.getLogger("reachnet.reachability")
 TASKS = ("pre", "reach-check")
 
 DEFAULT_DIMENSION_CAP = 64
-_QUANT = 9  # decimals used when hashing finite points
 
 
 @dataclass(frozen=True)
@@ -80,7 +79,7 @@ class FiniteDynamics:
 def _key(values) -> tuple:
     """Quantized tuple key so float noise below 1e-9 cannot split points."""
     arr = np.atleast_1d(np.asarray(values, dtype=float))
-    arr = np.round(arr, _QUANT) + 0.0
+    arr = np.round(arr, QUANT_DECIMALS) + 0.0
     return tuple(float(v) for v in arr)
 
 
@@ -177,9 +176,7 @@ class NetworkSpec:
                     raise ValidationError(f"{opt} must list all {N} agents")
                 set_attr(self, opt, tuple(val))
 
-        kinds = {("affine" if isinstance(d, AffineAgent) else
-                  "finite" if isinstance(d, FiniteDynamics) else "unknown")
-                 for d in self.dynamics}
+        kinds = {_payload_kind(d) or "unknown" for d in self.dynamics}
         if len(kinds) > 1:
             raise ValidationError(
                 "all agents must share one dynamics payload kind")
@@ -298,6 +295,12 @@ class NetworkSpec:
             if not inp:
                 raise ValidationError(f"agent {i}: empty input alphabet")
             input_sets.append(inp)
+            who = (i, *self.dyn_neighbors[i])
+            shape = (sum(self.state_dims[j] for j in who),
+                     sum(self.input_dims[j] for j in who), self.state_dims[i])
+            if any(tuple(map(len, r)) != shape for r in self.dynamics[i].transitions):
+                raise DimensionMismatch(
+                    f"agent {i}: transition lengths must be {shape}")
         set_attr(self, "state_sets", tuple(state_sets))
         set_attr(self, "input_sets", tuple(input_sets))
 
@@ -546,8 +549,8 @@ def _eval_coupling(row, states: dict, inputs: dict, i: int) -> bool:
         for j, c in row.input_coefs.items():
             total += float(np.dot(c, inputs[j]))
         if row.relation == "=":
-            return abs(total) <= 1e-9
-        return total <= 1e-9
+            return abs(total) <= ABS_TOL
+        return total <= ABS_TOL
     if callable(row):
         return bool(row(states, inputs))
     raise UnsupportedDynamics(
@@ -556,82 +559,43 @@ def _eval_coupling(row, states: dict, inputs: dict, i: int) -> bool:
 
 def _finite_local_solution(spec: NetworkSpec, index: AxisIndex, i: int,
                            task: str) -> LabeledSet:
+    """Join of the window's goal, start, partition, transition and alphabet
+    tables, less the rows that break a coupling row at some t < H."""
     H = spec.horizon
     members = index.members[i]
     cols = index.horizon_axes(i)
-    dyn_nb = tuple(sorted(set(spec.dyn_neighbors[i]) | {i}))
-    table = spec.dynamics[i].transitions
-
-    start = None
-    if task == "reach-check" and spec.start_sets is not None:
-        start = spec.start_sets[i]
-    start_part = None if spec.start_partitions is None \
-        else spec.start_partitions[i]
-    goal = set(spec.goal_sets[i])
-    start_set = None if start is None else set(start)
-    part_set = None if start_part is None else set(start_part)
-
-    state_pos = {(t, j): cols.positions_of(index.own_state_axes(t, j))
-                 for t in range(H + 1) for j in members}
-    input_pos = {(t, j): cols.positions_of(index.own_input_axes(t, j))
-                 for t in range(H + 1) for j in members}
-
-    def stacks(assign_x, assign_u, t):
-        xs = {j: assign_x[(t, j)] for j in members}
-        us = {j: assign_u[(t, j)] for j in members}
-        return xs, us
-
-    choices = []
-    keys = []
+    parts = [finite_set(index.nbhd_state_axes(H, i), spec.goal_sets[i])]
+    if task == "reach-check" and spec.start_sets is not None \
+            and spec.start_sets[i] is not None:
+        parts.append(finite_set(index.nbhd_state_axes(0, i), spec.start_sets[i]))
+    partition = None if spec.start_partitions is None else spec.start_partitions[i]
+    # label order within a step is states, then inputs, then next states
+    transitions = [xs + us + nxt for xs, us, nxt in spec.dynamics[i].transitions]
+    for t in range(H):
+        if partition is not None:
+            parts.append(finite_set(index.nbhd_state_axes(t, i), partition))
+        step_axes = AxisSet.union_of(index.own_axes(t, j)
+                                     for j in (i, *spec.dyn_neighbors[i]))
+        parts.append(finite_set(step_axes | index.own_state_axes(t + 1, i),
+                                transitions))
     for t in range(H + 1):
         for j in members:
-            keys.append(("x", t, j))
-            choices.append(spec.state_sets[j])
-    for t in range(H + 1):
-        for j in members:
-            keys.append(("u", t, j))
-            choices.append(spec.input_sets[j])
+            parts.append(finite_set(index.own_state_axes(t, j), spec.state_sets[j]))
+            if spec.input_dims[j]:
+                parts.append(finite_set(index.own_input_axes(t, j), spec.input_sets[j]))
+    joined = join_extrusions(parts, cols)
+    if not spec.couplings[i]:
+        return joined
 
-    points = []
-    for combo in itertools.product(*choices):
-        assign_x = {}
-        assign_u = {}
-        for key, val in zip(keys, combo):
-            kind, t, j = key
-            (assign_x if kind == "x" else assign_u)[(t, j)] = val
-        ok = True
-        for t in range(H):
-            xs, us = stacks(assign_x, assign_u, t)
-            dyn_key = (_key([v for j in dyn_nb for v in xs[j]]),
-                       _key([v for j in dyn_nb for v in us[j]]),
-                       assign_x[(t + 1, i)])
-            if dyn_key not in table:
-                ok = False
-                break
-            for row in spec.couplings[i]:
-                if not _eval_coupling(row, xs, us, i):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
-            continue
-        def nbhd_stack(t):
-            return _key([v for j in members for v in assign_x[(t, j)]])
-        if start_set is not None and nbhd_stack(0) not in start_set:
-            continue
-        if part_set is not None and any(nbhd_stack(t) not in part_set
-                                        for t in range(H)):
-            continue
-        if nbhd_stack(H) not in goal:
-            continue
-        z = np.zeros(len(cols))
-        for t in range(H + 1):
-            for j in members:
-                z[state_pos[(t, j)]] = assign_x[(t, j)]
-                z[input_pos[(t, j)]] = assign_u[(t, j)]
-        points.append(z)
-    return finite_set(cols, np.array(points).reshape(len(points), len(cols)))
+    def admissible(z, t: int) -> bool:
+        at = dict(zip(cols.labels, z))
+        xs = {j: _key([at[k] for k in index.own_state_axes(t, j)]) for j in members}
+        us = {j: _key([at[k] for k in index.own_input_axes(t, j)]) for j in members}
+        return all(_eval_coupling(row, xs, us, i) for row in spec.couplings[i])
+
+    kept = [z for z in joined.table().points
+            if all(admissible(z, t) for t in range(H))]
+    return finite_set(cols, np.reshape(kept, (len(kept), len(cols))))
 
 
 # -- distributed orchestration ---------------------------------------------------

@@ -192,6 +192,8 @@ def pack_trajectory(states, inputs):
 
 
 def _coupling_holds(row, xs, us, tol=1e-9):
+    if callable(row):
+        return bool(row(dict(enumerate(xs)), dict(enumerate(us))))
     val = float(row.offset)
     for j, c in row.state_coefs.items():
         val += float(np.dot(c, xs[j]))

@@ -144,16 +144,6 @@ class TestRunRounds:
         assert exc.trace.rounds_executed == 3
         assert exc.states == [3, 3]
 
-    def test_raise_on_max_off_returns_unconverged_log(self):
-        g = Graph(1, frozenset())
-
-        def never_done(i, state, inbox):
-            return state, state, False
-
-        log = run_rounds(g, [0], never_done, max_rounds=2, raise_on_max=False)
-        assert log.converged is False
-        assert log.rounds_executed == 2
-
     def test_input_validation(self):
         g = Graph(2, frozenset())
 

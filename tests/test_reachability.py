@@ -28,8 +28,10 @@ from reachnet.errors import (
     UnsupportedDynamics,
     ValidationError,
 )
+from reachnet.netgraph import graph_from_dynamics
 from reachnet.polytope import HPolytope, embed_columns, intersect, set_equal, vertices
 from reachnet.reachability import (
+    TASKS,
     AxisIndex,
     FiniteDynamics,
     NetworkSpec,
@@ -360,6 +362,18 @@ class TestNetworkSpecValidation:
         assert spec.input_sets[1] == ((),)
         assert spec.state_sets[0] == ((0.0,), (1.0,), (2.0,))
 
+    def test_finite_transition_lengths_checked(self):
+        # same total width as a valid row, split wrongly between the parts
+        fin = finite_toy_spec()
+        bad = FiniteDynamics(fin.dynamics[0].transitions
+                             | {((0,), (0, 0), (0,))})
+        with pytest.raises(DimensionMismatch, match="transition lengths"):
+            NetworkSpec(
+                state_dims=fin.state_dims, input_dims=fin.input_dims,
+                dyn_neighbors=fin.dyn_neighbors, con_neighbors=fin.con_neighbors,
+                horizon=1, state_sets=fin.state_sets, input_sets=fin.input_sets,
+                goal_sets=fin.goal_sets, dynamics=(bad, fin.dynamics[1]))
+
     def test_finite_duplicate_points_rejected(self):
         fin = finite_toy_spec()
         with pytest.raises(ValidationError, match="duplicate"):
@@ -521,23 +535,33 @@ class TestFiniteNetwork:
 
     @pytest.mark.parametrize("seed", range(12))
     def test_random_instances_all_routes_agree(self, seed):
-        spec = _random_finite_spec(seed)
-        want = finite_forward_trajectories(spec)
-        cent = centralized_reachability(spec)
-        assert set(map(tuple, cent.trajectories.table().points)) == want
-        idx = build_axis_index(spec)
-        sols, trace = run_distributed_reachability(spec)
-        assert trace.converged
-        if not want:
-            assert all(s.refined_trajectories.empty for s in sols)
-            return
-        oracle = finite_set(idx.all_axes, sorted(want))
-        for sol in sols:
-            expect = project_set(oracle, idx.horizon_axes(sol.node))
-            assert sets_equal(sol.refined_trajectories, expect)
-            assert sets_equal(sol.start_states,
-                              project_set(oracle,
-                                          idx.nbhd_state_axes(0, sol.node)))
+        _assert_routes_match_forward_search(_random_finite_spec(seed), "pre")
+
+    @pytest.mark.parametrize("task", TASKS)
+    @pytest.mark.parametrize("seed", range(43))
+    def test_coupled_partitioned_instances_all_routes_agree(self, seed, task):
+        _assert_routes_match_forward_search(_coupled_finite_spec(seed), task)
+
+
+def _assert_routes_match_forward_search(spec: NetworkSpec, task: str):
+    """Centralized and distributed routes both reproduce the forward-search
+    oracle: the global trajectories, every refined window and its starts."""
+    want = finite_forward_trajectories(spec,
+                                       include_start=task == "reach-check")
+    cent = centralized_reachability(spec, task=task)
+    assert set(map(tuple, cent.trajectories.table().points)) == want
+    idx = build_axis_index(spec)
+    sols, trace = run_distributed_reachability(spec, task=task)
+    assert trace.converged
+    if not want:
+        assert all(s.refined_trajectories.empty for s in sols)
+        return
+    oracle = finite_set(idx.all_axes, sorted(want))
+    for sol in sols:
+        expect = project_set(oracle, idx.horizon_axes(sol.node))
+        assert sets_equal(sol.refined_trajectories, expect)
+        assert sets_equal(sol.start_states,
+                          project_set(oracle, idx.nbhd_state_axes(0, sol.node)))
 
 
 def _random_finite_spec(seed: int) -> NetworkSpec:
@@ -589,6 +613,77 @@ def _random_finite_spec(seed: int) -> NetworkSpec:
         input_sets=tuple([(v,) for v in values] if m else ()
                          for m in input_dims),
         goal_sets=tuple(goal_sets), dynamics=tuple(dynamics))
+
+
+def _coupled_finite_spec(seed: int) -> NetworkSpec:
+    """Finite chain with coupling rows, start sets and start partitions.
+
+    Agent 0 has a 2-dimensional state.  Agent 1 owns a '<=' row over the
+    states of agents 0 and 1, and on odd seeds an '=' row as well; the last
+    agent owns a callable row.  Partitions and start sets are random
+    subsets of the neighbourhood stacks, each start set inside its
+    partition.  Three agents only for H <= 1 keeps the oracle's forward
+    search small.
+    """
+    rng = np.random.default_rng(2000 + seed)
+    horizon = seed % 3
+    n = 3 if horizon < 2 and rng.random() < 0.5 else 2
+    values = (0.0, 1.0)
+    state_dims = (2,) + (1,) * (n - 1)
+    input_dims = tuple(int(rng.integers(0, 2)) for _ in range(n))
+    alphabets = [list(itertools.product(values, repeat=d)) for d in state_dims]
+    inputs = [list(itertools.product(values, repeat=d)) for d in input_dims]
+    dyn_nb = [()] + [(i - 1,) for i in range(1, n)]
+    con_nb = [()] + [(0,)] + [(n - 2,)] * (n - 2)
+    members = [graph_from_dynamics(dyn_nb, con_nb).neighborhood(i)
+               for i in range(n)]
+
+    def stacks(alpha, who):
+        return [tuple(v for part in combo for v in part)
+                for combo in itertools.product(*(alpha[j] for j in who))]
+
+    def subset(items, p):
+        return [v for v in items if rng.random() < p] or items[:1]
+
+    dynamics = []
+    for i in range(n):
+        who = tuple(sorted(set(dyn_nb[i]) | {i}))
+        rows = {(xs, us, nxt) for xs in stacks(alphabets, who)
+                for us in stacks(inputs, who) for nxt in alphabets[i]
+                if rng.random() < 0.45}
+        dynamics.append(FiniteDynamics(frozenset(rows)))
+
+    le_row = CouplingRow({0: [1.0, 1.0], 1: [1.0]},
+                         {1: [1.0]} if input_dims[1] else {}, -2.0)
+    eq_row = CouplingRow({0: [1.0, 0.0], 1: [-1.0]}, {}, 0.0, "=")
+    last = n - 1
+
+    def not_all_ones(xs, us):
+        return sum(xs[last - 1]) + xs[last][0] < len(xs[last - 1]) + 1
+
+    couplings = [[] for _ in range(n)]
+    couplings[1].append(le_row)
+    if seed % 2:
+        couplings[1].append(eq_row)
+    couplings[last].append(not_all_ones)
+
+    partitions, starts = [], []
+    for i in range(n):
+        nbhd = stacks(alphabets, members[i])
+        part = subset(nbhd, 0.8) if rng.random() < 0.6 else None
+        partitions.append(part)
+        starts.append(subset(part or nbhd, 0.6) if rng.random() < 0.7
+                      else None)
+    return NetworkSpec(
+        state_dims=state_dims, input_dims=input_dims,
+        dyn_neighbors=tuple(dyn_nb), con_neighbors=tuple(con_nb),
+        horizon=horizon,
+        state_sets=tuple(alphabets),
+        input_sets=tuple(inp if d else () for inp, d in zip(inputs, input_dims)),
+        goal_sets=tuple(subset(stacks(alphabets, members[i]), 0.7)
+                        for i in range(n)),
+        dynamics=tuple(dynamics), couplings=tuple(couplings),
+        start_sets=tuple(starts), start_partitions=tuple(partitions))
 
 
 # ---------------------------------------------------------------------------
