@@ -7,8 +7,17 @@ elimination substitute variables instead of combining rows.
 
 Coordinate elimination is Fourier-Motzkin on the inequality rows (equality
 rows are used as pivots first), one coordinate at a time from the highest
-column down, with duplicate/dominated-row filtering and LP-based redundancy
-pruning after every step to keep the row count from exploding.
+column down, with duplicate/dominated-row filtering and redundancy pruning
+after every step to keep the row count from exploding.
+
+Pruning (:func:`prune`) asks one LP per row whether the row is implied by
+the rows kept so far.  Most rows are not, so before those LPs it shoots rays
+from an interior point (redundancy removal by ray shooting: Fukuda,
+*Polyhedral Computation FAQ*; Clarkson, FOCS 1994).  The first hyperplane a
+ray crosses belongs to a needed row whenever the point where it crosses the
+next one satisfies every other row and the equalities, and lies beyond the
+first row by more than the tolerance: that point is a witness, and the row
+skips its LP.
 """
 
 from __future__ import annotations
@@ -42,6 +51,17 @@ ELIMINATION_ROW_CAP = 20_000
 
 #: Vertex enumeration / hull recovery cluster radius.
 VERTEX_TOL = 1e-7
+
+#: Relative margin, on top of ``tol``, by which a ray-shooting witness must
+#: violate the row it certifies (scaled by the witness's largest coordinate);
+#: it keeps the LP solver's rounding from ever deciding otherwise.
+CERTIFY_MARGIN = 1e-7
+
+#: Seeded random rays shot per inequality row, besides one along each normal.
+_RAYS_PER_ROW = 4
+
+#: Entries of the rows-by-rays hit-distance matrix evaluated at once.
+_RAY_CHUNK = 1 << 16
 
 _MAX_VERTEX_DIM = 8
 _MAX_VERTEX_COMBOS = 400_000
@@ -228,11 +248,136 @@ def set_equal(p: HPolytope, q: HPolytope, tol: float = ABS_TOL) -> bool:
     return includes(p, q, tol) and includes(q, p, tol)
 
 
+def _gram_schmidt(F: np.ndarray):
+    """``F = L Q`` with orthonormal rows ``Q`` and lower-triangular ``L``.
+
+    A row whose remainder falls below 1e-10 (the rows have unit norm) counts
+    as dependent and adds no row to ``Q``, as in the rank cut of
+    :func:`_affine_basis`.  Also returns the rows that did add one.
+    """
+    Q = np.zeros((0, F.shape[1]))
+    L = np.zeros((F.shape[0], F.shape[0]))
+    lead = []
+    for k, a in enumerate(F):
+        for _ in range(2):  # the second pass restores orthogonality
+            coef = Q @ a
+            L[k, :coef.size] += coef
+            a = a - coef @ Q
+        n = np.linalg.norm(a)
+        if n > 1e-10:
+            L[k, len(lead)] = n
+            lead.append(k)
+            Q = np.vstack([Q, a / n])
+    return Q, L[:, :len(lead)], lead
+
+
+def _equality_gap(F, f, L, lead, x) -> np.ndarray:
+    """Per point (row of ``x``): the length of the least move within the
+    row space of ``F`` that makes the independent rows hold exactly, or the
+    largest miss left on a dependent row, whichever is larger.
+
+    Near-dependent rows make the move long, so a point that misses
+    ``F x = f`` by little but sits far from that affine set is not close.
+    """
+    miss = F @ x.T - f[:, None]
+    y = np.zeros((len(lead), x.shape[0]))
+    for j, k in enumerate(lead):
+        y[j] = (miss[k] - L[k, :j] @ y[:j]) / L[k, j]
+    return np.maximum(np.linalg.norm(y, axis=0),
+                      np.abs(miss - L @ y).max(axis=0))
+
+
+def _certify_irredundant(G, g, F, f, tol: float) -> np.ndarray:
+    """Mask of the rows of ``G z <= g`` that ray shooting proves irredundant.
+
+    One Chebyshev-centre LP gives a point c inside the set, at the centre of
+    the largest ball within its affine hull ``F z = f``.  A ray from c, in the
+    null space of ``F``, first crosses the hyperplane of some row i and next
+    that of another row; the point x at that second crossing satisfies every
+    row but i, and ``F x = f``.  Row i is certified when x, checked
+    explicitly, does so within ``tol`` (for ``F x = f``: lies within ``tol``
+    of that affine set, see :func:`_equality_gap`) and exceeds row i by more
+    than ``tol`` plus :data:`CERTIFY_MARGIN`.
+    """
+    m, dim = G.shape
+    certified = np.zeros(m, dtype=bool)
+    if m < 2:  # the centre LP would cost as much as it could save
+        return certified
+    Q, L, lead = _gram_schmidt(F)
+    if Q.shape[0] == dim:
+        return certified  # a single point
+    norms = np.linalg.norm(G - (G @ Q.T) @ Q, axis=1)
+    # maximize the radius r of a ball around z inside the set and its affine
+    # hull; the cap keeps the LP bounded when the set is unbounded
+    radius_row = np.eye(1, dim + 1, dim)
+    lp = lpsolve.LinearProgram(
+        radius_row[0], np.vstack([np.column_stack([G, norms]), radius_row]),
+        np.append(g, 1.0 + np.abs(g).max()),
+        np.column_stack([F, np.zeros(F.shape[0])]), f)
+    try:
+        res = lpsolve.solve(lp)
+    except NumericalFailure:
+        return certified
+    if res.status != lpsolve.OPTIMAL:
+        return certified
+    c = res.point[:dim]
+    if res.point[dim] <= tol + CERTIFY_MARGIN * max(1.0, np.abs(c).max()):
+        return certified  # no interior: implicit equalities, or empty
+    slack = g - G @ c
+    live = norms > ZERO_COEF_TOL
+    rng = np.random.default_rng(0)  # a fixed seed keeps LP counts repeatable
+    n_random = _RAYS_PER_ROW * m
+    step = max(1, _RAY_CHUNK // m)
+    normals = G[live]
+    batches = itertools.chain(
+        (normals[lo:lo + step] for lo in range(0, normals.shape[0], step)),
+        (rng.standard_normal((min(step, n_random - lo), dim))
+         for lo in range(0, n_random, step)))
+    for dirs in batches:
+        dirs = dirs - (dirs @ Q.T) @ Q
+        rays = dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
+        cols = np.arange(rays.shape[0])
+        speed = G @ rays.T
+        dist = np.divide(slack[:, None], speed, out=np.full(speed.shape, np.inf),
+                         where=speed > ZERO_COEF_TOL)
+        first = np.argmin(dist, axis=0)
+        d1 = dist[first, cols]
+        dist[first, cols] = np.inf
+        d2 = dist.min(axis=0)
+        hit = np.isfinite(d1)
+        # with no second crossing every point past the first is a witness
+        t = np.where(np.isfinite(d2), d2, 2.0 * d1)
+        x = c + np.where(hit, t, 0.0)[:, None] * rays
+        resid = G @ x.T - g[:, None]
+        excess = resid[first, cols]
+        resid[first, cols] = -np.inf
+        ok = (hit & (resid.max(axis=0) <= tol)
+              & (excess > tol + CERTIFY_MARGIN * np.maximum(1.0, np.abs(x).max(axis=1))))
+        if F.shape[0]:
+            ok &= _equality_gap(F, f, L, lead, x) <= tol
+        certified[first[ok]] = True
+        if certified.all():
+            break
+    return certified
+
+
 def prune(p: HPolytope, tol: float = ABS_TOL, merge_equalities: bool = False) -> HPolytope:
     """Minimal representation: drop inequality rows implied by the rest.
 
     With ``merge_equalities`` opposite inequality pairs that pin a hyperplane
     are rewritten as a single equality row (useful before vertex work).
+
+    Rows are visited in order; row i is dropped when maximizing its normal
+    over the rows still kept (without i) and the equalities gives at most
+    ``g_i + tol``.  Rows that ray shooting certifies (see
+    :func:`_certify_irredundant`) skip that LP.  A certified row has a
+    witness x that satisfies every other row and the equalities and exceeds
+    ``g_i`` by more than ``tol`` plus :data:`CERTIFY_MARGIN`; the rows kept
+    at its turn are a subset of the others, so its LP maximizes over a
+    superset containing x and would keep it too.  The margin absorbs the LP
+    solver's rounding, so the result is the same system, row for row, as
+    with an LP for every row; only an LP that would have failed with
+    NumericalFailure on a certified row is no longer solved.
     """
     if p.is_empty():
         return HPolytope.empty(p.dim)
@@ -255,8 +400,9 @@ def prune(p: HPolytope, tol: float = ABS_TOL, merge_equalities: bool = False) ->
             G, g = G[~used], g[~used]
             F = np.vstack([F, np.array(eq_rows)])
             f = np.hstack([f, np.array(eq_rhs)])
+    certified = _certify_irredundant(G, g, F, f, tol)
     active = list(range(G.shape[0]))
-    for i in list(active):
+    for i in np.flatnonzero(~certified):
         others = [j for j in active if j != i]
         trial = lpsolve.LinearProgram(G[i], G[others], g[others], F, f)
         res = lpsolve.solve(trial)

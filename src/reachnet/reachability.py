@@ -185,6 +185,14 @@ class NetworkSpec:
         graph = graph_from_dynamics(self.dyn_neighbors, self.con_neighbors)
         set_attr(self, "_graph", graph)
 
+        for i in range(N):
+            con_allowed = set(self.con_neighbors[i]) | {i}
+            for row in self.couplings[i]:
+                if isinstance(row, CouplingRow) and \
+                        not row.participants() <= con_allowed:
+                    raise ValidationError(
+                        f"agent {i}: coupling row references agents outside "
+                        "the declared constraint neighbours")
         if self._backend == "affine":
             self._validate_affine()
         elif self._backend == "finite":
@@ -232,14 +240,6 @@ class NetworkSpec:
                     raise ValidationError(
                         f"agent {i}: dynamics block for {j} but {j} is not a "
                         "declared dynamic neighbour")
-            con_allowed = set(self.con_neighbors[i]) | {i}
-            for row in self.couplings[i]:
-                if isinstance(row, CouplingRow) and \
-                        not row.participants() <= con_allowed:
-                    raise ValidationError(
-                        f"agent {i}: coupling row references agents outside "
-                        "the declared constraint neighbours")
-
             def check_poly(poly, dim, what):
                 if not isinstance(poly, HPolytope):
                     raise ValidationError(f"{what}: expected a polytope")
@@ -423,11 +423,6 @@ class AxisIndex:
     def nbhd_axes(self, t: int, i: int) -> AxisSet:
         return self.nbhd_state_axes(t, i) | self.nbhd_input_axes(t, i)
 
-    def two_hop_axes(self, t: int, i: int) -> AxisSet:
-        """Union of the step-t windows of every communication neighbour."""
-        self._check(t, i)
-        return AxisSet.union_of(self.nbhd_axes(t, j) for j in self.members[i])
-
     # -- whole-horizon windows ---------------------------------------------------
 
     def horizon_state_axes(self, i: int) -> AxisSet:
@@ -440,15 +435,6 @@ class AxisIndex:
 
     def horizon_axes(self, i: int) -> AxisSet:
         return self.horizon_state_axes(i) | self.horizon_input_axes(i)
-
-    def two_hop_horizon_input_axes(self, i: int) -> AxisSet:
-        self._check(0, i)
-        return AxisSet.union_of(self.horizon_input_axes(j)
-                                for j in self.members[i])
-
-    def two_hop_horizon_axes(self, i: int) -> AxisSet:
-        self._check(0, i)
-        return AxisSet.union_of(self.horizon_axes(j) for j in self.members[i])
 
     # -- global views -------------------------------------------------------------
 

@@ -2,7 +2,9 @@
 
 Everything here is deliberately written the dumbest correct way and avoids
 the package's own geometry code paths: hulls by gift wrapping, extremeness
-by raw scipy LPs, joins by exhaustive pair checks.
+by raw scipy LPs, joins by exhaustive pair checks.  The one exception is
+:func:`lp_only_prune`, a frozen copy of the package's LP-per-row pruning
+loop, kept to show that faster pruning returns the very same rows.
 """
 
 from __future__ import annotations
@@ -11,6 +13,9 @@ import itertools
 
 import numpy as np
 from scipy.optimize import linprog
+
+from reachnet import lpsolve
+from reachnet.polytope import HPolytope
 
 
 def gift_wrap_2d(points) -> np.ndarray:
@@ -409,3 +414,38 @@ def monolithic_affine_system(spec, task="pre", lag="paper"):
                 b_ub[r] += res.fun  # minus the worst-case increase
     A_eq = np.array(A_eq).reshape(-1, width)
     return A_ub, b_ub, A_eq, np.array(b_eq, dtype=float)
+
+
+def lp_only_prune(p, tol: float = 1e-9, merge_equalities: bool = False):
+    """``polytope.prune`` as it was before ray-shooting certificates: one LP
+    per inequality row, in order, each against the rows still kept."""
+    if p.is_empty():
+        return HPolytope.empty(p.dim)
+    G, g = [np.array(m) for m in (p.A_ineq, p.b_ineq)]
+    F, f = [np.array(m) for m in (p.A_eq, p.b_eq)]
+    if merge_equalities and G.shape[0]:
+        used = np.zeros(G.shape[0], dtype=bool)
+        eq_rows, eq_rhs = [], []
+        for i in range(G.shape[0]):
+            if used[i]:
+                continue
+            opposite = np.all(np.abs(G + G[i]) <= 1e-10, axis=1) & ~used
+            opposite[i] = False
+            hit = np.nonzero(opposite & (np.abs(g + g[i]) <= tol))[0]
+            if hit.size:
+                used[i] = used[hit[0]] = True
+                eq_rows.append(G[i])
+                eq_rhs.append(g[i])
+        if eq_rows:
+            G, g = G[~used], g[~used]
+            F = np.vstack([F, np.array(eq_rows)])
+            f = np.hstack([f, np.array(eq_rhs)])
+    active = list(range(G.shape[0]))
+    for i in list(active):
+        others = [j for j in active if j != i]
+        trial = lpsolve.LinearProgram(G[i], G[others], g[others], F, f)
+        res = lpsolve.solve(trial)
+        if res.status == lpsolve.OPTIMAL and res.value <= g[i] + tol:
+            active.remove(i)
+        # unbounded or (numerically) infeasible: keep the row
+    return HPolytope(G[active], g[active], F, f, dim=p.dim)

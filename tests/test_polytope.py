@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from reachnet import lpsolve
 from reachnet import polytope as pl
@@ -11,11 +13,12 @@ from reachnet.errors import (
     DegenerateInput,
     EliminationBlowup,
     EmptySet,
+    NumericalFailure,
     ParseError,
     UnboundedSet,
 )
 
-from .oracles import extreme_points, gift_wrap_2d, hausdorff
+from .oracles import extreme_points, gift_wrap_2d, hausdorff, lp_only_prune
 
 
 def support_gap(p, q, extra_dirs=()):
@@ -213,6 +216,203 @@ def test_prune_merges_opposite_rows_to_equality():
     b = [0.5, -0.5, 1.0, 0.0]
     p = pl.prune(pl.HPolytope(A, b), merge_equalities=True)
     assert p.A_eq.shape[0] == 1 and p.A_ineq.shape[0] == 2
+
+
+# ---- pruning: ray-shooting certificates against the LP-only loop -------------
+
+
+def same_system(p, q):
+    return all(np.array_equal(getattr(p, name), getattr(q, name))
+               for name in ("A_ineq", "b_ineq", "A_eq", "b_eq"))
+
+
+def rotation(rng, d):
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    return q
+
+
+def rotated_cube(rng, d, half_width, center):
+    Q = rotation(rng, d)
+    return (np.vstack([Q, -Q]),
+            np.hstack([half_width + Q @ center, half_width - Q @ center]))
+
+
+def cube_case(rng):
+    d = int(rng.integers(1, 6))
+    scale = 10.0 ** rng.integers(-2, 7)
+    return pl.HPolytope(*rotated_cube(rng, d, scale, rng.normal(size=d) * scale))
+
+
+def near_parallel_case(rng):
+    """A rotated cube plus copies of its facets, exact or tilted by up to
+    1e-6, shifted outward or inward by about ``tol``."""
+    d = int(rng.integers(1, 6))
+    A, b = rotated_cube(rng, d, 10.0 ** rng.integers(0, 7), np.zeros(d))
+    extra, rhs = [], []
+    for _ in range(int(rng.integers(1, 6))):
+        i = int(rng.integers(0, 2 * d))
+        a = A[i] + rng.normal(size=d) * rng.choice([0.0, 1e-13, 1e-10, 1e-8, 1e-6])
+        extra.append(a / np.linalg.norm(a))
+        rhs.append(b[i] + rng.choice([-1, 1]) * pl.ABS_TOL * rng.uniform(0.3, 3.0))
+    A, b = np.vstack([A, extra]), np.hstack([b, rhs])
+    order = rng.permutation(A.shape[0])
+    return pl.HPolytope(A[order], b[order])
+
+
+def pinned_case(rng):
+    """A rotated cube cut down to an affine subspace by equality rows, plus
+    random inequality rows through it."""
+    d = int(rng.integers(2, 6))
+    A, b = rotated_cube(rng, d, 10.0, np.zeros(d))
+    F = rng.normal(size=(int(rng.integers(1, d)), d))
+    z = rng.uniform(-5.0, 5.0, size=d)
+    extra = rng.normal(size=(int(rng.integers(0, 6)), d))
+    return pl.HPolytope(np.vstack([A, extra]),
+                        np.hstack([b, extra @ z + rng.uniform(0.0, 8.0, len(extra))]),
+                        F, F @ z, dim=d)
+
+
+def unbounded_case(rng):
+    """Halfspaces, slabs and wedges: a few random rows, sometimes a slab."""
+    d = int(rng.integers(1, 5))
+    A = rng.normal(size=(int(rng.integers(1, 5)), d))
+    if rng.random() < 0.5:
+        A = np.vstack([A, -A[:1]])
+    return pl.HPolytope(A, rng.uniform(0.0, 3.0, A.shape[0]))
+
+
+def inequality_pair_case(rng):
+    """A rotated cube flattened in some directions by opposite inequality
+    pairs of width zero or below ``tol``, so it has no interior."""
+    d = int(rng.integers(1, 5))
+    A, b = rotated_cube(rng, d, 2.0, rng.normal(size=d))
+    k = int(rng.integers(1, d + 1))
+    b[d:d + k] = -b[:k] + rng.choice([0.0, 0.5 * pl.ABS_TOL])
+    return pl.HPolytope(A, b)
+
+
+def empty_case(rng):
+    d = int(rng.integers(1, 5))
+    A, b = rotated_cube(rng, d, 1.0, np.zeros(d))
+    b[d] = -1.0 - rng.choice([1e-6, 1.0])
+    return pl.HPolytope(A, b)
+
+
+PRUNE_CASES = (cube_case, near_parallel_case, pinned_case, unbounded_case,
+               inequality_pair_case, empty_case)
+
+
+@pytest.mark.parametrize("merge", [False, True])
+@pytest.mark.parametrize("make", PRUNE_CASES, ids=lambda f: f.__name__)
+def test_prune_matches_lp_only_loop(make, merge):
+    for seed in range(30):
+        p = make(np.random.default_rng(seed))
+        got = pl.prune(p, merge_equalities=merge)
+        expect = lp_only_prune(p, merge_equalities=merge)
+        assert same_system(got, expect), (make.__name__, seed)
+
+
+def near_dependent_equality_case(rng):
+    """A small rotated cube on an affine set given by two equality rows
+    1e-9 apart in angle: a point can miss them by less than ``tol`` yet lie
+    far from the set they define."""
+    d = int(rng.integers(3, 6))
+    A, b = rotated_cube(rng, d, 0.1, np.zeros(d))
+    F = rng.normal(size=(2, d))
+    F[1] = F[0] + rng.normal(size=d) * 1e-9
+    z = rng.normal(size=d) * 0.01
+    extra = rng.normal(size=(int(rng.integers(0, 6)), d))
+    return pl.HPolytope(np.vstack([A, extra]),
+                        np.hstack([b, extra @ z + rng.uniform(0.0, 0.1, len(extra))]),
+                        F, F @ z, dim=d)
+
+
+@pytest.mark.parametrize("merge", [False, True])
+def test_prune_matches_lp_only_loop_near_dependent_equalities(merge):
+    compared = 0
+    for seed in range(60):
+        p = near_dependent_equality_case(np.random.default_rng(seed))
+        try:
+            expect = lp_only_prune(p, merge_equalities=merge)
+        except NumericalFailure:
+            continue  # the LP-only loop has no answer to compare with
+        assert same_system(pl.prune(p, merge_equalities=merge), expect), seed
+        compared += 1
+    assert compared >= 40
+
+
+def certified_rows(p):
+    return np.flatnonzero(pl._certify_irredundant(
+        p.A_ineq, p.b_ineq, p.A_eq, p.b_eq, pl.ABS_TOL))
+
+
+def test_certificate_witness_must_satisfy_slowly_crossed_rows():
+    # Along row 0's normal, row 1 is crossed at speed 5e-12: too slowly to
+    # count as a hit, so row 0 comes first, at 8e11.  But with y >= -1, row 1
+    # caps x at 4e11, so row 0 is redundant and no witness for it exists;
+    # the candidate behind row 0 violates row 1.  (HiGHS cannot resolve that
+    # slope and keeps row 0 anyway, so only the certificate is checked here.)
+    # The rotation keeps every coefficient far from zero.
+    turn = np.array([[np.cos(0.5), -np.sin(0.5)], [np.sin(0.5), np.cos(0.5)]])
+    A = np.array([[1.0, 0.0], [5e-12, 1.0], [0.0, -1.0], [-1.0, 0.0]]) @ turn.T
+    p = pl.HPolytope(A, [8e11, 1.0, 1.0, 1.0])
+    assert list(certified_rows(p)) == [1, 2, 3]
+
+
+def test_certificate_witness_must_satisfy_the_equalities():
+    # Two equality rows 1e-11 apart in angle pin the single point (0, 100),
+    # so both inequality rows are redundant.  The null-space basis keeps the
+    # near-null direction (the rank cut is 1e-10), and every candidate
+    # witness along it misses the second equality by more than tol.
+    p = pl.HPolytope([[0.0, 1.0], [0.0, -1.0]], [1e4, 1e4],
+                     [[1.0, 0.0], [1.0, 1e-11]], [0.0, 1e-9], dim=2)
+    assert certified_rows(p).size == 0
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data())
+def test_prune_matches_lp_only_loop_random(data):
+    d = data.draw(st.integers(1, 4))
+    m = data.draw(st.integers(1, 9))
+    coef = st.integers(-3, 3).map(float)
+    A = np.array(data.draw(st.lists(st.lists(coef, min_size=d, max_size=d),
+                                    min_size=m, max_size=m)))
+    b = np.array(data.draw(st.lists(st.integers(-4, 6).map(float),
+                                    min_size=m, max_size=m)))
+    # copies of some rows shifted by a few tolerances either way
+    shifts = data.draw(st.lists(st.tuples(st.integers(0, m - 1),
+                                          st.floats(-3.0, 3.0)), max_size=3))
+    for i, k in shifts:
+        A = np.vstack([A, A[i]])
+        b = np.append(b, b[i] + k * pl.ABS_TOL * np.linalg.norm(A[i]))
+    F = f = None
+    if data.draw(st.booleans()):
+        F = np.array([data.draw(st.lists(coef, min_size=d, max_size=d))])
+        f = np.array([float(data.draw(st.integers(-2, 2)))])
+    p = pl.HPolytope(A, b, F, f, dim=d)
+    merge = data.draw(st.booleans())
+    try:
+        expect = lp_only_prune(p, merge_equalities=merge)
+    except NumericalFailure:
+        assume(False)
+    assert same_system(pl.prune(p, merge_equalities=merge), expect)
+
+
+def test_prune_of_hypercube_solves_at_most_two_lps(monkeypatch):
+    # one emptiness LP and one Chebyshev-centre LP; every row is certified
+    calls = []
+    solve = lpsolve.solve
+
+    def counted(lp, *args, **kw):
+        calls.append(lp)
+        return solve(lp, *args, **kw)
+
+    monkeypatch.setattr(lpsolve, "solve", counted)
+    d = 6
+    cube = pl.HPolytope.from_box(-np.ones(d), np.ones(d))
+    out = pl.prune(cube)
+    assert len(calls) <= 2
+    assert same_system(out, cube)
 
 
 # ---- text format --------------------------------------------------------------

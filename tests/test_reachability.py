@@ -348,6 +348,22 @@ class TestNetworkSpecValidation:
                 dynamics=(AffineAgent(1, 1, A={0: [[1.0]], 1: [[1.0]]}),
                           AffineAgent(1, 1, A={1: [[1.0]]})))
 
+    def test_finite_coupling_row_outside_constraint_neighbors(self):
+        # a third, isolated agent named by agent 0's coupling row; before
+        # validation caught it the solve died with a bare KeyError
+        fin = finite_toy_spec()
+        with pytest.raises(ValidationError, match="constraint neighbours"):
+            NetworkSpec(
+                state_dims=(1, 1, 1), input_dims=(1, 0, 0),
+                dyn_neighbors=fin.dyn_neighbors + ((),),
+                con_neighbors=fin.con_neighbors + ((),),
+                horizon=1,
+                state_sets=fin.state_sets + ([(0,), (1,)],),
+                input_sets=fin.input_sets + ((),),
+                goal_sets=fin.goal_sets + ([(0,), (1,)],),
+                dynamics=fin.dynamics + (fin.dynamics[1],),
+                couplings=((CouplingRow({2: [1.0]}, {}, -5.0),), (), ()))
+
     def test_goal_must_sit_inside_partition(self):
         with pytest.raises(ValidationError, match="partition"):
             integrator_spec(goal_partitions=(box(-0.5, 0.5),))
