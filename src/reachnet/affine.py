@@ -279,7 +279,16 @@ def _coupling_row_vector(row: CouplingRow, spec, index, i: int, t: int,
     return vec, -row.offset
 
 
-def _build_inequalities(spec, index, i: int, *, include_start: bool):
+def build_inequalities(spec, index, i: int, *, include_start: bool = False):
+    """Stacked inequality rows ``G z <= g`` of agent ``i`` and the source of
+    each row: per-time state/input sets for every communication neighbour,
+    the agent's own coupling rows for ``t = 0 .. H-1``, the optional start
+    restriction at ``t = 0``, the start partition for ``t = 0 .. H-1``, and
+    the goal set at ``t = H``.
+
+    Omitted partitions add no rows: the per-time state-set rows already
+    enforce the default product of state sets.
+    """
     H = spec.horizon
     cols = index.horizon_axes(i)
     width = len(cols)
@@ -334,20 +343,6 @@ def _build_inequalities(spec, index, i: int, *, include_start: bool):
     G = np.vstack(G_blocks) if G_blocks else np.zeros((0, width))
     g = np.hstack(g_blocks) if g_blocks else np.zeros(0)
     return G, g, tuple(sources)
-
-
-def build_inequalities(spec, index, i: int, *,
-                       include_start: bool = False):
-    """Stacked inequality rows of agent ``i``: per-time state/input sets for
-    every communication neighbour, the agent's own coupling rows for
-    ``t = 0 .. H-1``, the optional start restriction at ``t = 0``, the start
-    partition for ``t = 0 .. H-1``, and the goal set at ``t = H``.
-
-    Omitted partitions add no rows: the per-time state-set rows already
-    enforce the default product of state sets.
-    """
-    G, g, _ = _build_inequalities(spec, index, i, include_start=include_start)
-    return G, g
 
 
 # -- disturbance margins ------------------------------------------------------
@@ -504,7 +499,7 @@ def assemble_robust_system(spec, index, i: int, *, mode: str = "pre",
     if mode not in MODES:
         raise ValidationError(f"mode must be one of {MODES}, got {mode!r}")
     F, f = build_equalities(spec, index, i)
-    G, g, sources = _build_inequalities(
+    G, g, sources = build_inequalities(
         spec, index, i, include_start=(mode == "reach-check"))
     L = disturbance_map(spec, index, i, disturbance_lag=disturbance_lag)
     margins = np.zeros(G.shape[0])

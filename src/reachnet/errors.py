@@ -96,12 +96,11 @@ class DimensionCapExceeded(ReachnetError):
 class MaxRoundsExceeded(ReachnetError):
     """The synchronous iteration hit its round budget before settling.
 
-    Carries whatever partial state was available so callers can inspect or
-    report it.
+    Carries the partial trace, whose last record holds the sets after the
+    final round, so callers can inspect or report it.
     """
 
-    def __init__(self, rounds: int, trace=None, states=None) -> None:
+    def __init__(self, rounds: int, trace=None) -> None:
         super().__init__(f"no global convergence after {rounds} rounds")
         self.rounds = rounds
         self.trace = trace
-        self.states = states

@@ -8,9 +8,10 @@ anyone ever materializing the global set.
 The update rule: join the neighbourhood's sets inside the neighbourhood's
 label union, project back onto the node's own labels.  Iterates shrink
 monotonically and settle, in finitely many rounds for point tables, on
-exactly the global projections.  Convergence is declared when a whole round
-changes nothing anywhere; that confirming round stays in the trace, and the
-fixed point is the round before it.
+exactly the global projections.  :func:`run_distributed` runs the
+synchronous rounds over the axis-overlap graph.  Convergence is declared
+when a whole round changes nothing anywhere; that confirming round stays in
+the trace, and the fixed point is the round before it.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .axisset import (
     sets_equal,
 )
 from .errors import MaxRoundsExceeded, ValidationError
-from .netgraph import Graph, exchange, graph_from_axis_overlap, run_rounds
+from .netgraph import exchange, graph_from_axis_overlap
 from .polytope import ABS_TOL
 
 
@@ -118,52 +119,50 @@ def local_update(node: int, received: Mapping[int, LabeledSet], **kw) -> Labeled
 def run_distributed(
     problem: FixpointProblem,
     max_rounds: Optional[int] = None,
-    graph: Optional[Graph] = None,
 ) -> tuple[list[LabeledSet], IterationTrace]:
     """Synchronous distributed iteration until nothing changes anywhere.
 
-    The communication graph defaults to the axis-overlap graph, the one the
-    convergence argument needs.  Returns the fixed-point sets (equal to the
-    centralized projections) and the full trace.  Raises MaxRoundsExceeded
-    (partial trace attached) if the budget, defaulting to 10 * n_nodes,
-    runs out first.
+    The exchange runs on the axis-overlap graph, the one the convergence
+    argument needs.  Round 0 exchanges the axis labels; in every later round
+    each node receives its neighbours' sets from the end of the previous
+    round, so information travels one hop per round.  Each node then
+    updates and checks its set, in node order.  The run stops after the
+    first round in which no set changed.  Returns the fixed-point sets
+    (equal to the centralized projections) and the full trace.  Raises
+    MaxRoundsExceeded (partial trace attached) if the budget, defaulting to
+    10 * n_nodes, runs out first.
     """
-    if graph is None:
-        graph = graph_from_axis_overlap(problem.axis_sets)
     if max_rounds is None:
         max_rounds = 10 * problem.n_nodes
+    if max_rounds < 1:
+        raise ValidationError("max_rounds must be at least 1")
+    graph = graph_from_axis_overlap(problem.axis_sets)
     tol = problem.tolerance
 
     # round 0: neighbours learn each other's axis labels (carried by every
     # LabeledSet, so the exchange is bookkeeping, but it is a real round of
     # traffic and is counted as such)
     _, axis_messages = exchange(graph, list(problem.axis_sets))
-
-    def step(i: int, state: LabeledSet, inbox: Mapping[int, LabeledSet]):
-        new = local_update(i, inbox)
-        unchanged = sets_equal(new, state, tol)
-        return new, new, unchanged
-
-    try:
-        log = run_rounds(graph, list(problem.initial_sets), step, max_rounds)
-    except MaxRoundsExceeded as exc:
-        exc.trace = _trace_from_log(exc.trace, axis_messages, converged=False)
-        raise
-    trace = _trace_from_log(log, axis_messages, converged=True)
-    return list(log.states_history[-1]), trace
-
-
-def _trace_from_log(log, extra_messages: int, converged: bool) -> IterationTrace:
-    records = []
-    for k, (sets, flags, wt) in enumerate(
-            zip(log.states_history, log.flags_history, log.wall_times)):
-        changed = tuple([True] * len(sets)) if k == 0 else tuple(not f for f in flags)
-        records.append(RoundRecord(k, tuple(sets), changed, wt))
-    fixed_round = log.rounds_executed - 1 if converged else None
-    return IterationTrace(
-        records=records,
-        converged=converged,
-        rounds_executed=log.rounds_executed,
-        fixed_point_round=fixed_round,
-        messages_sent=log.messages_sent + extra_messages,
-    )
+    states = list(problem.initial_sets)
+    trace = IterationTrace(
+        records=[RoundRecord(0, tuple(states), (True,) * len(states), 0.0)],
+        converged=False, rounds_executed=0, fixed_point_round=None,
+        messages_sent=axis_messages)
+    for rnd in range(1, max_rounds + 1):
+        t0 = time.perf_counter()
+        inboxes, sent = exchange(graph, states)
+        trace.messages_sent += sent
+        new_states, changed = [], []
+        for i in range(problem.n_nodes):
+            new = local_update(i, inboxes[i])
+            changed.append(not sets_equal(new, states[i], tol))
+            new_states.append(new)
+        states = new_states
+        trace.records.append(RoundRecord(rnd, tuple(states), tuple(changed),
+                                         time.perf_counter() - t0))
+        trace.rounds_executed = rnd
+        if not any(changed):
+            trace.converged = True
+            trace.fixed_point_round = rnd - 1
+            return states, trace
+    raise MaxRoundsExceeded(max_rounds, trace=trace)

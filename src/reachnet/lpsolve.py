@@ -246,16 +246,3 @@ def support(poly: "HPolytope", direction) -> float:
     if res.status == UNBOUNDED:
         return math.inf
     return res.value
-
-
-def support_point(poly: "HPolytope", direction) -> tuple[float, np.ndarray]:
-    """Like :func:`support` but also returns a maximizer (bounded case only)."""
-    d = np.atleast_1d(np.asarray(direction, dtype=float))
-    if poly.trivially_empty:
-        raise EmptySet("support of an empty set")
-    res = solve(_poly_lp(poly, d))
-    if res.status == INFEASIBLE:
-        raise EmptySet("support of an empty set")
-    if res.status == UNBOUNDED:
-        raise NumericalFailure("no maximizer: unbounded direction")
-    return res.value, res.point

@@ -43,7 +43,7 @@ from .errors import (
     ValidationError,
 )
 from .fixpoint import FixpointProblem, IterationTrace, run_distributed
-from .netgraph import Graph, graph_from_dynamics
+from .netgraph import graph_from_dynamics
 from .polytope import ABS_TOL, HPolytope, includes
 
 logger = logging.getLogger("reachnet.reachability")
@@ -208,17 +208,9 @@ class NetworkSpec:
     def backend(self) -> str:
         return self._backend
 
-    def communication_graph(self) -> Graph:
-        return self._graph
-
     def members(self, i: int) -> tuple:
         """Communication neighbourhood of agent i (itself included)."""
         return self._graph.neighborhood(i)
-
-    def influence_neighborhood(self, i: int) -> tuple:
-        """Agents whose variables enter i's dynamics or constraints."""
-        return tuple(sorted(set(self.dyn_neighbors[i])
-                            | set(self.con_neighbors[i]) | {i}))
 
     def neighborhood_state_dim(self, i: int) -> int:
         return sum(self.state_dims[j] for j in self.members(i))
@@ -454,13 +446,10 @@ class AxisIndex:
                                 for j in range(self.n_agents))
 
 
-def build_axis_index(spec: NetworkSpec, graph: Graph | None = None) -> AxisIndex:
-    """Number the coordinates and record each agent's neighbourhood window."""
-    if graph is None:
-        graph = spec.communication_graph()
-    if graph.n_nodes != spec.n_agents:
-        raise ValidationError("graph size does not match the agent count")
-    members = tuple(graph.neighborhood(i) for i in range(spec.n_agents))
+def build_axis_index(spec: NetworkSpec) -> AxisIndex:
+    """Number the coordinates and record each agent's neighbourhood window,
+    its communication neighbourhood in the spec's influence graph."""
+    members = tuple(spec.members(i) for i in range(spec.n_agents))
     return AxisIndex(spec.state_dims, spec.input_dims, spec.horizon, members)
 
 
@@ -494,16 +483,18 @@ def _payload_kind(payload) -> str | None:
     return None
 
 
-def local_system_solution(spec: NetworkSpec, index: AxisIndex, i: int,
-                          backend: str | None = None, *, task: str = "pre",
+def local_system_solution(spec: NetworkSpec, index: AxisIndex, i: int, *,
+                          task: str = "pre",
                           disturbance_lag: str = "paper") -> LabeledSet:
     """All locally admissible trajectories of agent i over its window.
 
     The set collects every assignment of neighbourhood states (t = 0..H) and
     inputs that satisfies the agent's own dynamics, its coupling rows, the
     per-time state/input sets, the start restriction (reach-check task only),
-    the start partition for t < H, and the goal set at t = H.  An empty
-    result is a valid outcome, not an error.
+    the start partition for t < H, and the goal set at t = H.  The agent's
+    dynamics payload picks the backend: an affine agent gives a polytope, a
+    finite transition table a point table, and any other payload raises
+    UnsupportedDynamics.  An empty result is a valid outcome, not an error.
     """
     if task not in TASKS:
         raise ValidationError(f"task must be one of {TASKS}, got {task!r}")
@@ -516,10 +507,6 @@ def local_system_solution(spec: NetworkSpec, index: AxisIndex, i: int,
         raise UnsupportedDynamics(
             f"agent {i}: payload {type(spec.dynamics[i]).__name__} is neither "
             "affine nor a finite transition table")
-    if backend is not None and backend != kind:
-        raise UnsupportedDynamics(
-            f"agent {i}: requested backend {backend!r} but the payload is "
-            f"{kind}")
     if kind == "affine":
         mode = "reach-check" if task == "reach-check" else "pre"
         return _affine.robust_local_polytope(
@@ -588,22 +575,21 @@ def _finite_local_solution(spec: NetworkSpec, index: AxisIndex, i: int,
 
 
 def run_distributed_reachability(
-        spec: NetworkSpec, backend: str | None = None, *, task: str = "pre",
+        spec: NetworkSpec, *, task: str = "pre",
         disturbance_lag: str = "paper", max_rounds: int | None = None,
-        tolerance: float = ABS_TOL,
-        graph: Graph | None = None) -> tuple[list[LocalSolution], IterationTrace]:
+        tolerance: float = ABS_TOL) -> tuple[list[LocalSolution], IterationTrace]:
     """Solve every agent's local system, exchange windows to a fixed point,
     and extract per-agent start states and admissible controls.
 
-    The exchange runs on the axis-overlap graph of the horizon windows
-    (windows of two agents overlap exactly when their communication
-    neighbourhoods share an agent), so information can travel between nodes
-    that co-constrain a shared coordinate even without a direct link.
+    Each agent's dynamics payload picks its backend.  The windows come from
+    the communication neighbourhoods of the spec's influence graph; the
+    exchange runs on the axis-overlap graph of those windows (two windows
+    overlap exactly when their neighbourhoods share an agent), so
+    information can travel between nodes that co-constrain a shared
+    coordinate even without a direct link.
     """
-    if graph is None:
-        graph = spec.communication_graph()
-    index = build_axis_index(spec, graph)
-    locals_ = [local_system_solution(spec, index, i, backend, task=task,
+    index = build_axis_index(spec)
+    locals_ = [local_system_solution(spec, index, i, task=task,
                                      disturbance_lag=disturbance_lag)
                for i in range(spec.n_agents)]
     for i, s in enumerate(locals_):
@@ -644,15 +630,16 @@ class CentralizedSolution:
 
 
 def centralized_reachability(
-        spec: NetworkSpec, backend: str | None = None, *, task: str = "pre",
+        spec: NetworkSpec, *, task: str = "pre",
         disturbance_lag: str = "paper",
-        dimension_cap: int = DEFAULT_DIMENSION_CAP,
         materialize: bool = True) -> CentralizedSolution:
     """The global trajectory set over all coordinates at once (for
     cross-checks): the join of every agent's local system, which by the
-    paper's equivalence is exactly the monolithic solution.
+    paper's equivalence is exactly the monolithic solution.  Each agent's
+    dynamics payload picks its backend.
 
-    Refuses once the trajectory vector grows beyond ``dimension_cap``
+    Refuses, with DimensionCapExceeded and before any local system is
+    solved, once the trajectory vector grows beyond DEFAULT_DIMENSION_CAP
     coordinates.  ``materialize=False`` skips the projections and returns
     only the global trajectory set (cheaper; the shadows can still be probed
     through support functions).
@@ -661,11 +648,11 @@ def centralized_reachability(
         raise ValidationError(f"task must be one of {TASKS}, got {task!r}")
     index = build_axis_index(spec)
     width = (spec.horizon + 1) * index.step_width
-    if width > dimension_cap:
-        raise DimensionCapExceeded(
-            f"monolithic system has {width} coordinates (cap {dimension_cap})")
+    if width > DEFAULT_DIMENSION_CAP:
+        raise DimensionCapExceeded(f"monolithic system has {width} "
+                                   f"coordinates (cap {DEFAULT_DIMENSION_CAP})")
     trajectories = join_extrusions(
-        [local_system_solution(spec, index, i, backend, task=task,
+        [local_system_solution(spec, index, i, task=task,
                                disturbance_lag=disturbance_lag)
          for i in range(spec.n_agents)], index.all_axes)
     if not materialize:
@@ -676,22 +663,6 @@ def centralized_reachability(
         trajectories,
         project_set(trajectories, start_axes),
         project_set(trajectories, control_axes))
-
-
-def goal_join(spec: NetworkSpec, index: AxisIndex | None = None) -> LabeledSet:
-    """The global goal set induced by the per-agent goals: the join of their
-    cylinder extensions over the step-H state coordinates."""
-    if index is None:
-        index = build_axis_index(spec)
-    H = spec.horizon
-    parts = []
-    for i in range(spec.n_agents):
-        axes = index.nbhd_state_axes(H, i)
-        if spec.backend == "affine":
-            parts.append(polytope_set(axes, spec.goal_sets[i]))
-        else:
-            parts.append(finite_set(axes, [list(p) for p in spec.goal_sets[i]]))
-    return join_extrusions(parts, index.global_state_axes(H))
 
 
 def start_join(spec: NetworkSpec, index: AxisIndex | None = None) -> LabeledSet:

@@ -2,9 +2,11 @@
 
 Everything here is deliberately written the dumbest correct way and avoids
 the package's own geometry code paths: hulls by gift wrapping, extremeness
-by raw scipy LPs, joins by exhaustive pair checks.  The one exception is
+by raw scipy LPs, joins by exhaustive pair checks.  The exceptions are
 :func:`lp_only_prune`, a frozen copy of the package's LP-per-row pruning
-loop, kept to show that faster pruning returns the very same rows.
+loop, kept to show that faster pruning returns the very same rows, and two
+small helpers built on the package that tests compare against hand-built
+answers: :func:`support_point` and :func:`goal_join`.
 """
 
 from __future__ import annotations
@@ -15,7 +17,10 @@ import numpy as np
 from scipy.optimize import linprog
 
 from reachnet import lpsolve
+from reachnet.axisset import finite_set, join_extrusions, polytope_set
+from reachnet.errors import EmptySet, NumericalFailure
 from reachnet.polytope import HPolytope
+from reachnet.reachability import build_axis_index
 
 
 def gift_wrap_2d(points) -> np.ndarray:
@@ -116,6 +121,37 @@ def box_vertices(lo, hi) -> np.ndarray:
 
 def support_of_points(points, direction) -> float:
     return float(np.max(np.asarray(points) @ np.asarray(direction)))
+
+
+def support_point(poly: HPolytope, direction) -> tuple[float, np.ndarray]:
+    """The support value of ``poly`` in ``direction`` and a maximizer, from
+    one :func:`reachnet.lpsolve.solve` call (bounded nonempty sets only)."""
+    d = np.atleast_1d(np.asarray(direction, dtype=float))
+    if poly.trivially_empty:
+        raise EmptySet("support of an empty set")
+    res = lpsolve.solve(lpsolve.LinearProgram(d, poly.A_ineq, poly.b_ineq,
+                                              poly.A_eq, poly.b_eq))
+    if res.status == lpsolve.INFEASIBLE:
+        raise EmptySet("support of an empty set")
+    if res.status == lpsolve.UNBOUNDED:
+        raise NumericalFailure("no maximizer: unbounded direction")
+    return res.value, res.point
+
+
+def goal_join(spec, index=None):
+    """The global goal set induced by the per-agent goals: the join of their
+    cylinder extensions over the step-H state coordinates."""
+    if index is None:
+        index = build_axis_index(spec)
+    H = spec.horizon
+    parts = []
+    for i in range(spec.n_agents):
+        axes = index.nbhd_state_axes(H, i)
+        if spec.backend == "affine":
+            parts.append(polytope_set(axes, spec.goal_sets[i]))
+        else:
+            parts.append(finite_set(axes, [list(p) for p in spec.goal_sets[i]]))
+    return join_extrusions(parts, index.global_state_axes(H))
 
 
 def lifted_support(hulls, target, direction):

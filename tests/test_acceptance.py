@@ -43,7 +43,7 @@ from reachnet.reachability import (
     run_distributed_reachability,
 )
 
-from .oracles import gift_wrap_2d, hausdorff
+from .oracles import gift_wrap_2d, hausdorff, support_point
 from .test_affine import _oracle_disturbance_matrix
 from .test_axisset import JOIN_5, PROJ_5, as_tuple_set, five_node_sets
 from .test_fixpoint import (
@@ -358,7 +358,7 @@ def test_criterion_10_robust_soundness_and_tightness():
 
         checked = 0
         for r in np.nonzero(sys0.margins > 1e-9)[0]:
-            val, z_star = lpsolve.support_point(poly, sys0.G[r])
+            val, z_star = support_point(poly, sys0.G[r])
             if abs(val - (sys0.g[r] - sys0.margins[r])) > 1e-7:
                 continue  # margin present but row not active on the set
             c = sys0.G[r] @ L_oracle

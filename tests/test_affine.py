@@ -47,6 +47,7 @@ from .oracles import (
     monolithic_affine_system,
     pack_trajectory,
     simulate_network,
+    support_point,
 )
 from .test_reachability import (
     box,
@@ -297,7 +298,7 @@ class TestBuildInequalities:
         idx = build_axis_index(spec)
         rng = np.random.default_rng(3)
         for i in range(spec.n_agents):
-            G, g = build_inequalities(spec, idx, i)
+            G, g, _ = build_inequalities(spec, idx, i)
             width = len(idx.horizon_axes(i))
             inside = outside = 0
             for k in range(300):
@@ -320,8 +321,8 @@ class TestBuildInequalities:
             goal_sets=base.goal_sets, dynamics=base.dynamics,
             couplings=((eq_row,), ()))
         idx = build_axis_index(spec)
-        G_le, _ = build_inequalities(base, idx, 0)
-        G_eq, g_eq = build_inequalities(spec, idx, 0)
+        G_le, _, _ = build_inequalities(base, idx, 0)
+        G_eq, g_eq, _ = build_inequalities(spec, idx, 0)
         assert G_eq.shape[0] == G_le.shape[0] + 2  # one extra sign per step
         # the flipped rows really are negations of each other
         z = np.random.default_rng(0).uniform(-1, 1, size=G_eq.shape[1])
@@ -334,8 +335,8 @@ class TestBuildInequalities:
     def test_start_rows_only_when_requested(self):
         spec = integrator_spec(start_sets=(box(-1.8, 1.8),))
         idx = build_axis_index(spec)
-        G_no, _ = build_inequalities(spec, idx, 0, include_start=False)
-        G_yes, g_yes = build_inequalities(spec, idx, 0, include_start=True)
+        G_no, _, _ = build_inequalities(spec, idx, 0, include_start=False)
+        G_yes, g_yes, _ = build_inequalities(spec, idx, 0, include_start=True)
         assert G_yes.shape[0] == G_no.shape[0] + 2
         # the added rows pin x(0) to the start interval
         z_in = np.array([1.7, 0.0, 0.9, 0.0])
@@ -531,7 +532,7 @@ class TestAssembledSystem:
         L_oracle = _oracle_disturbance_matrix(spec, idx, 0, "standard")
         checked = 0
         for r in np.nonzero(sys0.margins > 1e-9)[0]:
-            val, z_star = lpsolve.support_point(poly, sys0.G[r])
+            val, z_star = support_point(poly, sys0.G[r])
             if abs(val - (sys0.g[r] - sys0.margins[r])) > 1e-7:
                 continue  # row not active on the robust set
             c = sys0.G[r] @ L_oracle

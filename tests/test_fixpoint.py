@@ -30,7 +30,6 @@ from reachnet.fixpoint import (
     local_update,
     run_distributed,
 )
-from reachnet.netgraph import graph_from_axis_overlap
 from reachnet.polytope import from_vertices, vertices
 
 from .oracles import brute_join, hausdorff, lifted_support
@@ -222,12 +221,23 @@ class TestDistributedPointExample:
         _, trace = outcome
         assert trace.messages_sent == 10 + 4 * 10
 
-    def test_explicit_graph_matches_default(self):
-        graph = graph_from_axis_overlap(AXES_5)
-        final, trace = run_distributed(five_node_problem(), graph=graph)
-        assert trace.fixed_point_round == 3
-        for got, want in zip(final, PROJ_5):
-            assert as_tuple_set(got) == want
+
+
+class TestRoundSchedule:
+    def test_information_travels_one_hop_per_round(self):
+        # A path of point tables: node k lies on labels (k+1, k+2) and
+        # relates them by equality, and only node 0 pins its labels to 0.
+        # Node k is k hops from the pin, so its set first changes in round k.
+        n = 5
+        axes = [AxisSet((k + 1, k + 2)) for k in range(n)]
+        sets = [finite_set(axes[0], [[0.0, 0.0]])] + [
+            finite_set(b, [[0.0, 0.0], [1.0, 1.0]]) for b in axes[1:]]
+        final, trace = run_distributed(FixpointProblem(axes, sets))
+        for rec in trace.records[1:]:
+            assert rec.changed == tuple(k == rec.round_index for k in range(n))
+        assert trace.rounds_executed == (n - 1) + 1  # hops + one confirming
+        assert trace.fixed_point_round == n - 1
+        assert all(as_tuple_set(s) == {(0, 0)} for s in final)
 
 
 class TestDistributedEdgeCases:
@@ -239,6 +249,10 @@ class TestDistributedEdgeCases:
         assert trace.fixed_point_round == 0
         for got, want in zip(final, PROJ_5):
             assert as_tuple_set(got) == want
+
+    def test_max_rounds_must_be_positive(self):
+        with pytest.raises(ValidationError, match="max_rounds"):
+            run_distributed(five_node_problem(), max_rounds=0)
 
     def test_max_rounds_exceeded_partial_trace(self):
         with pytest.raises(MaxRoundsExceeded) as exc_info:

@@ -1,15 +1,14 @@
-"""Communication graph construction and the synchronous round engine."""
+"""Communication graph construction and the broadcast round."""
 
 import pytest
 
 from reachnet.axisset import AxisSet
-from reachnet.errors import IndexOutOfRange, MaxRoundsExceeded, ValidationError
+from reachnet.errors import IndexOutOfRange, ValidationError
 from reachnet.netgraph import (
     Graph,
     exchange,
     graph_from_axis_overlap,
     graph_from_dynamics,
-    run_rounds,
 )
 
 # Axis sets of the five-node worked example (same as test_axisset.AXES_5).
@@ -40,6 +39,10 @@ AXES_POLY = [
 ]
 
 
+def neighborhoods(g: Graph) -> list[tuple[int, ...]]:
+    return [g.neighborhood(i) for i in range(g.n_nodes)]
+
+
 class TestGraph:
     def test_bad_edge_rejected(self):
         with pytest.raises(ValidationError):
@@ -56,18 +59,18 @@ class TestGraph:
 
     def test_neighborhoods_list(self):
         g = Graph(2, frozenset({(0, 1)}))
-        assert g.neighborhoods() == [(0, 1), (0, 1)]
+        assert neighborhoods(g) == [(0, 1), (0, 1)]
 
 
 class TestAxisOverlapGraph:
     def test_five_node_example_neighbourhoods(self):
         g = graph_from_axis_overlap(AXES_5)
-        assert g.neighborhoods() == NEIGHBORHOODS_5
+        assert neighborhoods(g) == NEIGHBORHOODS_5
 
     def test_disjoint_sets_give_edgeless_graph(self):
         g = graph_from_axis_overlap([AxisSet((1,)), AxisSet((2,)), AxisSet((3,))])
         assert g.edges == frozenset()
-        assert g.neighborhoods() == [(0,), (1,), (2,)]
+        assert neighborhoods(g) == [(0,), (1,), (2,)]
 
     def test_polytope_example_topology(self):
         g = graph_from_axis_overlap(AXES_POLY)
@@ -117,85 +120,3 @@ class TestExchange:
         g = Graph(2, frozenset())
         with pytest.raises(ValidationError):
             exchange(g, ["only one"])
-
-
-class TestRunRounds:
-    def test_identity_step_stops_after_one_round(self):
-        g = Graph(3, frozenset({(0, 1), (1, 2)}))
-
-        def step(i, state, inbox):
-            return state, state, True
-
-        log = run_rounds(g, [10, 20, 30], step, max_rounds=5)
-        assert log.converged is True
-        assert log.rounds_executed == 1
-        assert log.states_history[-1] == [10, 20, 30]
-
-    def test_max_rounds_exceeded_carries_partial_trace(self):
-        g = Graph(2, frozenset({(0, 1)}))
-
-        def never_done(i, state, inbox):
-            return state + 1, state + 1, False
-
-        with pytest.raises(MaxRoundsExceeded) as exc_info:
-            run_rounds(g, [0, 0], never_done, max_rounds=3)
-        exc = exc_info.value
-        assert exc.rounds == 3
-        assert exc.trace.rounds_executed == 3
-        assert exc.states == [3, 3]
-
-    def test_input_validation(self):
-        g = Graph(2, frozenset())
-
-        def step(i, state, inbox):
-            return state, state, True
-
-        with pytest.raises(ValidationError):
-            run_rounds(g, [1, 2], step, max_rounds=0)
-        with pytest.raises(ValidationError):
-            run_rounds(g, [1], step, max_rounds=1)
-
-    def test_information_travels_one_hop_per_round(self):
-        # Token flooding on a path graph: the state at round r may only
-        # depend on round-(r-1) neighbour messages, so a token starting at
-        # node 0 reaches node k exactly at round k, never earlier.
-        n = 5
-        g = Graph(n, frozenset({(k, k + 1) for k in range(n - 1)}))
-
-        def flood(i, state, inbox):
-            new = max(state, max(inbox.values()))
-            return new, new, new == state
-
-        log = run_rounds(g, [1, 0, 0, 0, 0], flood, max_rounds=10)
-        for rnd, states in enumerate(log.states_history):
-            for node, value in enumerate(states):
-                assert value == (1 if rnd >= node else 0)
-        assert log.rounds_executed == n  # n-1 hops + one confirming round
-
-    def test_messages_are_the_step_outbox_not_the_state(self):
-        # The second return value of the step is what neighbours see next
-        # round; keep state and outbox different to pin the contract.
-        g = Graph(2, frozenset({(0, 1)}))
-        seen = []
-
-        def step(i, state, inbox):
-            seen.append((i, dict(inbox)))
-            return state, f"msg-from-{i}", len(seen) > 4
-
-        run_rounds(g, ["s0", "s1"], step, max_rounds=5)
-        # round 1 inboxes carry initial states, round 2 carries the outboxes
-        assert seen[0] == (0, {0: "s0", 1: "s1"})
-        assert seen[2] == (0, {0: "msg-from-0", 1: "msg-from-1"})
-
-    def test_deterministic_replay(self):
-        g = Graph(3, frozenset({(0, 1), (0, 2)}))
-
-        def step(i, state, inbox):
-            new = state + sum(inbox.values())
-            return new, new, new > 100
-
-        log1 = run_rounds(g, [1, 2, 3], step, max_rounds=20)
-        log2 = run_rounds(g, [1, 2, 3], step, max_rounds=20)
-        assert log1.states_history == log2.states_history
-        assert log1.flags_history == log2.flags_history
-        assert log1.messages_sent == log2.messages_sent

@@ -31,19 +31,25 @@ from reachnet.errors import (
 from reachnet.netgraph import graph_from_dynamics
 from reachnet.polytope import HPolytope, embed_columns, intersect, set_equal, vertices
 from reachnet.reachability import (
+    DEFAULT_DIMENSION_CAP,
     TASKS,
     AxisIndex,
     FiniteDynamics,
     NetworkSpec,
     build_axis_index,
     centralized_reachability,
-    goal_join,
     local_system_solution,
     run_distributed_reachability,
     start_join,
 )
 
-from .oracles import finite_forward_trajectories, pack_trajectory, simulate_network
+from .oracles import (
+    finite_forward_trajectories,
+    goal_join,
+    pack_trajectory,
+    simulate_network,
+    support_point,
+)
 
 # ---------------------------------------------------------------------------
 # instance builders (shared with the acceptance suite)
@@ -405,7 +411,9 @@ class TestNetworkSpecValidation:
         spec = chain_spec()
         assert spec.members(0) == (0, 1)
         assert spec.members(1) == (0, 1)
-        assert spec.influence_neighborhood(1) == (1,)
+        # agent 1 reads nobody; it is in agent 0's neighbourhood and 0 in its
+        # own only because agent 0 reads it
+        assert spec.dyn_neighbors[1] == () and spec.con_neighbors[1] == ()
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +469,7 @@ class TestIntegratorPre:
         ctrl = sols[0].admissible_controls.poly()  # axes (x(0), u(0), u(1))
         for d in np.vstack([np.eye(3), -np.eye(3),
                             np.array([[1.0, 1.0, 0.0], [-1.0, 0.5, 0.2]])]):
-            _, z = lpsolve.support_point(ctrl, d)
+            _, z = support_point(ctrl, d)
             states = simulate_network(spec, [z[:1]], [[z[1:2]], [z[2:3]]])
             assert -1.0 - 1e-9 <= states[1][0][0] <= 1.0 + 1e-9
 
@@ -768,7 +776,7 @@ class TestAffineDistributedEqualsCentralized:
         width = 4  # (x1, x2, u1, u2) per step
         for _ in range(40):
             d = rng.standard_normal(poly.dim)
-            _, z = lpsolve.support_point(poly, d)
+            _, z = support_point(poly, d)
             starts = [z[0:1], z[1:2]]
             inputs = [[z[2:3], z[3:4]], [z[width:width + 1] * 0,
                                          z[width:width + 1] * 0]]
@@ -833,12 +841,23 @@ class TestGoalAndStartJoins:
 
 class TestGuardrails:
     def test_dimension_cap(self):
-        spec = integrator_spec(horizon=2)  # 6 trajectory coordinates
-        with pytest.raises(DimensionCapExceeded):
-            centralized_reachability(spec, dimension_cap=4)
-        # distributed route has no such cap
+        # 33 steps of (x, u): 66 trajectory coordinates, over the cap of 64;
+        # the width check refuses before any local system is solved
+        spec = integrator_spec(horizon=32)
+        with pytest.raises(DimensionCapExceeded, match="66 coordinates"):
+            centralized_reachability(spec)
+        # the distributed route has no such cap: one finite agent keeps its
+        # bit for 64 steps (65 coordinates) and must end at 1
+        keep = FiniteDynamics(frozenset({((0,), (), (0,)), ((1,), (), (1,))}))
+        spec = NetworkSpec(
+            state_dims=(1,), input_dims=(0,),
+            dyn_neighbors=((),), con_neighbors=((),),
+            horizon=DEFAULT_DIMENSION_CAP, state_sets=([(0,), (1,)],),
+            input_sets=((),), goal_sets=([(1,)],), dynamics=(keep,))
+        with pytest.raises(DimensionCapExceeded, match="65 coordinates"):
+            centralized_reachability(spec)
         sols, _ = run_distributed_reachability(spec)
-        assert not sols[0].start_states.empty
+        assert sols[0].start_states.table().points.tolist() == [[1.0]]
 
     def test_materialize_false_skips_projections(self):
         spec = integrator_spec()
@@ -848,14 +867,21 @@ class TestGuardrails:
         assert cent.trajectories.poly().dim == 4
 
     def test_backend_mismatch_raises(self):
+        # the payload picks the backend, and a payload that matches neither
+        # backend is refused by the local solve itself
         spec = integrator_spec()
-        idx = build_axis_index(spec)
-        with pytest.raises(UnsupportedDynamics):
-            local_system_solution(spec, idx, 0, "finite")
+        assert local_system_solution(spec, build_axis_index(spec), 0).backend \
+            == "polytope"
         fin = finite_toy_spec()
-        fidx = build_axis_index(fin)
+        assert local_system_solution(fin, build_axis_index(fin), 0).backend \
+            == "finite"
+        odd = NetworkSpec(
+            state_dims=(1,), input_dims=(0,),
+            dyn_neighbors=((),), con_neighbors=((),),
+            horizon=1, state_sets=(box(-1, 1),), input_sets=(None,),
+            goal_sets=(box(-1, 1),), dynamics=("mystery",))
         with pytest.raises(UnsupportedDynamics):
-            local_system_solution(fin, fidx, 0, "affine")
+            local_system_solution(odd, build_axis_index(odd), 0)
 
     @pytest.mark.parametrize("route", [run_distributed_reachability,
                                        centralized_reachability])
