@@ -12,9 +12,9 @@ its whole communication neighbourhood over the horizon -- form a polytope:
   worst-case margin, so a nominal trajectory that satisfies the tightened
   rows stays feasible under any admissible disturbance realization.
 
-Column order always follows the global axis labels of the agent's horizon
-axes (see :mod:`reachnet.reachability`), so the assembled systems can be fed
-straight into the exchange fixpoint as labeled polytopes.
+Columns follow the global labels of the agent's horizon axes (see
+:mod:`reachnet.reachability`).  The builders trust the network spec, whose
+construction checked the block shapes, coupling rows and disturbance sets.
 """
 
 from __future__ import annotations
@@ -27,31 +27,18 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import lpsolve
-from .axisset import AxisSet, LabeledSet, polytope_set
+from .axisset import AxisSet
 from .errors import (
     DimensionMismatch,
-    NonlinearConstraint,
     ShapeMismatch,
     UnboundedDisturbance,
     ValidationError,
 )
-from .polytope import ABS_TOL, HPolytope
+from .polytope import HPolytope
 
 logger = logging.getLogger("reachnet.affine")
 
-MODES = ("pre", "reach-check")
 DISTURBANCE_LAGS = ("paper", "standard")
-
-
-def _matrix(value, rows: int, cols: int, what: str) -> np.ndarray:
-    arr = np.asarray(value, dtype=float)
-    if arr.ndim == 0 and rows == 1 and cols == 1:
-        arr = arr.reshape(1, 1)
-    if arr.ndim != 2 or arr.shape != (rows, cols):
-        raise ShapeMismatch(f"{what}: expected shape {(rows, cols)}, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ShapeMismatch(f"{what}: entries must be finite")
-    return arr
 
 
 @dataclass(frozen=True)
@@ -96,9 +83,10 @@ class AffineAgent:
     """Affine dynamics of one agent:
 
     ``x_i(t+1) = sum_j A[j] x_j(t) + sum_j B[j] u_j(t) + K + E d(t)``,
-    with ``d(t)`` ranging over the bounded polytope ``disturbance_set``.
-    Blocks for agents outside the declared neighbour lists are implicitly
-    zero and must not appear in ``A``/``B``.
+    with ``d(t)`` ranging over the bounded polytope ``disturbance_set``
+    (an unbounded one raises UnboundedDisturbance here).  Blocks for agents
+    outside the declared neighbour lists are implicitly zero and must not
+    appear in ``A``/``B``; their shapes are checked by the network spec.
     """
 
     state_dim: int
@@ -139,6 +127,8 @@ class AffineAgent:
             if self.disturbance_set.dim != E.shape[1]:
                 raise DimensionMismatch(
                     "disturbance set dimension does not match the map")
+            if not _bounded(self.disturbance_set):
+                raise UnboundedDisturbance("disturbance set is unbounded")
         elif self.disturbance_set is not None:
             raise ValidationError("disturbance set given without a map E")
 
@@ -155,28 +145,18 @@ class RobustLocalSystem:
     """Assembled constraint system of one agent over its horizon axes.
 
     ``F z = f`` pins the agent's own dynamics; ``G z <= g - margins`` is the
-    disturbance-tightened inequality system.  ``disturbance_map`` sends the
-    stacked disturbance sequence to the trajectory perturbation it causes
-    (zero rows for input coordinates).  ``row_sources`` names, per inequality
-    row, the constraint it came from.
+    disturbance-tightened inequality system.
     """
 
-    node: int
-    axes: AxisSet
     F: np.ndarray
     f: np.ndarray
     G: np.ndarray
     g: np.ndarray
     margins: np.ndarray
-    disturbance_map: np.ndarray
-    row_sources: tuple[tuple, ...]
 
     def polytope(self) -> HPolytope:
         return HPolytope(self.G, self.g - self.margins, self.F, self.f,
-                         dim=len(self.axes))
-
-    def labeled_set(self) -> LabeledSet:
-        return polytope_set(self.axes, self.polytope())
+                         dim=self.G.shape[1])
 
 
 # -- helpers ----------------------------------------------------------------
@@ -195,14 +175,6 @@ def _as_inequalities(poly: HPolytope) -> tuple[np.ndarray, np.ndarray]:
     return A, b
 
 
-def _require_affine_rows(rows, node: int):
-    for row in rows:
-        if not isinstance(row, CouplingRow):
-            raise NonlinearConstraint(
-                f"agent {node}: coupling payload {type(row).__name__} is not a "
-                "linear row; the affine pipeline cannot encode it")
-
-
 # -- equality assembly -------------------------------------------------------
 
 
@@ -214,17 +186,10 @@ def build_equalities(spec, index, i: int) -> tuple[np.ndarray, np.ndarray]:
     + sum_j sum_tau A_ii^{t-tau-1} B_ij u_j(tau) + sum_tau A_ii^{t-tau-1} K``.
     """
     agent: AffineAgent = spec.dynamics[i]
-    if not isinstance(agent, AffineAgent):
-        raise ShapeMismatch(f"agent {i}: dynamics payload is not affine")
     H = spec.horizon
     n_i = agent.state_dim
     cols = index.horizon_axes(i)
     width = len(cols)
-
-    for j, M in agent.A.items():
-        _matrix(M, n_i, spec.state_dims[j], f"agent {i}: A block for {j}")
-    for j, M in agent.B.items():
-        _matrix(M, n_i, spec.input_dims[j], f"agent {i}: B block for {j}")
 
     A_ii = agent.A.get(i, np.zeros((n_i, n_i)))
     powers = [np.eye(n_i)]
@@ -260,31 +225,22 @@ def build_equalities(spec, index, i: int) -> tuple[np.ndarray, np.ndarray]:
 # -- inequality assembly ------------------------------------------------------
 
 
-def _coupling_row_vector(row: CouplingRow, spec, index, i: int, t: int,
+def _coupling_row_vector(row: CouplingRow, index, t: int,
                          cols: AxisSet) -> tuple[np.ndarray, float]:
-    width = len(cols)
-    vec = np.zeros(width)
+    vec = np.zeros(len(cols))
     for j, c in row.state_coefs.items():
-        if c.shape != (spec.state_dims[j],):
-            raise ValidationError(
-                f"agent {i}: coupling state coefficients for {j} have length "
-                f"{c.shape[0]}, expected {spec.state_dims[j]}")
         vec[cols.positions_of(index.own_state_axes(t, j))] = c
     for j, c in row.input_coefs.items():
-        if c.shape != (spec.input_dims[j],):
-            raise ValidationError(
-                f"agent {i}: coupling input coefficients for {j} have length "
-                f"{c.shape[0]}, expected {spec.input_dims[j]}")
         vec[cols.positions_of(index.own_input_axes(t, j))] = c
     return vec, -row.offset
 
 
 def build_inequalities(spec, index, i: int, *, include_start: bool = False):
-    """Stacked inequality rows ``G z <= g`` of agent ``i`` and the source of
-    each row: per-time state/input sets for every communication neighbour,
-    the agent's own coupling rows for ``t = 0 .. H-1``, the optional start
-    restriction at ``t = 0``, the start partition for ``t = 0 .. H-1``, and
-    the goal set at ``t = H``.
+    """Stacked inequality rows ``G z <= g`` of agent ``i``: per-time
+    state/input sets for every communication neighbour, the agent's own
+    coupling rows for ``t = 0 .. H-1``, the optional start restriction at
+    ``t = 0``, the start partition for ``t = 0 .. H-1``, and the goal set at
+    ``t = H``.
 
     Omitted partitions add no rows: the per-time state-set rows already
     enforce the default product of state sets.
@@ -296,9 +252,8 @@ def build_inequalities(spec, index, i: int, *, include_start: bool = False):
 
     G_blocks: list[np.ndarray] = []
     g_blocks: list[np.ndarray] = []
-    sources: list[tuple] = []
 
-    def add(poly: HPolytope, positions: list[int], tag: tuple):
+    def add(poly: HPolytope, positions: list[int]):
         A, b = _as_inequalities(poly)
         if not A.shape[0]:
             return
@@ -306,43 +261,37 @@ def build_inequalities(spec, index, i: int, *, include_start: bool = False):
         block[:, positions] = A
         G_blocks.append(block)
         g_blocks.append(b)
-        sources.extend([tag] * A.shape[0])
 
     for t in range(H + 1):
         for j in members:
             add(spec.state_sets[j],
-                cols.positions_of(index.own_state_axes(t, j)), ("state", j, t))
+                cols.positions_of(index.own_state_axes(t, j)))
             if spec.input_dims[j]:
                 add(spec.input_sets[j],
-                    cols.positions_of(index.own_input_axes(t, j)),
-                    ("input", j, t))
+                    cols.positions_of(index.own_input_axes(t, j)))
 
-    _require_affine_rows(spec.couplings[i], i)
     for t in range(H):
-        for l, row in enumerate(spec.couplings[i]):
-            vec, bound = _coupling_row_vector(row, spec, index, i, t, cols)
+        for row in spec.couplings[i]:
+            vec, bound = _coupling_row_vector(row, index, t, cols)
             G_blocks.append(vec[None, :])
             g_blocks.append(np.array([bound]))
-            sources.append(("coupling", l, t))
             if row.relation == "=":
                 G_blocks.append(-vec[None, :])
                 g_blocks.append(np.array([-bound]))
-                sources.append(("coupling", l, t))
 
     nbhd_state_pos = {t: cols.positions_of(index.nbhd_state_axes(t, i))
                       for t in range(H + 1)}
     start = spec.start_sets[i] if spec.start_sets is not None else None
     if include_start and start is not None:
-        add(start, nbhd_state_pos[0], ("start",))
+        add(start, nbhd_state_pos[0])
     if spec.start_partitions is not None:
         for t in range(H):
-            add(spec.start_partitions[i], nbhd_state_pos[t],
-                ("start-partition", t))
-    add(spec.goal_sets[i], nbhd_state_pos[H], ("goal",))
+            add(spec.start_partitions[i], nbhd_state_pos[t])
+    add(spec.goal_sets[i], nbhd_state_pos[H])
 
     G = np.vstack(G_blocks) if G_blocks else np.zeros((0, width))
     g = np.hstack(g_blocks) if g_blocks else np.zeros(0)
-    return G, g, tuple(sources)
+    return G, g
 
 
 # -- disturbance margins ------------------------------------------------------
@@ -366,26 +315,15 @@ def _box_bounds(poly: HPolytope):
     return lo, hi
 
 
-def _check_bounded(agents: Sequence[AffineAgent]):
-    for j, ag in enumerate(agents):
-        v = ag.disturbance_dim
-        if not v:
-            continue
-        box = _box_bounds(ag.disturbance_set)
-        if box is not None:
-            if np.all(np.isfinite(box[0])) and np.all(np.isfinite(box[1])):
-                continue
-            raise UnboundedDisturbance(
-                f"agent {j}: disturbance set is unbounded")
-        for k in range(v):
-            direction = np.zeros(v)
-            for sign in (1.0, -1.0):
-                direction[k] = sign
-                if not math.isfinite(
-                        lpsolve.support(ag.disturbance_set, direction)):
-                    raise UnboundedDisturbance(
-                        f"agent {j}: disturbance set is unbounded")
-            direction[k] = 0.0
+def _bounded(poly: HPolytope) -> bool:
+    """Whether every coordinate is bounded both ways on the polytope."""
+    box = _box_bounds(poly)
+    if box is not None:
+        return bool(np.all(np.isfinite(box[0])) and np.all(np.isfinite(box[1])))
+    for direction in np.vstack([np.eye(poly.dim), -np.eye(poly.dim)]):
+        if not math.isfinite(lpsolve.support(poly, direction)):
+            return False
+    return True
 
 
 def _global_blocks(spec):
@@ -405,7 +343,7 @@ def _global_blocks(spec):
             A[rows, offs[j]:offs[j + 1]] = blk
         if ag.disturbance_dim:
             E[rows, v_offs[k]:v_offs[k + 1]] = ag.E
-    return A, E, offs, v_offs, total_v
+    return A, E, offs, total_v
 
 
 def disturbance_map(spec, index, i: int, *,
@@ -423,7 +361,7 @@ def disturbance_map(spec, index, i: int, *,
             f"disturbance_lag must be one of {DISTURBANCE_LAGS}")
     H = spec.horizon
     cols = index.horizon_axes(i)
-    A, E, offs, _v_offs, total_v = _global_blocks(spec)
+    A, E, offs, total_v = _global_blocks(spec)
     L = np.zeros((len(cols), H * total_v))
     if not total_v or not H:
         return L
@@ -454,17 +392,11 @@ def robust_margin(spec, index, i: int, G: np.ndarray, *,
     boxes use the closed form (sum of positive parts at the upper bound and
     negative parts at the lower bound), anything else one small LP per block.
     """
-    return _margins(spec, G, disturbance_map(
-        spec, index, i, disturbance_lag=disturbance_lag))
-
-
-def _margins(spec, G: np.ndarray, L: np.ndarray) -> np.ndarray:
-    """:func:`robust_margin` for an already computed disturbance map ``L``."""
-    _check_bounded(spec.dynamics)
+    L = disturbance_map(spec, index, i, disturbance_lag=disturbance_lag)
     H = spec.horizon
     n_rows = G.shape[0]
     margins = np.zeros(n_rows)
-    if not L.size or not np.any(L):
+    if not np.any(L):
         return margins
     C = G @ L
     v_dims = [spec.dynamics[j].disturbance_dim for j in range(spec.n_agents)]
@@ -493,29 +425,17 @@ def _margins(spec, G: np.ndarray, L: np.ndarray) -> np.ndarray:
 # -- full assembly ------------------------------------------------------------
 
 
-def assemble_robust_system(spec, index, i: int, *, mode: str = "pre",
+def assemble_robust_system(spec, index, i: int, *, include_start: bool = False,
                            disturbance_lag: str = "paper") -> RobustLocalSystem:
-    """Build the complete (possibly disturbance-tightened) local system."""
-    if mode not in MODES:
-        raise ValidationError(f"mode must be one of {MODES}, got {mode!r}")
+    """Build the complete (possibly disturbance-tightened) local system of
+    agent ``i``; ``include_start`` adds its start restriction at ``t = 0``."""
     F, f = build_equalities(spec, index, i)
-    G, g, sources = build_inequalities(
-        spec, index, i, include_start=(mode == "reach-check"))
-    L = disturbance_map(spec, index, i, disturbance_lag=disturbance_lag)
+    G, g = build_inequalities(spec, index, i, include_start=include_start)
     margins = np.zeros(G.shape[0])
-    if any(spec.dynamics[j].has_disturbance() for j in range(spec.n_agents)):
-        margins = _margins(spec, G, L)
+    if any(agent.has_disturbance() for agent in spec.dynamics):
+        margins = robust_margin(spec, index, i, G,
+                                disturbance_lag=disturbance_lag)
         if np.any(margins):
             logger.info("agent %d: disturbance margins tighten %d of %d rows",
                         i, int(np.count_nonzero(margins)), G.shape[0])
-    return RobustLocalSystem(i, index.horizon_axes(i), F, f, G, g, margins,
-                             L, sources)
-
-
-def robust_local_polytope(spec, index, i: int, mode: str = "pre", *,
-                          disturbance_lag: str = "paper") -> LabeledSet:
-    """The agent's admissible local trajectory set as a labeled polytope
-    over its horizon axes (the affine realization of the local solution)."""
-    system = assemble_robust_system(spec, index, i, mode=mode,
-                                    disturbance_lag=disturbance_lag)
-    return system.labeled_set()
+    return RobustLocalSystem(F, f, G, g, margins)

@@ -225,7 +225,7 @@ def project_vector(v, source: AxisSet, target: AxisSet) -> np.ndarray:
 # -- set-level operations -----------------------------------------------------
 
 
-def project_set(s: LabeledSet, target: AxisSet, **kw) -> LabeledSet:
+def project_set(s: LabeledSet, target: AxisSet) -> LabeledSet:
     """Orthogonal projection of ``s`` onto the coordinates in ``target``."""
     if not target.issubset(s.axes):
         raise NotSubset(f"{target} is not nested in {s.axes}")
@@ -236,7 +236,7 @@ def project_set(s: LabeledSet, target: AxisSet, **kw) -> LabeledSet:
     keep = s.axes.positions_of(target)
     if isinstance(s.data, PointTable):
         return LabeledSet(target, PointTable(s.data.points[:, keep], dim=len(target)))
-    return LabeledSet(target, _poly.project_to(s.data, keep, **kw))
+    return LabeledSet(target, _poly.project_to(s.data, keep))
 
 
 def extrude(s: LabeledSet, target: AxisSet) -> LabeledSet:
@@ -279,7 +279,7 @@ def _natural_join(axes_a: AxisSet, ta: PointTable, axes_b: AxisSet, tb: PointTab
     return axes_u, PointTable(out if out else np.zeros((0, len(axes_u))))
 
 
-def join_extrusions(sets: Sequence[LabeledSet], target: AxisSet, **kw) -> LabeledSet:
+def join_extrusions(sets: Sequence[LabeledSet], target: AxisSet) -> LabeledSet:
     """Intersection of the cylinder extensions of ``sets`` inside ``target``.
 
     Finite backend: a relational natural join on shared coordinates; the

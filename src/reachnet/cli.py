@@ -879,7 +879,7 @@ def _run_network(config: RunConfig, spec: NetworkSpec,
     index = build_axis_index(spec)
     result = _config_header(config)
     trace = None
-    solutions = None
+    solutions = flags = None
     if config.mode in ("distributed", "compare"):
         solutions, trace = run_distributed_reachability(
             spec, task=config.task, disturbance_lag=config.disturbance_lag,
@@ -928,7 +928,7 @@ def _run_network(config: RunConfig, spec: NetworkSpec,
     if config.mode == "compare":
         _write_json(out / "report.json",
                     _network_report(config, spec, index, solutions, trace,
-                                    central))
+                                    central, flags))
     return trace
 
 
@@ -954,7 +954,9 @@ def _centralized_reach_flag(spec: NetworkSpec, central,
 
 
 def _network_report(config: RunConfig, spec: NetworkSpec, index, solutions,
-                    trace: IterationTrace, central) -> dict:
+                    trace: IterationTrace, central, flags) -> dict:
+    """Compare-mode agreement report; ``flags`` are the distributed
+    per-node reach-check verdicts (None for the pre task)."""
     rng = np.random.default_rng(config.seed)
     all_axes = index.all_axes
     per_node = []
@@ -998,8 +1000,6 @@ def _network_report(config: RunConfig, spec: NetworkSpec, index, solutions,
         })
     extra = {}
     if config.task == "reach-check":
-        flags = _distributed_reach_flags(spec, index, solutions,
-                                         config.tolerance)
         extra["reachable_distributed"] = all(flags)
         extra["reachable_centralized"] = _centralized_reach_flag(
             spec, central, config.tolerance)

@@ -101,7 +101,7 @@ def centralized_projections(problem: FixpointProblem) -> list[LabeledSet]:
     return [project_set(joined, b) for b in problem.axis_sets]
 
 
-def local_update(node: int, received: Mapping[int, LabeledSet], **kw) -> LabeledSet:
+def local_update(node: int, received: Mapping[int, LabeledSet]) -> LabeledSet:
     """One node's update: join the received sets, project to its own labels.
 
     ``received`` must contain the node's own set; the join target is the
@@ -113,7 +113,7 @@ def local_update(node: int, received: Mapping[int, LabeledSet], **kw) -> Labeled
     ordered = [received[j] for j in sorted(received)]
     target = AxisSet.union_of(s.axes for s in ordered)
     joined = join_extrusions(ordered, target)
-    return project_set(joined, own_axes, **kw)
+    return project_set(joined, own_axes)
 
 
 def run_distributed(

@@ -24,8 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -433,7 +432,7 @@ def _filter_dominated(G: np.ndarray, g: np.ndarray):
 
 
 def eliminate(p: HPolytope, positions: Sequence[int], *,
-              row_cap: int = ELIMINATION_ROW_CAP, tol: float = ABS_TOL) -> HPolytope:
+              row_cap: int = ELIMINATION_ROW_CAP) -> HPolytope:
     """Project away the given coordinate positions (orthogonal projection).
 
     Positions refer to columns of ``p``; they are eliminated from the highest
@@ -502,7 +501,7 @@ def eliminate(p: HPolytope, positions: Sequence[int], *,
         G, g = _filter_dominated(np.array(step.A_ineq), np.array(step.b_ineq))
         F, f = np.array(step.A_eq), np.array(step.b_eq)
         if G.shape[0] > G.shape[1] + 1:
-            pruned = prune(HPolytope(G, g, F, f, dim=G.shape[1]), tol=tol)
+            pruned = prune(HPolytope(G, g, F, f, dim=G.shape[1]))
             if pruned.trivially_empty:
                 return HPolytope.empty(remaining_dim)
             G, g = np.array(pruned.A_ineq), np.array(pruned.b_ineq)
@@ -510,7 +509,7 @@ def eliminate(p: HPolytope, positions: Sequence[int], *,
     return HPolytope(G, g, F, f, dim=remaining_dim)
 
 
-def project_to(p: HPolytope, keep_positions: Sequence[int], **kw) -> HPolytope:
+def project_to(p: HPolytope, keep_positions: Sequence[int]) -> HPolytope:
     """Eliminate everything except ``keep_positions`` (order preserved).
 
     ``keep_positions`` must be strictly increasing; the result's column k is
@@ -520,7 +519,7 @@ def project_to(p: HPolytope, keep_positions: Sequence[int], **kw) -> HPolytope:
     if keep != sorted(set(keep)):
         raise DimensionMismatch("keep positions must be strictly increasing")
     drop = [c for c in range(p.dim) if c not in set(keep)]
-    return eliminate(p, drop, **kw)
+    return eliminate(p, drop)
 
 
 # -- vertex enumeration and hulls -----------------------------------------
@@ -589,7 +588,7 @@ def vertices(p: HPolytope, tol: float = VERTEX_TOL) -> np.ndarray:
     return out
 
 
-def from_vertices(points, tol: float = ABS_TOL) -> HPolytope:
+def from_vertices(points) -> HPolytope:
     """Convex hull of a finite point list as an HPolytope.
 
     Lower-dimensional hulls come out with explicit equality rows for the

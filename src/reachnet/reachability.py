@@ -39,6 +39,8 @@ from .errors import (
     DimensionCapExceeded,
     DimensionMismatch,
     IndexOutOfRange,
+    NonlinearConstraint,
+    ShapeMismatch,
     UnsupportedDynamics,
     ValidationError,
 )
@@ -93,6 +95,16 @@ def _finite_family(entries, what: str) -> tuple[tuple[tuple, ...], ...]:
     return tuple(out)
 
 
+def _payload_kind(i: int, payload) -> str:
+    if isinstance(payload, AffineAgent):
+        return "affine"
+    if isinstance(payload, FiniteDynamics):
+        return "finite"
+    raise UnsupportedDynamics(
+        f"agent {i}: payload {type(payload).__name__} is neither affine nor "
+        "a finite transition table")
+
+
 # -- network description ------------------------------------------------------
 
 
@@ -106,6 +118,22 @@ class NetworkSpec:
     affine backend the sets are halfspace polytopes; for the finite backend
     they are finite point families, and ``state_sets`` / ``input_sets`` act
     as per-agent alphabets.
+
+    A spec that constructs is solvable: every structural check runs here,
+    once, and the local-system builders trust it.  Besides list lengths,
+    dimensions, neighbour indices and partition nesting, it checks that:
+
+    * each dynamics payload is an ``AffineAgent`` or ``FiniteDynamics``
+      (UnsupportedDynamics), all of one kind (ValidationError);
+    * affine A/B blocks have the declared shapes and finite entries
+      (ShapeMismatch);
+    * coupling rows are ``CouplingRow``s (affine: NonlinearConstraint) or
+      callables (finite: UnsupportedDynamics), and a ``CouplingRow`` names
+      only constraint neighbours, with coefficients of their agents' state
+      and input lengths (ValidationError).
+
+    Each ``AffineAgent`` checks at its own construction that its
+    disturbance set is bounded (UnboundedDisturbance).
     """
 
     state_dims: tuple
@@ -176,23 +204,18 @@ class NetworkSpec:
                     raise ValidationError(f"{opt} must list all {N} agents")
                 set_attr(self, opt, tuple(val))
 
-        kinds = {_payload_kind(d) or "unknown" for d in self.dynamics}
+        kinds = {_payload_kind(i, d) for i, d in enumerate(self.dynamics)}
         if len(kinds) > 1:
             raise ValidationError(
                 "all agents must share one dynamics payload kind")
-        set_attr(self, "_backend", kinds.pop() if kinds else "unknown")
+        set_attr(self, "_backend", kinds.pop())
 
         graph = graph_from_dynamics(self.dyn_neighbors, self.con_neighbors)
         set_attr(self, "_graph", graph)
 
         for i in range(N):
-            con_allowed = set(self.con_neighbors[i]) | {i}
             for row in self.couplings[i]:
-                if isinstance(row, CouplingRow) and \
-                        not row.participants() <= con_allowed:
-                    raise ValidationError(
-                        f"agent {i}: coupling row references agents outside "
-                        "the declared constraint neighbours")
+                self._validate_coupling(i, row)
         if self._backend == "affine":
             self._validate_affine()
         elif self._backend == "finite":
@@ -217,6 +240,29 @@ class NetworkSpec:
 
     # -- validation helpers --------------------------------------------------
 
+    def _validate_coupling(self, i: int, row):
+        if not isinstance(row, CouplingRow):
+            if self._backend == "affine":
+                raise NonlinearConstraint(
+                    f"agent {i}: coupling payload {type(row).__name__} is not "
+                    "a linear row; the affine pipeline cannot encode it")
+            if not callable(row):
+                raise UnsupportedDynamics(
+                    f"agent {i}: coupling payload {type(row).__name__} is "
+                    "not evaluable")
+            return
+        if not row.participants() <= set(self.con_neighbors[i]) | {i}:
+            raise ValidationError(
+                f"agent {i}: coupling row references agents outside "
+                "the declared constraint neighbours")
+        for kind, coefs, dims in (("state", row.state_coefs, self.state_dims),
+                                  ("input", row.input_coefs, self.input_dims)):
+            for j, c in coefs.items():
+                if c.shape != (dims[j],):
+                    raise ValidationError(
+                        f"agent {i}: coupling {kind} coefficients for {j} "
+                        f"have length {c.shape[0]}, expected {dims[j]}")
+
     def _validate_affine(self):
         for i in range(self.n_agents):
             ag = self.dynamics[i]
@@ -232,6 +278,16 @@ class NetworkSpec:
                     raise ValidationError(
                         f"agent {i}: dynamics block for {j} but {j} is not a "
                         "declared dynamic neighbour")
+            for name, blocks, dims in (("A", ag.A, self.state_dims),
+                                       ("B", ag.B, self.input_dims)):
+                for j, M in blocks.items():
+                    what = f"agent {i}: {name} block for {j}"
+                    if M.shape != (ag.state_dim, dims[j]):
+                        raise ShapeMismatch(
+                            f"{what}: expected shape {(ag.state_dim, dims[j])}, "
+                            f"got {M.shape}")
+                    if not np.all(np.isfinite(M)):
+                        raise ShapeMismatch(f"{what}: entries must be finite")
             def check_poly(poly, dim, what):
                 if not isinstance(poly, HPolytope):
                     raise ValidationError(f"{what}: expected a polytope")
@@ -475,14 +531,6 @@ class LocalSolution:
     admissible_controls: LabeledSet
 
 
-def _payload_kind(payload) -> str | None:
-    if isinstance(payload, AffineAgent):
-        return "affine"
-    if isinstance(payload, FiniteDynamics):
-        return "finite"
-    return None
-
-
 def local_system_solution(spec: NetworkSpec, index: AxisIndex, i: int, *,
                           task: str = "pre",
                           disturbance_lag: str = "paper") -> LabeledSet:
@@ -491,10 +539,9 @@ def local_system_solution(spec: NetworkSpec, index: AxisIndex, i: int, *,
     The set collects every assignment of neighbourhood states (t = 0..H) and
     inputs that satisfies the agent's own dynamics, its coupling rows, the
     per-time state/input sets, the start restriction (reach-check task only),
-    the start partition for t < H, and the goal set at t = H.  The agent's
-    dynamics payload picks the backend: an affine agent gives a polytope, a
-    finite transition table a point table, and any other payload raises
-    UnsupportedDynamics.  An empty result is a valid outcome, not an error.
+    the start partition for t < H, and the goal set at t = H.  The spec's
+    backend decides the form: an affine spec gives a polytope, a finite one
+    a point table.  An empty result is a valid outcome, not an error.
     """
     if task not in TASKS:
         raise ValidationError(f"task must be one of {TASKS}, got {task!r}")
@@ -502,32 +549,25 @@ def local_system_solution(spec: NetworkSpec, index: AxisIndex, i: int, *,
         raise ValidationError(
             f"disturbance_lag must be one of {_affine.DISTURBANCE_LAGS}, "
             f"got {disturbance_lag!r}")
-    kind = _payload_kind(spec.dynamics[i])
-    if kind is None:
-        raise UnsupportedDynamics(
-            f"agent {i}: payload {type(spec.dynamics[i]).__name__} is neither "
-            "affine nor a finite transition table")
-    if kind == "affine":
-        mode = "reach-check" if task == "reach-check" else "pre"
-        return _affine.robust_local_polytope(
-            spec, index, i, mode, disturbance_lag=disturbance_lag)
-    return _finite_local_solution(spec, index, i, task)
+    if spec.backend == "finite":
+        return _finite_local_solution(spec, index, i, task)
+    system = _affine.assemble_robust_system(
+        spec, index, i, include_start=(task == "reach-check"),
+        disturbance_lag=disturbance_lag)
+    return polytope_set(index.horizon_axes(i), system.polytope())
 
 
-def _eval_coupling(row, states: dict, inputs: dict, i: int) -> bool:
-    if isinstance(row, CouplingRow):
-        total = row.offset
-        for j, c in row.state_coefs.items():
-            total += float(np.dot(c, states[j]))
-        for j, c in row.input_coefs.items():
-            total += float(np.dot(c, inputs[j]))
-        if row.relation == "=":
-            return abs(total) <= ABS_TOL
-        return total <= ABS_TOL
-    if callable(row):
+def _eval_coupling(row, states: dict, inputs: dict) -> bool:
+    if not isinstance(row, CouplingRow):
         return bool(row(states, inputs))
-    raise UnsupportedDynamics(
-        f"agent {i}: coupling payload {type(row).__name__} is not evaluable")
+    total = row.offset
+    for j, c in row.state_coefs.items():
+        total += float(np.dot(c, states[j]))
+    for j, c in row.input_coefs.items():
+        total += float(np.dot(c, inputs[j]))
+    if row.relation == "=":
+        return abs(total) <= ABS_TOL
+    return total <= ABS_TOL
 
 
 def _finite_local_solution(spec: NetworkSpec, index: AxisIndex, i: int,
@@ -564,7 +604,7 @@ def _finite_local_solution(spec: NetworkSpec, index: AxisIndex, i: int,
         at = dict(zip(cols.labels, z))
         xs = {j: _key([at[k] for k in index.own_state_axes(t, j)]) for j in members}
         us = {j: _key([at[k] for k in index.own_input_axes(t, j)]) for j in members}
-        return all(_eval_coupling(row, xs, us, i) for row in spec.couplings[i])
+        return all(_eval_coupling(row, xs, us) for row in spec.couplings[i])
 
     kept = [z for z in joined.table().points
             if all(admissible(z, t) for t in range(H))]

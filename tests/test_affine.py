@@ -23,7 +23,6 @@ from reachnet.affine import (
     build_equalities,
     build_inequalities,
     disturbance_map,
-    robust_local_polytope,
     robust_margin,
 )
 from reachnet.axisset import project_set
@@ -40,6 +39,7 @@ from reachnet.reachability import (
     NetworkSpec,
     build_axis_index,
     centralized_reachability,
+    local_system_solution,
 )
 
 from .oracles import (
@@ -237,17 +237,19 @@ class TestBuildEqualities:
                 assert np.max(np.abs(F @ z - f), initial=0.0) <= 1e-9
 
     def test_bad_block_shape_surfaces(self):
+        # the spec refuses a block whose shape disagrees with the declared
+        # dimensions, so no builder ever sees it
         spec = chain_spec()
         broken = AffineAgent(1, 1, A={0: [[1.0]], 1: [[0.5, 0.5]]},
                              B={0: [[1.0]]})
-        bad = NetworkSpec(
-            state_dims=spec.state_dims, input_dims=spec.input_dims,
-            dyn_neighbors=spec.dyn_neighbors, con_neighbors=spec.con_neighbors,
-            horizon=1, state_sets=spec.state_sets, input_sets=spec.input_sets,
-            goal_sets=spec.goal_sets, dynamics=(broken, spec.dynamics[1]))
-        idx = build_axis_index(bad)
-        with pytest.raises(ShapeMismatch):
-            build_equalities(bad, idx, 0)
+        with pytest.raises(ShapeMismatch, match="A block for 1"):
+            NetworkSpec(
+                state_dims=spec.state_dims, input_dims=spec.input_dims,
+                dyn_neighbors=spec.dyn_neighbors,
+                con_neighbors=spec.con_neighbors,
+                horizon=1, state_sets=spec.state_sets,
+                input_sets=spec.input_sets,
+                goal_sets=spec.goal_sets, dynamics=(broken, spec.dynamics[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +300,7 @@ class TestBuildInequalities:
         idx = build_axis_index(spec)
         rng = np.random.default_rng(3)
         for i in range(spec.n_agents):
-            G, g, _ = build_inequalities(spec, idx, i)
+            G, g = build_inequalities(spec, idx, i)
             width = len(idx.horizon_axes(i))
             inside = outside = 0
             for k in range(300):
@@ -321,8 +323,8 @@ class TestBuildInequalities:
             goal_sets=base.goal_sets, dynamics=base.dynamics,
             couplings=((eq_row,), ()))
         idx = build_axis_index(spec)
-        G_le, _, _ = build_inequalities(base, idx, 0)
-        G_eq, g_eq, _ = build_inequalities(spec, idx, 0)
+        G_le, _ = build_inequalities(base, idx, 0)
+        G_eq, g_eq = build_inequalities(spec, idx, 0)
         assert G_eq.shape[0] == G_le.shape[0] + 2  # one extra sign per step
         # the flipped rows really are negations of each other
         z = np.random.default_rng(0).uniform(-1, 1, size=G_eq.shape[1])
@@ -335,8 +337,8 @@ class TestBuildInequalities:
     def test_start_rows_only_when_requested(self):
         spec = integrator_spec(start_sets=(box(-1.8, 1.8),))
         idx = build_axis_index(spec)
-        G_no, _, _ = build_inequalities(spec, idx, 0, include_start=False)
-        G_yes, g_yes, _ = build_inequalities(spec, idx, 0, include_start=True)
+        G_no, _ = build_inequalities(spec, idx, 0, include_start=False)
+        G_yes, g_yes = build_inequalities(spec, idx, 0, include_start=True)
         assert G_yes.shape[0] == G_no.shape[0] + 2
         # the added rows pin x(0) to the start interval
         z_in = np.array([1.7, 0.0, 0.9, 0.0])
@@ -346,15 +348,15 @@ class TestBuildInequalities:
 
     def test_nonlinear_coupling_payload_rejected(self):
         base = chain_spec()
-        spec = NetworkSpec(
-            state_dims=base.state_dims, input_dims=base.input_dims,
-            dyn_neighbors=base.dyn_neighbors, con_neighbors=base.con_neighbors,
-            horizon=1, state_sets=base.state_sets, input_sets=base.input_sets,
-            goal_sets=base.goal_sets, dynamics=base.dynamics,
-            couplings=(("x*x <= 1",), ()))
-        idx = build_axis_index(spec)
         with pytest.raises(NonlinearConstraint):
-            build_inequalities(spec, idx, 0)
+            NetworkSpec(
+                state_dims=base.state_dims, input_dims=base.input_dims,
+                dyn_neighbors=base.dyn_neighbors,
+                con_neighbors=base.con_neighbors,
+                horizon=1, state_sets=base.state_sets,
+                input_sets=base.input_sets,
+                goal_sets=base.goal_sets, dynamics=base.dynamics,
+                couplings=(("x*x <= 1",), ()))
 
 
 # ---------------------------------------------------------------------------
@@ -448,23 +450,20 @@ class TestRobustMargin:
             best = np.maximum(best, G @ z)
         assert np.allclose(got, best, atol=1e-9)
 
+    # worst-case margins need bounded disturbance sets, so an agent with an
+    # unbounded one is refused when it is built
+
     def test_unbounded_disturbance_rejected(self):
         half_open = HPolytope([[1.0]], [1.0])     # d <= 1, no lower bound
-        agent = AffineAgent(1, 1, A={0: [[1.0]]}, B={0: [[1.0]]},
-                            E=[[1.0]], disturbance_set=half_open)
-        spec = scalar_spec(agent, horizon=2)
-        idx = build_axis_index(spec)
         with pytest.raises(UnboundedDisturbance):
-            robust_margin(spec, idx, 0, np.eye(6), disturbance_lag="standard")
+            AffineAgent(1, 1, A={0: [[1.0]]}, B={0: [[1.0]]},
+                        E=[[1.0]], disturbance_set=half_open)
 
     def test_unbounded_non_box_rejected(self):
         cone = HPolytope([[1.0, -1.0], [-1.0, 1.0]], [0.0, 0.0])
-        agent = AffineAgent(1, 1, A={0: [[1.0]]}, B={0: [[1.0]]},
-                            E=[[1.0, 0.0]], disturbance_set=cone)
-        spec = scalar_spec(agent, horizon=1)
-        idx = build_axis_index(spec)
         with pytest.raises(UnboundedDisturbance):
-            robust_margin(spec, idx, 0, np.eye(4), disturbance_lag="standard")
+            AffineAgent(1, 1, A={0: [[1.0]]}, B={0: [[1.0]]},
+                        E=[[1.0, 0.0]], disturbance_set=cone)
 
 
 # ---------------------------------------------------------------------------
@@ -483,26 +482,13 @@ class TestAssembledSystem:
         b = assemble_robust_system(without, build_axis_index(without), 0)
         for field in ("F", "f", "G", "g", "margins"):
             assert np.array_equal(getattr(a, field), getattr(b, field))
-        assert not np.any(a.disturbance_map)
-
-    def test_row_sources_align_with_rows(self):
-        spec = chain_spec()
-        idx = build_axis_index(spec)
-        sys0 = assemble_robust_system(spec, idx, 0)
-        assert len(sys0.row_sources) == sys0.G.shape[0]
-        kinds = {tag[0] for tag in sys0.row_sources}
-        assert kinds == {"state", "input", "coupling", "goal"}
-
-    def test_mode_validated(self):
-        spec = integrator_spec()
-        idx = build_axis_index(spec)
-        with pytest.raises(ValidationError, match="mode"):
-            assemble_robust_system(spec, idx, 0, mode="forward")
+        assert not np.any(disturbance_map(with_zero,
+                                          build_axis_index(with_zero), 0))
 
     def test_one_step_backward_interval_with_disturbance(self):
         spec = robust_integrator_spec(horizon=1, half_width=0.5)
         idx = build_axis_index(spec)
-        local = robust_local_polytope(spec, idx, 0,
+        local = local_system_solution(spec, idx, 0,
                                       disturbance_lag="standard")
         starts = project_set(local, idx.nbhd_state_axes(0, 0))
         assert set_equal(starts.poly(), box(-1.5, 1.5))

@@ -367,6 +367,20 @@ class TestExitCodes:
         err = json.loads((out / "error.json").read_text())
         assert err["error"] == "UnboundedDisturbance"
 
+    def test_finite_coupling_wrong_length_exits_2(self, tmp_path):
+        # the spec's construction refuses the row, so the run never starts
+        doc = serialize(finite_toy_spec())
+        doc["coupling"] = [{"agent": 1, "state_coefs": {"1": [1.0, 1.0]},
+                            "offset": -1.0}]
+        spec_path = write_doc(tmp_path, doc)
+        out = tmp_path / "out"
+        code = run_cli("run", "--mode", "distributed", "--task", "pre",
+                       "--spec", str(spec_path), "--out", str(out))
+        assert code == 2
+        err = json.loads((out / "error.json").read_text())
+        assert err["error"] == "ValidationError"
+        assert "have length 2, expected 1" in err["message"]
+
     def test_round_budget_exhaustion_exits_4_with_partial_trace(self, tmp_path):
         out = tmp_path / "out"
         code = run_cli("run", "--mode", "distributed", "--task",

@@ -370,6 +370,32 @@ class TestNetworkSpecValidation:
                 dynamics=fin.dynamics + (fin.dynamics[1],),
                 couplings=((CouplingRow({2: [1.0]}, {}, -5.0),), (), ()))
 
+    @pytest.mark.parametrize("row", [
+        CouplingRow({0: [1.0, 1.0]}, {}, -1.0),
+        CouplingRow({0: [1.0]}, {0: [1.0, 0.0]}, -1.0),
+    ], ids=["state", "input"])
+    def test_finite_coupling_row_wrong_length(self, row):
+        fin = finite_toy_spec()
+        with pytest.raises(ValidationError, match="have length 2, expected 1"):
+            NetworkSpec(
+                state_dims=fin.state_dims, input_dims=fin.input_dims,
+                dyn_neighbors=fin.dyn_neighbors,
+                con_neighbors=fin.con_neighbors, horizon=1,
+                state_sets=fin.state_sets, input_sets=fin.input_sets,
+                goal_sets=fin.goal_sets, dynamics=fin.dynamics,
+                couplings=((row,), ()))
+
+    def test_finite_coupling_payload_must_be_evaluable(self):
+        fin = finite_toy_spec()
+        with pytest.raises(UnsupportedDynamics, match="not evaluable"):
+            NetworkSpec(
+                state_dims=fin.state_dims, input_dims=fin.input_dims,
+                dyn_neighbors=fin.dyn_neighbors,
+                con_neighbors=fin.con_neighbors, horizon=1,
+                state_sets=fin.state_sets, input_sets=fin.input_sets,
+                goal_sets=fin.goal_sets, dynamics=fin.dynamics,
+                couplings=(("x0 <= 1",), ()))
+
     def test_goal_must_sit_inside_partition(self):
         with pytest.raises(ValidationError, match="partition"):
             integrator_spec(goal_partitions=(box(-0.5, 0.5),))
@@ -868,20 +894,19 @@ class TestGuardrails:
 
     def test_backend_mismatch_raises(self):
         # the payload picks the backend, and a payload that matches neither
-        # backend is refused by the local solve itself
+        # backend is refused when the spec is built
         spec = integrator_spec()
         assert local_system_solution(spec, build_axis_index(spec), 0).backend \
             == "polytope"
         fin = finite_toy_spec()
         assert local_system_solution(fin, build_axis_index(fin), 0).backend \
             == "finite"
-        odd = NetworkSpec(
-            state_dims=(1,), input_dims=(0,),
-            dyn_neighbors=((),), con_neighbors=((),),
-            horizon=1, state_sets=(box(-1, 1),), input_sets=(None,),
-            goal_sets=(box(-1, 1),), dynamics=("mystery",))
-        with pytest.raises(UnsupportedDynamics):
-            local_system_solution(odd, build_axis_index(odd), 0)
+        with pytest.raises(UnsupportedDynamics, match="str"):
+            NetworkSpec(
+                state_dims=(1,), input_dims=(0,),
+                dyn_neighbors=((),), con_neighbors=((),),
+                horizon=1, state_sets=(box(-1, 1),), input_sets=(None,),
+                goal_sets=(box(-1, 1),), dynamics=("mystery",))
 
     @pytest.mark.parametrize("route", [run_distributed_reachability,
                                        centralized_reachability])
@@ -889,15 +914,18 @@ class TestGuardrails:
         with pytest.raises(ValidationError, match="disturbance_lag"):
             route(integrator_spec(), disturbance_lag="bogus")
 
-    def test_unknown_payload_rejected_at_solve_time(self):
-        spec = NetworkSpec(
-            state_dims=(1,), input_dims=(0,),
-            dyn_neighbors=((),), con_neighbors=((),),
-            horizon=1, state_sets=(box(-1, 1),), input_sets=(None,),
-            goal_sets=(box(-1, 1),), dynamics=("mystery",))
-        assert spec.backend == "unknown"
-        with pytest.raises(UnsupportedDynamics):
-            run_distributed_reachability(spec)
+    def test_unknown_payload_rejected_at_construction(self):
+        # an unknown payload beside a valid one is refused as unknown, not
+        # as a mix of kinds, so a spec never has an "unknown" backend
+        chain = chain_spec()
+        with pytest.raises(UnsupportedDynamics, match="agent 1: payload"):
+            NetworkSpec(
+                state_dims=chain.state_dims, input_dims=chain.input_dims,
+                dyn_neighbors=chain.dyn_neighbors,
+                con_neighbors=chain.con_neighbors, horizon=1,
+                state_sets=chain.state_sets, input_sets=chain.input_sets,
+                goal_sets=chain.goal_sets,
+                dynamics=(chain.dynamics[0], "mystery"))
 
     def test_max_rounds_propagates(self):
         from reachnet.errors import MaxRoundsExceeded
