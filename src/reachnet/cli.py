@@ -28,10 +28,11 @@ artifacts into the output directory:
 Exit codes: 0 success, 2 invalid input, 3 numerical/internal failure,
 4 round budget exhausted before convergence.
 
-Problem files number agents 1..N; diagnostics raised by the underlying
-modules use their 0-based indices, while loader diagnostics name the JSON
-field (``agents[2].dynamics.A[3]`` is the block of the third agent's
-dynamics that multiplies the fourth agent's state).
+Problem files number agents 1..N.  Loader diagnostics, and the network
+checks on one agent's entry, name the JSON field (``agents[2].dynamics.A[3]``
+is the block of the third agent's dynamics that multiplies the fourth
+agent's state); other diagnostics raised by the underlying modules use
+their 0-based indices.
 """
 
 from __future__ import annotations
@@ -438,6 +439,7 @@ def _parse_network(doc) -> NetworkSpec:
             dynamics.append(FiniteDynamics(dyn_payloads[k]))
 
     couplings = [[] for _ in range(N)]
+    coupling_at = [[] for _ in range(N)]  # each row's index in the file
     for k, row in enumerate(doc.get("coupling", [])):
         where = f"coupling[{k}]"
         _check_keys(row, where, ("agent",),
@@ -458,9 +460,11 @@ def _parse_network(doc) -> NetworkSpec:
                                             row.get("relation", "<=")))
         except ReachnetError as exc:
             raise type(exc)(f"{where}: {exc}") from exc
+        coupling_at[i].append(k)
 
     graph = graph_from_dynamics(dyn_nb, con_nb)
-    goal, start, start_part, goal_part = ([None] * N for _ in range(4))
+    goal, start, start_part, goal_part, target_at = (
+        [None] * N for _ in range(5))
     families = {"goal": goal, "start": start,
                 "start_partition": start_part, "goal_partition": goal_part}
     for k, tgt in enumerate(doc.get("targets", [])):
@@ -471,6 +475,7 @@ def _parse_network(doc) -> NetworkSpec:
         i = _agent_index(tgt, "agent", N, where)
         if goal[i] is not None:
             _fail(where, f"agent {i + 1} already has a targets entry")
+        target_at[i] = k
         over = tgt.get("over", "neighborhood")
         if over not in ("own", "neighborhood"):
             _fail(f"{where}.over",
@@ -498,19 +503,47 @@ def _parse_network(doc) -> NetworkSpec:
         if goal[i] is None:
             _fail("targets", f"agent {i + 1} has no goal set")
 
-    return NetworkSpec(
-        state_dims=tuple(dims), input_dims=tuple(idims),
-        dyn_neighbors=tuple(dyn_nb), con_neighbors=tuple(con_nb),
-        horizon=_int_field(doc, "horizon", "document"),
-        state_sets=tuple(state_sets), input_sets=tuple(input_sets),
-        goal_sets=tuple(goal), dynamics=tuple(dynamics),
-        couplings=tuple(tuple(rows) for rows in couplings),
-        start_sets=None if all(s is None for s in start) else tuple(start),
-        start_partitions=(None if all(s is None for s in start_part)
-                          else tuple(start_part)),
-        goal_partitions=(None if all(s is None for s in goal_part)
-                         else tuple(goal_part)),
-    )
+    try:
+        return NetworkSpec(
+            state_dims=tuple(dims), input_dims=tuple(idims),
+            dyn_neighbors=tuple(dyn_nb), con_neighbors=tuple(con_nb),
+            horizon=_int_field(doc, "horizon", "document"),
+            state_sets=tuple(state_sets), input_sets=tuple(input_sets),
+            goal_sets=tuple(goal), dynamics=tuple(dynamics),
+            couplings=tuple(tuple(rows) for rows in couplings),
+            start_sets=None if all(s is None for s in start) else tuple(start),
+            start_partitions=(None if all(s is None for s in start_part)
+                              else tuple(start_part)),
+            goal_partitions=(None if all(s is None for s in goal_part)
+                             else tuple(goal_part)),
+        )
+    except ReachnetError as exc:
+        if not hasattr(exc, "field"):
+            raise
+        where = _json_field(exc.field, coupling_at, target_at)
+        raise type(exc)(f"{where}: {exc.detail}") from exc
+
+
+#: The problem-file key of each per-agent set of a NetworkSpec.
+_SET_KEYS = {"state_sets": "state_set", "input_sets": "input_set",
+             "goal_sets": "goal", "start_sets": "start",
+             "start_partitions": "start_partition",
+             "goal_partitions": "goal_partition"}
+
+
+def _json_field(field: tuple, coupling_at, target_at) -> str:
+    """The problem-file path of the NetworkSpec ``field`` an error names
+    (see ``reachability._spec_error``)."""
+    name, i, *keys = field
+    if name == "couplings":
+        where = f"coupling[{coupling_at[i][keys.pop(0)]}]"
+    elif name in ("dynamics", "state_sets", "input_sets"):
+        where = f"agents[{i}].{_SET_KEYS.get(name, name)}"
+    else:
+        where = f"targets[{target_at[i]}].{_SET_KEYS[name]}"
+    if keys:  # a block or coefficient vector keyed by 1-based agent id
+        where += f".{keys[0]}[{keys[1] + 1}]"
+    return where
 
 
 def _extrude_own(poly: HPolytope, dims, members, i: int,

@@ -17,7 +17,14 @@ from an interior point (redundancy removal by ray shooting: Fukuda,
 ray crosses belongs to a needed row whenever the point where it crosses the
 next one satisfies every other row and the equalities, and lies beyond the
 first row by more than the tolerance: that point is a witness, and the row
-skips its LP.
+skips its LP.  The same centre LP settles emptiness: a ball of positive
+radius inside the set is a point of it, so the emptiness LP is left out.
+
+Inclusion (:func:`includes`) asks one support LP per face of the outer set,
+but a face whose normal is also a row normal of the inner set is capped by
+that row's right-hand side already: the inner set lies in that halfspace.
+Such a face skips its LP; so do the boundedness probes of :func:`vertices`
+along a coordinate axis that a row bounds.
 """
 
 from __future__ import annotations
@@ -217,11 +224,34 @@ def intersect(p: HPolytope, q: HPolytope) -> HPolytope:
     )
 
 
+def _row_bounds(p: HPolytope) -> dict:
+    """The smallest right-hand side of each row normal of ``p``, keyed by
+    :func:`_row_bound`; an equality row counts with both signs.  Each entry
+    is an upper bound on p's support along its normal, since p lies in the
+    halfspace of the row."""
+    bounds: dict = {}
+    rows = itertools.chain(zip(p.A_ineq, p.b_ineq), zip(p.A_eq, p.b_eq),
+                           zip(-p.A_eq, -p.b_eq))
+    for a, b in rows:
+        key = (a + 0.0).tobytes()  # + 0.0 turns -0.0 into 0.0
+        bounds[key] = min(b, bounds.get(key, math.inf))
+    return bounds
+
+
+def _row_bound(bounds: dict, a: np.ndarray) -> float:
+    """The bound :func:`_row_bounds` holds for normal ``a``, else +inf."""
+    return bounds.get((a + 0.0).tobytes(), math.inf)
+
+
 def includes(p: HPolytope, q: HPolytope, tol: float = ABS_TOL) -> bool:
     """True when q is a subset of p, via support evaluations of q.
 
     Every face constraint of p must cap q's support in that direction; the
-    empty set is included in everything.
+    empty set is included in everything.  A face ``a z <= b`` whose normal
+    is also a row normal of q, with right-hand side at most ``b + tol``,
+    needs no LP: q lies in that row's halfspace, so its support along ``a``
+    is at most ``b + tol`` and the LP could not reject the face.  The other
+    faces keep their LPs, in the same order.
     """
     if p.dim != q.dim:
         raise DimensionMismatch("inclusion test of different dimensions")
@@ -233,7 +263,10 @@ def includes(p: HPolytope, q: HPolytope, tol: float = ABS_TOL) -> bool:
     for a, b in zip(p.A_eq, p.b_eq):
         directions.append((a, b))
         directions.append((-a, -b))
+    bounds = _row_bounds(q)
     for a, b in directions:
+        if _row_bound(bounds, a) <= b + tol:
+            continue
         try:
             s = lpsolve.support(q, a)
         except EmptySet:
@@ -286,8 +319,9 @@ def _equality_gap(F, f, L, lead, x) -> np.ndarray:
                       np.abs(miss - L @ y).max(axis=0))
 
 
-def _certify_irredundant(G, g, F, f, tol: float) -> np.ndarray:
-    """Mask of the rows of ``G z <= g`` that ray shooting proves irredundant.
+def _certify_irredundant(G, g, F, f, tol: float) -> tuple[np.ndarray, bool]:
+    """Mask of the rows of ``G z <= g`` that ray shooting proves irredundant,
+    and whether the centre LP found a point inside the set.
 
     One Chebyshev-centre LP gives a point c inside the set, at the centre of
     the largest ball within its affine hull ``F z = f``.  A ray from c, in the
@@ -297,14 +331,19 @@ def _certify_irredundant(G, g, F, f, tol: float) -> np.ndarray:
     explicitly, does so within ``tol`` (for ``F x = f``: lies within ``tol``
     of that affine set, see :func:`_equality_gap`) and exceeds row i by more
     than ``tol`` plus :data:`CERTIFY_MARGIN`.
+
+    The centre counts as found when the ball's radius exceeds that same
+    bound; it then satisfies every row with room to spare, so the set is
+    nonempty.  With fewer than two rows, or a single point, no LP is solved
+    and nothing is found.
     """
     m, dim = G.shape
     certified = np.zeros(m, dtype=bool)
     if m < 2:  # the centre LP would cost as much as it could save
-        return certified
+        return certified, False
     Q, L, lead = _gram_schmidt(F)
     if Q.shape[0] == dim:
-        return certified  # a single point
+        return certified, False  # a single point
     norms = np.linalg.norm(G - (G @ Q.T) @ Q, axis=1)
     # maximize the radius r of a ball around z inside the set and its affine
     # hull; the cap keeps the LP bounded when the set is unbounded
@@ -316,12 +355,12 @@ def _certify_irredundant(G, g, F, f, tol: float) -> np.ndarray:
     try:
         res = lpsolve.solve(lp)
     except NumericalFailure:
-        return certified
+        return certified, False
     if res.status != lpsolve.OPTIMAL:
-        return certified
+        return certified, False
     c = res.point[:dim]
     if res.point[dim] <= tol + CERTIFY_MARGIN * max(1.0, np.abs(c).max()):
-        return certified  # no interior: implicit equalities, or empty
+        return certified, False  # no interior: implicit equalities, or empty
     slack = g - G @ c
     live = norms > ZERO_COEF_TOL
     rng = np.random.default_rng(0)  # a fixed seed keeps LP counts repeatable
@@ -357,7 +396,7 @@ def _certify_irredundant(G, g, F, f, tol: float) -> np.ndarray:
         certified[first[ok]] = True
         if certified.all():
             break
-    return certified
+    return certified, True
 
 
 def prune(p: HPolytope, tol: float = ABS_TOL, merge_equalities: bool = False) -> HPolytope:
@@ -377,11 +416,20 @@ def prune(p: HPolytope, tol: float = ABS_TOL, merge_equalities: bool = False) ->
     solver's rounding, so the result is the same system, row for row, as
     with an LP for every row; only an LP that would have failed with
     NumericalFailure on a certified row is no longer solved.
+
+    The centre of the ray shooting also settles emptiness: when it is found
+    (a ball of radius above ``tol`` plus the margin fits inside the set), it
+    is a point of the set, so ``p`` is recorded as nonempty and its
+    emptiness LP is not solved.  After merging the centre proves nothing
+    about ``p``: a merged pair may lie up to ``tol`` apart the wrong way,
+    which leaves ``p`` empty and its merged form not.  Whenever no centre
+    proves it, the emptiness LP decides, as before.
     """
-    if p.is_empty():
+    if p._empty_cache:
         return HPolytope.empty(p.dim)
     G, g = [np.array(m) for m in (p.A_ineq, p.b_ineq)]
     F, f = [np.array(m) for m in (p.A_eq, p.b_eq)]
+    merged = False
     if merge_equalities and G.shape[0]:
         used = np.zeros(G.shape[0], dtype=bool)
         eq_rows, eq_rhs = [], []
@@ -399,7 +447,12 @@ def prune(p: HPolytope, tol: float = ABS_TOL, merge_equalities: bool = False) ->
             G, g = G[~used], g[~used]
             F = np.vstack([F, np.array(eq_rows)])
             f = np.hstack([f, np.array(eq_rhs)])
-    certified = _certify_irredundant(G, g, F, f, tol)
+            merged = True
+    certified, interior = _certify_irredundant(G, g, F, f, tol)
+    if interior and not merged:
+        p._empty_cache = False
+    elif p.is_empty():
+        return HPolytope.empty(p.dim)
     active = list(range(G.shape[0]))
     for i in np.flatnonzero(~certified):
         others = [j for j in active if j != i]
@@ -555,11 +608,12 @@ def vertices(p: HPolytope, tol: float = VERTEX_TOL) -> np.ndarray:
     G = q.A_ineq @ basis
     g = q.b_ineq - q.A_ineq @ z0
     reduced = HPolytope(G, g, dim=r)
-    for k in range(r):
-        e = np.zeros(r)
-        e[k] = 1.0
-        if math.isinf(lpsolve.support(reduced, e)) or math.isinf(lpsolve.support(reduced, -e)):
-            raise UnboundedSet("polytope is unbounded; vertices undefined")
+    bounds = _row_bounds(reduced)
+    for e in np.eye(r):
+        for probe in (e, -e):  # a row along the probe bounds it without an LP
+            if (math.isinf(_row_bound(bounds, probe))
+                    and math.isinf(lpsolve.support(reduced, probe))):
+                raise UnboundedSet("polytope is unbounded; vertices undefined")
     G, g = reduced.A_ineq, reduced.b_ineq
     m = G.shape[0]
     if m < r:

@@ -85,13 +85,27 @@ def _key(values) -> tuple:
     return tuple(float(v) for v in arr)
 
 
-def _finite_family(entries, what: str) -> tuple[tuple[tuple, ...], ...]:
+def _spec_error(cls, field: tuple, what: str, detail: str):
+    """``cls(f"{what}: {detail}")`` for a :class:`NetworkSpec` field.
+
+    The error also carries ``field``, the spec field at fault as its name,
+    the agent index and any keys below them (``("dynamics", 0, "A", 1)`` is
+    agent 0's A block for agent 1; ``("couplings", 0, 2)`` is agent 0's
+    third coupling row), and ``detail``, so that a caller holding the
+    spec's source can name that source instead.
+    """
+    exc = cls(f"{what}: {detail}")
+    exc.field, exc.detail = field, detail
+    return exc
+
+
+def _finite_family(entries, field: tuple, what: str) -> tuple[tuple[tuple, ...], ...]:
     """Normalize a finite point family: tuple of quantized vectors."""
     out = []
     for vec in entries:
         out.append(_key(vec))
     if len(set(out)) != len(out):
-        raise ValidationError(f"{what}: duplicate points")
+        raise _spec_error(ValidationError, field, what, "duplicate points")
     return tuple(out)
 
 
@@ -100,8 +114,9 @@ def _payload_kind(i: int, payload) -> str:
         return "affine"
     if isinstance(payload, FiniteDynamics):
         return "finite"
-    raise UnsupportedDynamics(
-        f"agent {i}: payload {type(payload).__name__} is neither affine nor "
+    raise _spec_error(
+        UnsupportedDynamics, ("dynamics", i), f"agent {i}",
+        f"payload {type(payload).__name__} is neither affine nor "
         "a finite transition table")
 
 
@@ -133,7 +148,9 @@ class NetworkSpec:
       and input lengths (ValidationError).
 
     Each ``AffineAgent`` checks at its own construction that its
-    disturbance set is bounded (UnboundedDisturbance).
+    disturbance set is bounded (UnboundedDisturbance).  An error about one
+    agent's entry names the field at fault in its ``field`` attribute (see
+    :func:`_spec_error`).
     """
 
     state_dims: tuple
@@ -214,8 +231,8 @@ class NetworkSpec:
         set_attr(self, "_graph", graph)
 
         for i in range(N):
-            for row in self.couplings[i]:
-                self._validate_coupling(i, row)
+            for r, row in enumerate(self.couplings[i]):
+                self._validate_coupling(i, r, row)
         if self._backend == "affine":
             self._validate_affine()
         elif self._backend == "finite":
@@ -240,27 +257,31 @@ class NetworkSpec:
 
     # -- validation helpers --------------------------------------------------
 
-    def _validate_coupling(self, i: int, row):
+    def _validate_coupling(self, i: int, r: int, row):
+        field = ("couplings", i, r)
         if not isinstance(row, CouplingRow):
             if self._backend == "affine":
-                raise NonlinearConstraint(
-                    f"agent {i}: coupling payload {type(row).__name__} is not "
-                    "a linear row; the affine pipeline cannot encode it")
+                raise _spec_error(
+                    NonlinearConstraint, field, f"agent {i}",
+                    f"coupling payload {type(row).__name__} is not a linear "
+                    "row; the affine pipeline cannot encode it")
             if not callable(row):
-                raise UnsupportedDynamics(
-                    f"agent {i}: coupling payload {type(row).__name__} is "
-                    "not evaluable")
+                raise _spec_error(
+                    UnsupportedDynamics, field, f"agent {i}",
+                    f"coupling payload {type(row).__name__} is not evaluable")
             return
         if not row.participants() <= set(self.con_neighbors[i]) | {i}:
-            raise ValidationError(
-                f"agent {i}: coupling row references agents outside "
-                "the declared constraint neighbours")
+            raise _spec_error(
+                ValidationError, field, f"agent {i}",
+                "coupling row references agents outside the declared "
+                "constraint neighbours")
         for kind, coefs, dims in (("state", row.state_coefs, self.state_dims),
                                   ("input", row.input_coefs, self.input_dims)):
             for j, c in coefs.items():
                 if c.shape != (dims[j],):
-                    raise ValidationError(
-                        f"agent {i}: coupling {kind} coefficients for {j} "
+                    raise _spec_error(
+                        ValidationError, (*field, f"{kind}_coefs", j),
+                        f"agent {i}: coupling {kind} coefficients for {j}",
                         f"have length {c.shape[0]}, expected {dims[j]}")
 
     def _validate_affine(self):
@@ -268,87 +289,97 @@ class NetworkSpec:
             ag = self.dynamics[i]
             if ag.state_dim != self.state_dims[i] or \
                     ag.input_dim != self.input_dims[i]:
-                raise ValidationError(
-                    f"agent {i}: dynamics dims {(ag.state_dim, ag.input_dim)} "
-                    f"disagree with declared "
-                    f"{(self.state_dims[i], self.input_dims[i])}")
+                raise _spec_error(
+                    ValidationError, ("dynamics", i), f"agent {i}",
+                    f"dynamics dims {(ag.state_dim, ag.input_dim)} disagree "
+                    f"with declared {(self.state_dims[i], self.input_dims[i])}")
             allowed = set(self.dyn_neighbors[i]) | {i}
-            for j in set(ag.A) | set(ag.B):
-                if j not in allowed:
-                    raise ValidationError(
-                        f"agent {i}: dynamics block for {j} but {j} is not a "
-                        "declared dynamic neighbour")
             for name, blocks, dims in (("A", ag.A, self.state_dims),
                                        ("B", ag.B, self.input_dims)):
                 for j, M in blocks.items():
+                    field = ("dynamics", i, name, j)
+                    if j not in allowed:
+                        raise _spec_error(
+                            ValidationError, field, f"agent {i}",
+                            f"dynamics block for {j} but {j} is not a "
+                            "declared dynamic neighbour")
                     what = f"agent {i}: {name} block for {j}"
                     if M.shape != (ag.state_dim, dims[j]):
-                        raise ShapeMismatch(
-                            f"{what}: expected shape {(ag.state_dim, dims[j])}, "
+                        raise _spec_error(
+                            ShapeMismatch, field, what,
+                            f"expected shape {(ag.state_dim, dims[j])}, "
                             f"got {M.shape}")
                     if not np.all(np.isfinite(M)):
-                        raise ShapeMismatch(f"{what}: entries must be finite")
-            def check_poly(poly, dim, what):
+                        raise _spec_error(ShapeMismatch, field, what,
+                                          "entries must be finite")
+            def check_poly(poly, dim, name, what):
                 if not isinstance(poly, HPolytope):
-                    raise ValidationError(f"{what}: expected a polytope")
+                    raise _spec_error(ValidationError, (name, i), what,
+                                      "expected a polytope")
                 if poly.dim != dim:
-                    raise DimensionMismatch(
-                        f"{what}: dimension {poly.dim}, expected {dim}")
+                    raise _spec_error(DimensionMismatch, (name, i), what,
+                                      f"dimension {poly.dim}, expected {dim}")
 
-            check_poly(self.state_sets[i], self.state_dims[i],
+            check_poly(self.state_sets[i], self.state_dims[i], "state_sets",
                        f"state set of agent {i}")
             if self.input_dims[i]:
                 check_poly(self.input_sets[i], self.input_dims[i],
-                           f"input set of agent {i}")
+                           "input_sets", f"input set of agent {i}")
             nd = self.neighborhood_state_dim(i)
-            check_poly(self.goal_sets[i], nd, f"goal set of agent {i}")
+            check_poly(self.goal_sets[i], nd, "goal_sets",
+                       f"goal set of agent {i}")
             for opt, what in (("start_sets", "start set"),
                               ("start_partitions", "start partition"),
                               ("goal_partitions", "goal partition")):
                 fam = getattr(self, opt)
                 if fam is not None and fam[i] is not None:
-                    check_poly(fam[i], nd, f"{what} of agent {i}")
+                    check_poly(fam[i], nd, opt, f"{what} of agent {i}")
             if self.goal_partitions is not None and \
                     self.goal_partitions[i] is not None:
                 if not includes(self.goal_partitions[i], self.goal_sets[i]):
-                    raise ValidationError(
-                        f"agent {i}: goal set is not inside its partition")
+                    raise _spec_error(
+                        ValidationError, ("goal_partitions", i), f"agent {i}",
+                        "goal set is not inside its partition")
             if self.start_sets is not None and self.start_sets[i] is not None \
                     and self.start_partitions is not None and \
                     self.start_partitions[i] is not None:
                 if not includes(self.start_partitions[i], self.start_sets[i]):
-                    raise ValidationError(
-                        f"agent {i}: start set is not inside its partition")
+                    raise _spec_error(
+                        ValidationError, ("start_partitions", i), f"agent {i}",
+                        "start set is not inside its partition")
 
     def _validate_finite(self):
         set_attr = object.__setattr__
         state_sets = []
         input_sets = []
         for i in range(self.n_agents):
-            alpha = _finite_family(self.state_sets[i],
-                                   f"state alphabet of agent {i}")
+            what = f"state alphabet of agent {i}"
+            alpha = _finite_family(self.state_sets[i], ("state_sets", i), what)
             if any(len(v) != self.state_dims[i] for v in alpha):
-                raise DimensionMismatch(
-                    f"state alphabet of agent {i}: wrong vector length")
+                raise _spec_error(DimensionMismatch, ("state_sets", i), what,
+                                  "wrong vector length")
             if not alpha:
-                raise ValidationError(f"agent {i}: empty state alphabet")
+                raise _spec_error(ValidationError, ("state_sets", i),
+                                  f"agent {i}", "empty state alphabet")
             state_sets.append(alpha)
-            inp = _finite_family(self.input_sets[i],
-                                 f"input alphabet of agent {i}")
+            what = f"input alphabet of agent {i}"
+            inp = _finite_family(self.input_sets[i], ("input_sets", i), what)
             if any(len(v) != self.input_dims[i] for v in inp):
-                raise DimensionMismatch(
-                    f"input alphabet of agent {i}: wrong vector length")
+                raise _spec_error(DimensionMismatch, ("input_sets", i), what,
+                                  "wrong vector length")
             if not inp:
                 inp = ((),) if self.input_dims[i] == 0 else inp
             if not inp:
-                raise ValidationError(f"agent {i}: empty input alphabet")
+                raise _spec_error(ValidationError, ("input_sets", i),
+                                  f"agent {i}", "empty input alphabet")
             input_sets.append(inp)
             who = (i, *self.dyn_neighbors[i])
             shape = (sum(self.state_dims[j] for j in who),
                      sum(self.input_dims[j] for j in who), self.state_dims[i])
             if any(tuple(map(len, r)) != shape for r in self.dynamics[i].transitions):
-                raise DimensionMismatch(
-                    f"agent {i}: transition lengths must be {shape}")
+                raise _spec_error(DimensionMismatch, ("dynamics", i),
+                                  f"agent {i}",
+                                  f"transition lengths must be {shape}")
         set_attr(self, "state_sets", tuple(state_sets))
         set_attr(self, "input_sets", tuple(input_sets))
 
@@ -361,11 +392,12 @@ class NetworkSpec:
                 if entry is None:
                     out.append(None)
                     continue
-                pts = _finite_family(entry, f"{name} of agent {i}")
+                what = f"{name} of agent {i}"
+                pts = _finite_family(entry, (name, i), what)
                 nd = self.neighborhood_state_dim(i)
                 if any(len(v) != nd for v in pts):
-                    raise DimensionMismatch(
-                        f"{name} of agent {i}: stacks must have length {nd}")
+                    raise _spec_error(DimensionMismatch, (name, i), what,
+                                      f"stacks must have length {nd}")
                 out.append(pts)
             set_attr(self, name, tuple(out))
 
@@ -378,14 +410,16 @@ class NetworkSpec:
                 part = self.goal_partitions[i]
                 if part is not None and \
                         not set(self.goal_sets[i]) <= set(part):
-                    raise ValidationError(
-                        f"agent {i}: goal set is not inside its partition")
+                    raise _spec_error(
+                        ValidationError, ("goal_partitions", i), f"agent {i}",
+                        "goal set is not inside its partition")
         if self.start_sets is not None and self.start_partitions is not None:
             for i in range(self.n_agents):
                 s, p = self.start_sets[i], self.start_partitions[i]
                 if s is not None and p is not None and not set(s) <= set(p):
-                    raise ValidationError(
-                        f"agent {i}: start set is not inside its partition")
+                    raise _spec_error(
+                        ValidationError, ("start_partitions", i), f"agent {i}",
+                        "start set is not inside its partition")
 
 
 # -- axis numbering -----------------------------------------------------------

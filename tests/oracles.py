@@ -3,8 +3,9 @@
 Everything here is deliberately written the dumbest correct way and avoids
 the package's own geometry code paths: hulls by gift wrapping, extremeness
 by raw scipy LPs, joins by exhaustive pair checks.  The exceptions are
-:func:`lp_only_prune`, a frozen copy of the package's LP-per-row pruning
-loop, kept to show that faster pruning returns the very same rows, and two
+:func:`lp_only_prune` and :func:`lp_only_includes`, frozen copies of the
+package's LP-per-row pruning and LP-per-face inclusion loops, kept to show
+that the certificates in front of those LPs change no answer, and two
 small helpers built on the package that tests compare against hand-built
 answers: :func:`support_point` and :func:`goal_join`.
 """
@@ -485,3 +486,23 @@ def lp_only_prune(p, tol: float = 1e-9, merge_equalities: bool = False):
             active.remove(i)
         # unbounded or (numerically) infeasible: keep the row
     return HPolytope(G[active], g[active], F, f, dim=p.dim)
+
+
+def lp_only_includes(p, q, tol: float = 1e-9) -> bool:
+    """``polytope.includes`` as it was before row-match bounds: one support
+    LP of q per face of p, in order, stopping at the first face q crosses."""
+    if q.is_empty():
+        return True
+    if p.is_empty():
+        return False
+    directions = list(zip(p.A_ineq, p.b_ineq))
+    for a, b in zip(p.A_eq, p.b_eq):
+        directions += [(a, b), (-a, -b)]
+    for a, b in directions:
+        try:
+            s = lpsolve.support(q, a)
+        except EmptySet:
+            return True
+        if s > b + tol:
+            return False
+    return True

@@ -13,7 +13,6 @@ for the certifying convex-weight derivations) and independent oracles
 
 from __future__ import annotations
 
-import itertools
 import json
 import time
 from contextlib import contextmanager
@@ -31,7 +30,6 @@ from reachnet.axisset import (
     join_extrusions,
     polytope_set,
     project_vector,
-    sets_equal,
 )
 from reachnet.cli import main as cli_main
 from reachnet.fixpoint import centralized_projections, run_distributed

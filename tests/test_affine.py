@@ -31,7 +31,6 @@ from reachnet.errors import (
     NonlinearConstraint,
     ShapeMismatch,
     UnboundedDisturbance,
-    UnboundedSet,
     ValidationError,
 )
 from reachnet.polytope import HPolytope, set_equal, vertices

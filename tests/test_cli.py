@@ -11,7 +11,6 @@ import copy
 import json
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from reachnet.axisset import AxisSet
@@ -380,6 +379,30 @@ class TestExitCodes:
         err = json.loads((out / "error.json").read_text())
         assert err["error"] == "ValidationError"
         assert "have length 2, expected 1" in err["message"]
+
+    @pytest.mark.parametrize("edit, error, message", [
+        (lambda doc: doc["agents"][0]["dynamics"].update(A={"1": [[1.0, 2.0]]}),
+         "ShapeMismatch",
+         "agents[0].dynamics.A[1]: expected shape (1, 1), got (1, 2)"),
+        (lambda doc: doc.update(coupling=[
+            {"agent": 1, "state_coefs": {"1": [1.0]}, "offset": -1.0},
+            {"agent": 1, "state_coefs": {"1": [1.0, 1.0]}, "offset": -1.0}]),
+         "ValidationError",
+         "coupling[1].state_coefs[1]: have length 2, expected 1"),
+        (lambda doc: doc["targets"][0].update(goal_partition={"box": [[-0.5, 0.5]]}),
+         "ValidationError",
+         "targets[0].goal_partition: goal set is not inside its partition"),
+    ], ids=["dynamics-block", "coupling-row", "target-partition"])
+    def test_network_spec_errors_name_the_json_field(self, tmp_path, edit,
+                                                     error, message):
+        doc = load_fixture_doc("integrator.json")
+        edit(doc)
+        out = tmp_path / "out"
+        code = run_cli("run", "--mode", "distributed", "--task", "pre",
+                       "--spec", str(write_doc(tmp_path, doc)), "--out", str(out))
+        assert code == 2
+        err = json.loads((out / "error.json").read_text())
+        assert (err["error"], err["message"]) == (error, message)
 
     def test_round_budget_exhaustion_exits_4_with_partial_trace(self, tmp_path):
         out = tmp_path / "out"

@@ -1,6 +1,6 @@
-"""Every name a library module imports is used in that module.
+"""Every name a library or test module imports is used in that module.
 
-``__init__.py`` re-exports names on purpose and is skipped, as are
+``__init__.py`` files re-export names on purpose and are skipped, as are
 ``__future__`` imports.  A name that appears only inside a string annotation
 (``poly: "HPolytope"``) counts as used.
 """
@@ -12,8 +12,10 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "reachnet"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "reachnet"
+MODULES = sorted(p for p in [*SRC.glob("*.py"), *TESTS.glob("*.py")]
+                 if p.name != "__init__.py")
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:
@@ -57,7 +59,9 @@ def unused_imports(source: str) -> list[tuple[str, int]]:
                   if name not in used)
 
 
-@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+@pytest.mark.parametrize(
+    "path", MODULES,
+    ids=[p.name if p.parent == SRC else f"tests/{p.name}" for p in MODULES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 

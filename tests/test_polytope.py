@@ -18,7 +18,13 @@ from reachnet.errors import (
     UnboundedSet,
 )
 
-from .oracles import extreme_points, gift_wrap_2d, hausdorff, lp_only_prune
+from .oracles import (
+    extreme_points,
+    gift_wrap_2d,
+    hausdorff,
+    lp_only_includes,
+    lp_only_prune,
+)
 
 
 def support_gap(p, q, extra_dirs=()):
@@ -342,8 +348,9 @@ def test_prune_matches_lp_only_loop_near_dependent_equalities(merge):
 
 
 def certified_rows(p):
-    return np.flatnonzero(pl._certify_irredundant(
-        p.A_ineq, p.b_ineq, p.A_eq, p.b_eq, pl.ABS_TOL))
+    certified, _ = pl._certify_irredundant(
+        p.A_ineq, p.b_ineq, p.A_eq, p.b_eq, pl.ABS_TOL)
+    return np.flatnonzero(certified)
 
 
 def test_certificate_witness_must_satisfy_slowly_crossed_rows():
@@ -398,8 +405,9 @@ def test_prune_matches_lp_only_loop_random(data):
     assert same_system(pl.prune(p, merge_equalities=merge), expect)
 
 
-def test_prune_of_hypercube_solves_at_most_two_lps(monkeypatch):
-    # one emptiness LP and one Chebyshev-centre LP; every row is certified
+@pytest.fixture
+def lp_calls(monkeypatch):
+    """Every LP ``lpsolve.solve`` is given while the test runs."""
     calls = []
     solve = lpsolve.solve
 
@@ -408,11 +416,183 @@ def test_prune_of_hypercube_solves_at_most_two_lps(monkeypatch):
         return solve(lp, *args, **kw)
 
     monkeypatch.setattr(lpsolve, "solve", counted)
+    return calls
+
+
+@pytest.fixture
+def emptiness_checks(monkeypatch):
+    """Every set ``lpsolve.is_empty`` is asked about while the test runs."""
+    checked = []
+    is_empty = lpsolve.is_empty
+
+    def counted(poly):
+        checked.append(poly)
+        return is_empty(poly)
+
+    monkeypatch.setattr(lpsolve, "is_empty", counted)
+    return checked
+
+
+def test_prune_of_hypercube_solves_at_most_two_lps(lp_calls):
+    # one Chebyshev-centre LP, which also shows the cube is nonempty; every
+    # row is certified
     d = 6
     cube = pl.HPolytope.from_box(-np.ones(d), np.ones(d))
     out = pl.prune(cube)
-    assert len(calls) <= 2
+    assert len(lp_calls) <= 2
     assert same_system(out, cube)
+
+
+def test_prune_of_full_dimensional_box_solves_no_emptiness_lp(emptiness_checks):
+    box = pl.HPolytope.from_box([-1.0, 0.0, 2.0], [1.0, 5.0, 2.5])
+    assert same_system(pl.prune(box), lp_only_prune(box))
+    assert box.is_empty() is False
+    assert emptiness_checks == []
+
+
+@pytest.mark.parametrize("make", [empty_case, inequality_pair_case],
+                         ids=lambda f: f.__name__)
+def test_prune_of_empty_or_flat_set_still_solves_its_emptiness_lp(
+        make, emptiness_checks):
+    # no ball of positive radius fits, so the emptiness LP decides
+    for seed in range(15):
+        p = make(np.random.default_rng(seed))
+        got = pl.prune(p)
+        assert emptiness_checks == [p], (make.__name__, seed)
+        assert same_system(got, lp_only_prune(p)), (make.__name__, seed)
+        emptiness_checks.clear()
+
+
+def test_prune_after_merging_still_solves_its_emptiness_lp(emptiness_checks):
+    # x <= 0 and x >= 5e-10 lie within tol, so they merge into x = 0, where
+    # the centre LP finds a ball of radius 1; but that centre misses
+    # x >= 5e-10, so it proves nothing about p
+    p = pl.HPolytope([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]],
+                     [0.0, -5e-10, 1.0, 1.0])
+    got = pl.prune(p, merge_equalities=True)
+    assert emptiness_checks == [p]
+    assert same_system(got, lp_only_prune(p, merge_equalities=True))
+
+
+# ---- inclusion: row-match bounds against the LP-only loop ---------------------
+
+
+#: Right-hand side shifts: none, a few tolerances either way, and the
+#: row-match threshold ``b + tol`` missed by 1e-12 either way.
+SHIFTS = (0.0, 0.0, -3 * pl.ABS_TOL, 3 * pl.ABS_TOL,
+          pl.ABS_TOL - 1e-12, pl.ABS_TOL + 1e-12)
+
+
+def random_body(rng, d, center):
+    """A rotated cube around ``center`` with a few random rows that leave
+    ``center`` inside."""
+    A, b = rotated_cube(rng, d, 2.0, center)
+    extra = rng.normal(size=(int(rng.integers(0, 4)), d))
+    return (np.vstack([A, extra]),
+            np.hstack([b, extra @ center + rng.uniform(0.5, 3.0, len(extra))]))
+
+
+def shared_rows_pair(rng):
+    """q keeps some of p's (normalized) rows, each shifted by one of
+    :data:`SHIFTS`, and adds rows of its own."""
+    d = int(rng.integers(1, 5))
+    center = rng.normal(size=d)
+    p = pl.HPolytope(*random_body(rng, d, center))
+    keep = rng.random(p.A_ineq.shape[0]) < 0.7
+    own_A, own_b = random_body(rng, d, center)
+    own = rng.random(own_A.shape[0]) < 0.3
+    q = pl.HPolytope(np.vstack([p.A_ineq[keep], own_A[own]]),
+                     np.hstack([p.b_ineq[keep] + rng.choice(SHIFTS, keep.sum()),
+                                own_b[own]]),
+                     dim=d)
+    return p, q
+
+
+def intersection_pair(rng):
+    """q is p cut by extra rows."""
+    d = int(rng.integers(1, 5))
+    p = pl.HPolytope(*random_body(rng, d, rng.normal(size=d)))
+    cut = pl.HPolytope(*random_body(rng, d, rng.normal(size=d)))
+    return p, pl.intersect(p, cut)
+
+
+def pinned_pair(rng):
+    """p and q lie on affine sets given by the same equality rows, with
+    right-hand sides equal or shifted by one of :data:`SHIFTS`."""
+    d = int(rng.integers(2, 5))
+    z = rng.normal(size=d)
+    A, b = random_body(rng, d, z)
+    F = rng.normal(size=(int(rng.integers(1, d)), d))
+    p = pl.HPolytope(A, b, F, F @ z, dim=d)
+    q = pl.HPolytope(p.A_ineq[::-1], p.b_ineq[::-1] + rng.choice(SHIFTS),
+                     p.A_eq, p.b_eq + rng.choice(SHIFTS, p.b_eq.shape[0]), dim=d)
+    return p, q
+
+
+def negative_zero_pair(rng):
+    """Boxes whose zero coefficients are -0.0 in p and 0.0 in q."""
+    d = int(rng.integers(2, 5))
+    lo = rng.uniform(-2.0, -1.0, d)
+    hi = rng.uniform(1.0, 2.0, d)
+    p = pl.HPolytope.from_box(lo, hi)  # its rows -e_k carry -0.0
+    eye = np.eye(d)
+    q = pl.HPolytope(np.vstack([eye, -eye]) + 0.0,
+                     np.hstack([hi, -lo]) + rng.choice(SHIFTS, 2 * d))
+    assert negative_zeros(p.A_ineq) and not negative_zeros(q.A_ineq)
+    return p, q
+
+
+def negative_zeros(A) -> int:
+    return int(np.signbit(A[A == 0.0]).sum())
+
+
+INCLUDES_CASES = (shared_rows_pair, intersection_pair, pinned_pair,
+                  negative_zero_pair)
+
+
+@pytest.mark.parametrize("make", INCLUDES_CASES, ids=lambda f: f.__name__)
+def test_includes_matches_lp_only_loop(make):
+    verdicts = set()
+    for seed in range(40):
+        p, q = make(np.random.default_rng(seed))
+        for outer, inner in ((p, q), (q, p)):
+            got = pl.includes(outer, inner)
+            assert got == lp_only_includes(outer, inner), (make.__name__, seed)
+            verdicts.add(got)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("make", [cube_case, pinned_case, unbounded_case],
+                         ids=lambda f: f.__name__)
+def test_includes_of_a_set_in_itself_solves_no_lp(make, lp_calls):
+    for seed in range(10):
+        p = make(np.random.default_rng(seed))
+        p.is_empty()  # the emptiness LP is cached before counting
+        lp_calls.clear()
+        assert pl.includes(p, p)
+        assert lp_calls == [], (make.__name__, seed)
+
+
+def test_includes_matches_rows_across_signed_zeros(lp_calls):
+    p = pl.HPolytope.from_box([-1.0, -1.0], [1.0, 1.0])
+    q = pl.HPolytope(np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]),
+                     [1.0, 1.0, 1.0, 1.0])
+    assert negative_zeros(p.A_ineq) and not negative_zeros(q.A_ineq)
+    for poly in (p, q):
+        poly.is_empty()  # the emptiness LPs are cached before counting
+    lp_calls.clear()
+    assert pl.includes(p, q) and pl.includes(q, p)
+    assert lp_calls == []
+
+
+def test_vertices_of_a_box_probe_boundedness_without_lps(monkeypatch):
+    probes = []
+    support = lpsolve.support
+    monkeypatch.setattr(lpsolve, "support",
+                        lambda poly, d: probes.append(d) or support(poly, d))
+    got = pl.vertices(pl.HPolytope.from_box([-1.0, 0.0, 2.0], [1.0, 5.0, 2.5]))
+    assert got.shape == (8, 3)
+    assert probes == []
 
 
 # ---- text format --------------------------------------------------------------

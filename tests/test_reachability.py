@@ -29,7 +29,7 @@ from reachnet.errors import (
     ValidationError,
 )
 from reachnet.netgraph import graph_from_dynamics
-from reachnet.polytope import HPolytope, embed_columns, intersect, set_equal, vertices
+from reachnet.polytope import HPolytope, embed_columns, intersect, set_equal
 from reachnet.reachability import (
     DEFAULT_DIMENSION_CAP,
     TASKS,
@@ -46,7 +46,6 @@ from reachnet.reachability import (
 from .oracles import (
     finite_forward_trajectories,
     goal_join,
-    pack_trajectory,
     simulate_network,
     support_point,
 )
