@@ -7,14 +7,28 @@ Hall, Math. Prog. Comp. 2018), which is deterministic for fixed input,
 detects infeasibility and unboundedness exactly, and reports dual
 multipliers (used by the duality self-check in the test suite).
 
-:func:`solve` is the single entry point.  It drives the HiGHS binding that
-scipy bundles (``scipy.optimize._highspy._core``) directly, with the options
+:func:`solve` solves one LP.  It drives the HiGHS binding that scipy
+bundles (``scipy.optimize._highspy._core``) directly, with the options
 ``linprog(method="highs-ds")`` would pass; on every LP the test suite
-issues the two give bit-identical answers.  The direct path exists because these LPs are tiny: on scipy
-1.17.1, ``linprog`` spends about five times as long per call (2-3 ms against
-0.4-0.6 ms on a 2-CPU x86-64 host), mostly on input conversion and option
-validation.  Older scipy releases do not ship that module; there
-:func:`solve` falls back to ``linprog``, chosen once at import time.
+issues the two give bit-identical answers.  The direct path exists because
+these LPs are tiny: on scipy 1.17.1, ``linprog`` spends about five times as
+long per call (2-3 ms against 0.4-0.6 ms on a 2-CPU x86-64 host), mostly on
+input conversion and option validation.  Older scipy releases do not ship
+that module; there :func:`solve` falls back to ``linprog``, chosen once at
+import time.
+
+:class:`RowLps` serves redundancy pruning: a run of LPs over one matrix,
+each maximizing one row's normal over the other rows still kept.  They
+share one HiGHS model, built by the same helper as :func:`solve`'s.  A row
+out of force has the bounds ``(-inf, inf)``, the same LP as one without it,
+so each LP changes only costs and bounds and the dual simplex restarts from
+the last basis.  A warm answer counts only as an optimum that passes
+:func:`solve`'s checks; any other LP is solved cold by :func:`solve`, so
+infeasible and unbounded verdicts, NumericalFailure and the pivot cap come
+from there as before.  Warm and cold optima agree to rounding on
+well-conditioned LPs but may differ within the solver's tolerances on
+ill-conditioned ones, so :func:`polytope.prune` also asks each warm optimum
+for a certificate of its verdict.
 
 Conventions: variables are free (no implicit sign restriction), the objective
 is MAXIMIZED, inequalities are ``A_ineq @ z <= b_ineq`` and equalities
@@ -131,8 +145,9 @@ def solve(lp: LinearProgram, pivot_cap: int = DEFAULT_PIVOT_CAP) -> LpResult:
     return _backend(lp, pivot_cap)
 
 
-def _solve_highs(lp: LinearProgram, pivot_cap: int) -> LpResult:
-    """HiGHS dual simplex on a row-wise model, called without linprog."""
+def _highs_model(lp: LinearProgram, pivot_cap: int) -> "_Highs":
+    """A HiGHS instance holding ``lp`` as a row-wise model, with the options
+    ``linprog(method="highs-ds")`` would pass."""
     m, n = lp.A_ineq.shape
     A = np.vstack((lp.A_ineq, lp.A_eq))
     rows, cols = np.nonzero(A)
@@ -160,7 +175,16 @@ def _solve_highs(lp: LinearProgram, pivot_cap: int) -> LpResult:
     highs.setOptionValue("simplex_iteration_limit", int(pivot_cap))
     if highs.passModel(model) == HighsStatus.kError:
         raise NumericalFailure("LP backend rejected the model")
-    highs.run()
+    return highs
+
+
+def _highs_result(highs: "_Highs", lp: LinearProgram, rows=slice(None)) -> LpResult:
+    """The verdict of the last ``highs.run()`` on ``lp`` with only the
+    inequality rows ``rows`` in force (an index or mask; all by default).
+
+    Raises NumericalFailure when HiGHS gave no verdict, or an optimal point
+    that is NaN or misses a row in force by more than :data:`_RESIDUAL_TOL`.
+    """
     status = highs.getModelStatus()
     if status == HighsModelStatus.kInfeasible:
         return LpResult(INFEASIBLE)
@@ -169,18 +193,26 @@ def _solve_highs(lp: LinearProgram, pivot_cap: int) -> LpResult:
     if status != HighsModelStatus.kOptimal:
         raise NumericalFailure("LP backend stopped without a verdict: "
                                f"{highs.modelStatusToString(status)}")
+    m = lp.b_ineq.shape[0]
     solution = highs.getSolution()
     point = np.array(solution.col_value, dtype=float)
     row_value = np.array(solution.row_value, dtype=float)
     value = -highs.getInfo().objective_function_value
-    miss = np.concatenate((row_value[:m] - lp.b_ineq,
+    miss = np.concatenate((row_value[:m][rows] - lp.b_ineq[rows],
                            np.abs(row_value[m:] - lp.b_eq)))
     if math.isnan(value) or np.isnan(point).any() or not np.all(miss <= _RESIDUAL_TOL):
         raise NumericalFailure("LP backend stopped without a verdict: the "
                                "optimal point violates its constraints")
     duals = -np.array(solution.row_dual, dtype=float)
     return LpResult(OPTIMAL, value=float(value), point=point,
-                    ineq_duals=duals[:m], eq_duals=duals[m:])
+                    ineq_duals=duals[:m][rows], eq_duals=duals[m:])
+
+
+def _solve_highs(lp: LinearProgram, pivot_cap: int) -> LpResult:
+    """HiGHS dual simplex on a row-wise model, called without linprog."""
+    highs = _highs_model(lp, pivot_cap)
+    highs.run()
+    return _highs_result(highs, lp)
 
 
 def _solve_linprog(lp: LinearProgram, pivot_cap: int) -> LpResult:
@@ -216,6 +248,64 @@ def _solve_linprog(lp: LinearProgram, pivot_cap: int) -> LpResult:
 
 #: The backend :func:`solve` calls, fixed at import time.
 _backend = _solve_linprog if _Highs is None else _solve_highs
+
+
+class RowLps:
+    """The LPs ``max G[i] @ z`` over the rows of ``G z <= g`` still kept,
+    without row i, and ``F z == f``: the redundancy test of row i.
+
+    :meth:`warm` and :meth:`cold` solve one; :meth:`drop` takes a row out
+    of every later one.  The warm LPs share one HiGHS model, which skips
+    presolve while its basis is valid; the pivot cap counts each run alone.
+    """
+
+    def __init__(self, G, g, F, f):
+        self._lp = lp = LinearProgram(np.zeros(np.shape(G)[1]), G, g, F, f)
+        self.G, self.g, self.F, self.f = lp.A_ineq, lp.b_ineq, lp.A_eq, lp.b_eq
+        self.kept = np.ones(self.g.shape[0], dtype=bool)
+        self._pivot_cap = DEFAULT_PIVOT_CAP
+        self._cols = np.arange(lp.dim, dtype=np.int32)
+        self._highs = None
+
+    def warm(self, i: int) -> Optional[LpResult]:
+        """LP i on the shared model, if HiGHS finds an optimum that passes
+        the checks of :func:`solve` on the rows in force; else None, as on
+        the ``linprog`` fallback.  Row i must be kept.  The duals are those
+        of the rows in force, as in :meth:`cold`."""
+        if _backend is not _solve_highs:
+            return None
+        if self._highs is None:
+            self._highs = _highs_model(self._lp, self._pivot_cap)
+        highs = self._highs
+        highs.changeColsCost(self._cols.size, self._cols, -self.G[i])
+        highs.changeRowBounds(i, -math.inf, math.inf)
+        try:
+            highs.run()
+            if highs.getModelStatus() != HighsModelStatus.kOptimal:
+                return None
+            return _highs_result(highs, self._lp, self.others(i))
+        except NumericalFailure:
+            return None
+        finally:
+            highs.changeRowBounds(i, -math.inf, self.g[i])
+
+    def cold(self, i: int) -> LpResult:
+        """LP i, built afresh and solved by :func:`solve`."""
+        rows = self.others(i)
+        return solve(LinearProgram(self.G[i], self.G[rows], self.g[rows], self.F, self.f),
+                     self._pivot_cap)
+
+    def others(self, i: int) -> np.ndarray:
+        """Mask of the rows in force in LP i: the kept ones but row i."""
+        rows = self.kept.copy()
+        rows[i] = False
+        return rows
+
+    def drop(self, i: int) -> None:
+        """Take row i out of every later LP."""
+        self.kept[i] = False
+        if self._highs is not None:
+            self._highs.changeRowBounds(i, -math.inf, math.inf)
 
 
 def _poly_lp(poly: "HPolytope", objective: np.ndarray) -> LinearProgram:

@@ -19,6 +19,14 @@ next one satisfies every other row and the equalities, and lies beyond the
 first row by more than the tolerance: that point is a witness, and the row
 skips its LP.  The same centre LP settles emptiness: a ball of positive
 radius inside the set is a point of it, so the emptiness LP is left out.
+The LPs that remain run warm on one HiGHS model (:class:`lpsolve.RowLps`);
+a warm optimum decides only with a certificate for its verdict (the same
+witness test for a needed row, a dual bound for a redundant one), and any
+other LP is solved cold as before.  Both certificates keep a margin from
+the threshold, so where the solver's rounding could tip a verdict the cold
+LP decides, as it did alone.
+A projection of a nonempty set is nonempty, so :func:`eliminate` records
+that on its result.
 
 Inclusion (:func:`includes`) asks one support LP per face of the outer set,
 but a face whose normal is also a row normal of the inner set is capped by
@@ -319,18 +327,36 @@ def _equality_gap(F, f, L, lead, x) -> np.ndarray:
                       np.abs(miss - L @ y).max(axis=0))
 
 
-def _certify_irredundant(G, g, F, f, tol: float) -> tuple[np.ndarray, bool]:
+def _witnesses(G, g, F, f, L, lead, x, first, tol: float) -> np.ndarray:
+    """Per point ``x[k]`` (a row of ``x``): whether it proves row
+    ``first[k]`` of ``G z <= g`` irredundant.  It must satisfy every other
+    row within ``tol``, lie within ``tol`` of ``F z = f`` (see
+    :func:`_equality_gap`; ``L`` and ``lead`` come from :func:`_gram_schmidt`)
+    and exceed row ``first[k]`` by more than ``tol`` plus
+    :data:`CERTIFY_MARGIN`."""
+    cols = np.arange(x.shape[0])
+    resid = G @ x.T - g[:, None]
+    excess = resid[first, cols]
+    resid[first, cols] = -np.inf
+    ok = ((resid.max(axis=0) <= tol)
+          & (excess > tol + CERTIFY_MARGIN * np.maximum(1.0, np.abs(x).max(axis=1))))
+    if F.shape[0]:
+        ok &= _equality_gap(F, f, L, lead, x) <= tol
+    return ok
+
+
+def _certify_irredundant(G, g, F, f, tol: float):
     """Mask of the rows of ``G z <= g`` that ray shooting proves irredundant,
-    and whether the centre LP found a point inside the set.
+    whether the centre LP found a point inside the set, and the factors
+    ``L`` and ``lead`` of ``F`` (see :func:`_gram_schmidt`).
 
     One Chebyshev-centre LP gives a point c inside the set, at the centre of
     the largest ball within its affine hull ``F z = f``.  A ray from c, in the
     null space of ``F``, first crosses the hyperplane of some row i and next
     that of another row; the point x at that second crossing satisfies every
     row but i, and ``F x = f``.  Row i is certified when x, checked
-    explicitly, does so within ``tol`` (for ``F x = f``: lies within ``tol``
-    of that affine set, see :func:`_equality_gap`) and exceeds row i by more
-    than ``tol`` plus :data:`CERTIFY_MARGIN`.
+    explicitly by :func:`_witnesses`, does so within ``tol`` and exceeds
+    row i by more than ``tol`` plus :data:`CERTIFY_MARGIN`.
 
     The centre counts as found when the ball's radius exceeds that same
     bound; it then satisfies every row with room to spare, so the set is
@@ -339,11 +365,11 @@ def _certify_irredundant(G, g, F, f, tol: float) -> tuple[np.ndarray, bool]:
     """
     m, dim = G.shape
     certified = np.zeros(m, dtype=bool)
-    if m < 2:  # the centre LP would cost as much as it could save
-        return certified, False
     Q, L, lead = _gram_schmidt(F)
+    if m < 2:  # the centre LP would cost as much as it could save
+        return certified, False, L, lead
     if Q.shape[0] == dim:
-        return certified, False  # a single point
+        return certified, False, L, lead  # a single point
     norms = np.linalg.norm(G - (G @ Q.T) @ Q, axis=1)
     # maximize the radius r of a ball around z inside the set and its affine
     # hull; the cap keeps the LP bounded when the set is unbounded
@@ -355,12 +381,12 @@ def _certify_irredundant(G, g, F, f, tol: float) -> tuple[np.ndarray, bool]:
     try:
         res = lpsolve.solve(lp)
     except NumericalFailure:
-        return certified, False
+        return certified, False, L, lead
     if res.status != lpsolve.OPTIMAL:
-        return certified, False
+        return certified, False, L, lead
     c = res.point[:dim]
     if res.point[dim] <= tol + CERTIFY_MARGIN * max(1.0, np.abs(c).max()):
-        return certified, False  # no interior: implicit equalities, or empty
+        return certified, False, L, lead  # no interior: implicit equalities, or empty
     slack = g - G @ c
     live = norms > ZERO_COEF_TOL
     rng = np.random.default_rng(0)  # a fixed seed keeps LP counts repeatable
@@ -386,17 +412,11 @@ def _certify_irredundant(G, g, F, f, tol: float) -> tuple[np.ndarray, bool]:
         # with no second crossing every point past the first is a witness
         t = np.where(np.isfinite(d2), d2, 2.0 * d1)
         x = c + np.where(hit, t, 0.0)[:, None] * rays
-        resid = G @ x.T - g[:, None]
-        excess = resid[first, cols]
-        resid[first, cols] = -np.inf
-        ok = (hit & (resid.max(axis=0) <= tol)
-              & (excess > tol + CERTIFY_MARGIN * np.maximum(1.0, np.abs(x).max(axis=1))))
-        if F.shape[0]:
-            ok &= _equality_gap(F, f, L, lead, x) <= tol
+        ok = hit & _witnesses(G, g, F, f, L, lead, x, first, tol)
         certified[first[ok]] = True
         if certified.all():
             break
-    return certified, True
+    return certified, True, L, lead
 
 
 def prune(p: HPolytope, tol: float = ABS_TOL, merge_equalities: bool = False) -> HPolytope:
@@ -416,6 +436,23 @@ def prune(p: HPolytope, tol: float = ABS_TOL, merge_equalities: bool = False) ->
     solver's rounding, so the result is the same system, row for row, as
     with an LP for every row; only an LP that would have failed with
     NumericalFailure on a certified row is no longer solved.
+
+    The LPs left share one HiGHS model (:class:`lpsolve.RowLps`), each
+    warm-started from the basis of the one before.  A warm optimum decides
+    only with a certificate for its verdict, checked explicitly by
+    :func:`_settles`.  To keep row i, the optimum must be a witness as above,
+    for the rows in force, so the cold LP keeps the row too.  To drop it,
+    the duals ``y >= 0`` and ``w`` must give ``y G + w F = G_i`` up to a
+    residual r within ``tol``; then the cold LP's maximum is at most
+    ``y g + w f + |r|_1 s`` plus its rounding, with s = ``max(1, |x|)`` at
+    the warm optimum x.  That bound must lie below ``g_i + tol`` by
+    :data:`CERTIFY_MARGIN` times s, the same margin as for a witness, so a
+    drop near the threshold (a weakly redundant row, whose maximum is
+    ``g_i``) is left to the cold LP.  Any other outcome (no optimum, a
+    failed check of :func:`lpsolve.solve`, or no certificate) solves the LP
+    cold by :func:`lpsolve.solve`, as before.  Warm and cold optima can
+    differ by HiGHS's tolerances on near-parallel rows and near-dependent
+    equalities; the certificates fail there, so the cold LP decides.
 
     The centre of the ray shooting also settles emptiness: when it is found
     (a ball of radius above ``tol`` plus the margin fits inside the set), it
@@ -448,20 +485,40 @@ def prune(p: HPolytope, tol: float = ABS_TOL, merge_equalities: bool = False) ->
             F = np.vstack([F, np.array(eq_rows)])
             f = np.hstack([f, np.array(eq_rhs)])
             merged = True
-    certified, interior = _certify_irredundant(G, g, F, f, tol)
+    certified, interior, L, lead = _certify_irredundant(G, g, F, f, tol)
     if interior and not merged:
         p._empty_cache = False
     elif p.is_empty():
         return HPolytope.empty(p.dim)
-    active = list(range(G.shape[0]))
+    if certified.all():
+        return HPolytope(G, g, F, f, dim=p.dim)
+    lps = lpsolve.RowLps(G, g, F, f)
     for i in np.flatnonzero(~certified):
-        others = [j for j in active if j != i]
-        trial = lpsolve.LinearProgram(G[i], G[others], g[others], F, f)
-        res = lpsolve.solve(trial)
+        res = lps.warm(i)
+        if res is None or not _settles(res, i, lps, L, lead, tol):
+            res = lps.cold(i)
         if res.status == lpsolve.OPTIMAL and res.value <= g[i] + tol:
-            active.remove(i)
+            lps.drop(i)
         # unbounded or (numerically) infeasible: keep the row
-    return HPolytope(G[active], g[active], F, f, dim=p.dim)
+    return HPolytope(G[lps.kept], g[lps.kept], F, f, dim=p.dim)
+
+
+def _settles(res: lpsolve.LpResult, i: int, lps: lpsolve.RowLps, L, lead,
+             tol: float) -> bool:
+    """Whether the warm optimum ``res`` of row i's redundancy LP carries a
+    certificate for its verdict (see :func:`prune`)."""
+    G, g, F, f = lps.G, lps.g, lps.F, lps.f
+    if res.value > g[i] + tol:  # kept: the optimum must be a witness
+        pos = np.count_nonzero(lps.kept[:i])
+        return bool(_witnesses(G[lps.kept], g[lps.kept], F, f, L, lead,
+                               res.point[None], [pos], tol)[0])
+    rows = lps.others(i)  # dropped: the duals must bound row i
+    y, w = res.ineq_duals, res.eq_duals
+    miss = np.abs(G[i] - y @ G[rows] - w @ F)
+    scale = max(1.0, np.abs(res.point).max(initial=0.0))
+    bound = y @ g[rows] + w @ f + miss.sum() * scale
+    return bool(y.min(initial=0.0) >= 0.0 and miss.max(initial=0.0) <= tol
+                and bound <= g[i] + tol - CERTIFY_MARGIN * scale)
 
 
 def _filter_dominated(G: np.ndarray, g: np.ndarray):
@@ -493,7 +550,8 @@ def eliminate(p: HPolytope, positions: Sequence[int], *,
     involve the coordinate; otherwise Fourier-Motzkin combines the sign
     classes of the inequality rows.  After each coordinate the system is
     deduplicated and LP-pruned; exceeding ``row_cap`` raises
-    EliminationBlowup.
+    EliminationBlowup.  A projection of a nonempty set is nonempty, so the
+    result records that and its emptiness check solves no LP.
     """
     positions = sorted(set(int(c) for c in positions), reverse=True)
     if not positions:
@@ -559,7 +617,9 @@ def eliminate(p: HPolytope, positions: Sequence[int], *,
                 return HPolytope.empty(remaining_dim)
             G, g = np.array(pruned.A_ineq), np.array(pruned.b_ineq)
             F, f = np.array(pruned.A_eq), np.array(pruned.b_eq)
-    return HPolytope(G, g, F, f, dim=remaining_dim)
+    out = HPolytope(G, g, F, f, dim=remaining_dim)
+    out._empty_cache = False  # the projection of a nonempty set
+    return out
 
 
 def project_to(p: HPolytope, keep_positions: Sequence[int]) -> HPolytope:
@@ -596,9 +656,9 @@ def vertices(p: HPolytope, tol: float = VERTEX_TOL) -> np.ndarray:
     the low dimensions this package works in (reduced dimension <= 8).
     Duplicates from degenerate corners are clustered within ``tol``.
     """
-    if p.is_empty():
-        raise EmptySet("vertex enumeration of an empty set")
     q = prune(p, merge_equalities=True)
+    if p.is_empty():  # settled by prune, by its centre or its emptiness LP
+        raise EmptySet("vertex enumeration of an empty set")
     z0, basis = _affine_basis(q.A_eq, q.b_eq, q.dim)
     r = basis.shape[1]
     if r == 0:

@@ -178,3 +178,61 @@ def test_direct_highs_and_linprog_fallback_agree(monkeypatch):
                          (a.eq_duals, b.eq_duals)):
                 assert x.shape == y.shape
                 assert np.all(np.abs(x - y) <= 1e-9)
+
+
+# ---- RowLps: redundancy LPs on one warm-started model --------------------------
+
+
+def test_row_lps_warm_answers_match_cold_ones():
+    # a random bounded body; every LP is answered warm, and agrees with the
+    # same LP built afresh
+    rng = np.random.default_rng(3)
+    G = rng.normal(size=(40, 4))
+    G /= np.linalg.norm(G, axis=1, keepdims=True)
+    g = rng.uniform(1.0, 2.0, size=40)
+    lps = lpsolve.RowLps(G, g, np.zeros((0, 4)), np.zeros(0))
+    for i in range(40):
+        warm, cold = lps.warm(i), lps.cold(i)
+        assert warm is not None and warm.is_optimal and cold.is_optimal
+        assert abs(warm.value - cold.value) <= 1e-9
+        assert warm.ineq_duals.shape == cold.ineq_duals.shape == (39,)
+
+
+def test_row_lps_dropped_row_is_out_of_force():
+    # box [-1, 1]^2 and x + y <= 3; with x <= 1 dropped, maximizing x over
+    # the rest reaches (4, -1), not x = 1
+    G = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]])
+    g = np.array([1.0, 1.0, 1.0, 1.0, 3.0])
+    lps = lpsolve.RowLps(np.vstack([G, [[1.0, 0.0]]]), np.append(g, 2.5),
+                         np.zeros((0, 2)), np.zeros(0))
+    assert lps.warm(5).value == pytest.approx(1.0, abs=1e-9)  # row 0 binds
+    lps.drop(0)
+    for res in (lps.warm(5), lps.cold(5)):
+        assert res.value == pytest.approx(4.0, abs=1e-9)
+    assert list(lps.kept) == [False, True, True, True, True, True]
+
+
+def test_row_lps_pivot_cap_applies_to_each_lp(monkeypatch):
+    # the session pivots far more often than the cap in total, yet every LP
+    # is answered warm: the cap counts one LP's pivots, not the session's
+    rng = np.random.default_rng(0)
+    G = rng.normal(size=(60, 6))
+    g = np.abs(rng.normal(size=60)) + 1
+    cap = 30
+    monkeypatch.setattr(lpsolve, "DEFAULT_PIVOT_CAP", cap)
+    lps = lpsolve.RowLps(G, g, np.zeros((0, 6)), np.zeros(0))
+    points = []
+    for i in range(60):
+        res = lps.warm(i)
+        assert res is not None and res.is_optimal, i
+        points.append(res.point)
+    moves = sum(not np.allclose(a, b) for a, b in zip(points, points[1:]))
+    assert moves > cap  # each move from one optimal vertex to another pivots
+
+
+def test_row_lps_on_linprog_fallback_solves_cold(monkeypatch):
+    monkeypatch.setattr(lpsolve, "_backend", lpsolve._solve_linprog)
+    lps = lpsolve.RowLps(np.vstack([np.eye(2), -np.eye(2)]), np.ones(4),
+                         np.zeros((0, 2)), np.zeros(0))
+    assert lps.warm(0) is None
+    assert lps.cold(0).status == lpsolve.UNBOUNDED

@@ -186,6 +186,14 @@ def test_eliminate_uses_equality_pivots():
     assert pl.set_equal(proj, expect, tol=1e-9)
 
 
+def test_eliminate_records_that_its_projection_is_nonempty(emptiness_checks):
+    box = pl.HPolytope.from_box([-1.0, 0.0, 2.0], [1.0, 5.0, 2.5])
+    out = pl.eliminate(box, [1])
+    emptiness_checks.clear()  # eliminate asks about its input
+    assert out.is_empty() is False
+    assert emptiness_checks == []
+
+
 def test_eliminate_of_empty_is_empty():
     empty = pl.HPolytope.empty(3)
     out = pl.eliminate(empty, [2, 1])
@@ -310,12 +318,63 @@ PRUNE_CASES = (cube_case, near_parallel_case, pinned_case, unbounded_case,
 
 @pytest.mark.parametrize("merge", [False, True])
 @pytest.mark.parametrize("make", PRUNE_CASES, ids=lambda f: f.__name__)
-def test_prune_matches_lp_only_loop(make, merge):
+def test_prune_matches_lp_only_loop(make, merge, capfd):
     for seed in range(30):
         p = make(np.random.default_rng(seed))
         got = pl.prune(p, merge_equalities=merge)
         expect = lp_only_prune(p, merge_equalities=merge)
         assert same_system(got, expect), (make.__name__, seed)
+    assert capfd.readouterr().out == ""  # HiGHS stays quiet
+
+
+@pytest.mark.parametrize("merge", [False, True])
+@pytest.mark.parametrize("make", PRUNE_CASES, ids=lambda f: f.__name__)
+def test_prune_matches_lp_only_loop_on_linprog_fallback(make, merge, monkeypatch):
+    # with no HiGHS binding every redundancy LP goes through linprog
+    monkeypatch.setattr(lpsolve, "_backend", lpsolve._solve_linprog)
+    for seed in range(8):
+        p = make(np.random.default_rng(seed))
+        got = pl.prune(p, merge_equalities=merge)
+        expect = lp_only_prune(p, merge_equalities=merge)
+        assert same_system(got, expect), (make.__name__, seed)
+
+
+def test_prune_keeps_one_of_two_rows_implied_by_each_other():
+    # x <= 1 and x <= 1 + 5e-10 each imply the other within tol, too close
+    # to dedupe or to certify by rays.  The first is dropped; the second is
+    # then needed, since with the first out of force x reaches 4 on
+    # x + y <= 3 (which the second then makes redundant).
+    p = pl.HPolytope([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0],
+                      [1.0, 0.0], [1.0, 1.0]],
+                     [1.0, 1.0, 1.0, 1.0, 1.0 + 5e-10, 3.0])
+    assert p.A_ineq.shape[0] == 6
+    assert not {0, 4} & set(certified_rows(p))
+    got = pl.prune(p)
+    assert same_system(got, lp_only_prune(p))
+    assert np.array_equal(got.b_ineq, [1.0, 1.0, 1.0, 1.0 + 5e-10])
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e4])
+def test_prune_decides_a_drop_near_its_threshold_cold(scale, monkeypatch):
+    # Row 0 copies a cube facet shifted inward by 0.9 tol, so its maximum
+    # (the facet) sits 0.1 tol below g_0 + tol.  Warm and cold optima may
+    # differ by the solver's tolerances there, so the warm duals do not
+    # settle the drop and the cold LP decides, as in lp_only_prune.
+    cold = []
+    row_cold = lpsolve.RowLps.cold
+
+    def record(self, i):
+        cold.append(int(i))
+        return row_cold(self, i)
+
+    monkeypatch.setattr(lpsolve.RowLps, "cold", record)
+    for seed in range(10):
+        A, b = rotated_cube(np.random.default_rng(seed), 3, scale, np.zeros(3))
+        p = pl.HPolytope(np.vstack([A[:1], A]), np.append(b[0] - 0.9 * pl.ABS_TOL, b))
+        cold.clear()
+        got = pl.prune(p)
+        assert same_system(got, lp_only_prune(p)), seed
+        assert got.A_ineq.shape[0] == 6 and 0 in cold, seed
 
 
 def near_dependent_equality_case(rng):
@@ -348,7 +407,7 @@ def test_prune_matches_lp_only_loop_near_dependent_equalities(merge):
 
 
 def certified_rows(p):
-    certified, _ = pl._certify_irredundant(
+    certified, *_ = pl._certify_irredundant(
         p.A_ineq, p.b_ineq, p.A_eq, p.b_eq, pl.ABS_TOL)
     return np.flatnonzero(certified)
 
@@ -583,6 +642,30 @@ def test_includes_matches_rows_across_signed_zeros(lp_calls):
     lp_calls.clear()
     assert pl.includes(p, q) and pl.includes(q, p)
     assert lp_calls == []
+
+
+def test_vertices_of_a_box_solve_no_emptiness_lp(emptiness_checks):
+    # prune's centre shows the box is nonempty
+    pl.vertices(pl.HPolytope.from_box([-1.0, 0.0, 2.0], [1.0, 5.0, 2.5]))
+    assert emptiness_checks == []
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_vertices_of_an_empty_set_raise(seed, emptiness_checks):
+    p = empty_case(np.random.default_rng(seed))
+    with pytest.raises(EmptySet):
+        pl.vertices(p)
+    assert emptiness_checks == [p]
+
+
+def test_vertices_after_merging_still_ask_the_emptiness_lp(emptiness_checks):
+    # x <= 0 and x >= 5e-10 merge into x = 0; y <= 1 and y >= 1 + 1e-6 do not
+    # merge and leave the set empty, which only the emptiness LP can tell
+    p = pl.HPolytope([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]],
+                     [0.0, -5e-10, 1.0, -1.0 - 1e-6])
+    with pytest.raises(EmptySet):
+        pl.vertices(p)
+    assert emptiness_checks == [p]
 
 
 def test_vertices_of_a_box_probe_boundedness_without_lps(monkeypatch):
