@@ -125,12 +125,14 @@ class RunConfig:
             raise ValidationError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.task not in TASKS:
             raise ValidationError(f"task must be one of {TASKS}, got {self.task!r}")
-        if not (float(self.tolerance) > 0.0):
+        if not (float(self.tolerance) > 0.0 and np.isfinite(self.tolerance)):
             raise ValidationError(
-                f"tolerance must be > 0, got {self.tolerance}")
+                f"tolerance must be finite and > 0, got {self.tolerance}")
         if self.max_rounds is not None and int(self.max_rounds) < 1:
             raise ValidationError(
                 f"max_rounds must be >= 1, got {self.max_rounds}")
+        if int(self.seed) < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if self.disturbance_lag not in DISTURBANCE_LAGS:
             raise ValidationError(
                 f"disturbance_lag must be one of {DISTURBANCE_LAGS}, "

@@ -13,9 +13,8 @@ bundles (``scipy.optimize._highspy._core``) directly, with the options
 issues the two give bit-identical answers.  The direct path exists because
 these LPs are tiny: on scipy 1.17.1, ``linprog`` spends about five times as
 long per call (2-3 ms against 0.4-0.6 ms on a 2-CPU x86-64 host), mostly on
-input conversion and option validation.  Older scipy releases do not ship
-that module; there :func:`solve` falls back to ``linprog``, chosen once at
-import time.
+input conversion and option validation.  It is the only backend, so scipy
+must ship that module (``pyproject.toml`` states the floor).
 
 :class:`RowLps` serves redundancy pruning: a run of LPs over one matrix,
 each maximizing one row's normal over the other rows still kept.  They
@@ -25,10 +24,10 @@ so each LP changes only costs and bounds and the dual simplex restarts from
 the last basis.  A warm answer counts only as an optimum that passes
 :func:`solve`'s checks; any other LP is solved cold by :func:`solve`, so
 infeasible and unbounded verdicts, NumericalFailure and the pivot cap come
-from there as before.  Warm and cold optima agree to rounding on
-well-conditioned LPs but may differ within the solver's tolerances on
-ill-conditioned ones, so :func:`polytope.prune` also asks each warm optimum
-for a certificate of its verdict.
+from there.  Warm and cold optima agree to rounding on well-conditioned LPs
+but may differ within the solver's tolerances on ill-conditioned ones, so
+:func:`polytope.prune` also asks each warm optimum for a certificate of its
+verdict.
 
 Conventions: variables are free (no implicit sign restriction), the objective
 is MAXIMIZED, inequalities are ``A_ineq @ z <= b_ineq`` and equalities
@@ -42,20 +41,16 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize._highspy._core import (
+    HighsLp, HighsModelStatus, HighsStatus, MatrixFormat, _Highs)
 
 from .errors import DimensionMismatch, EmptySet, NumericalFailure
-
-try:
-    from scipy.optimize._highspy._core import (
-        HighsLp, HighsModelStatus, HighsStatus, MatrixFormat, _Highs)
-except ImportError:  # pragma: no cover - depends on the installed scipy
-    _Highs = None
 
 if TYPE_CHECKING:  # pragma: no cover
     from .polytope import HPolytope
 
-#: Hard cap on simplex iterations before giving up with NumericalFailure.
+#: Hard cap on simplex iterations of one LP before giving up with
+#: NumericalFailure; read when a HiGHS model is built.
 DEFAULT_PIVOT_CAP = 50_000
 
 OPTIMAL = "optimal"
@@ -136,16 +131,18 @@ class LpResult:
         return float(lp.b_ineq @ self.ineq_duals + lp.b_eq @ self.eq_duals)
 
 
-def solve(lp: LinearProgram, pivot_cap: int = DEFAULT_PIVOT_CAP) -> LpResult:
-    """Solve ``lp``; return OPTIMAL/INFEASIBLE/UNBOUNDED.
+def solve(lp: LinearProgram) -> LpResult:
+    """Solve ``lp`` by HiGHS dual simplex; return OPTIMAL/INFEASIBLE/UNBOUNDED.
 
-    Raises NumericalFailure if the backend hits the pivot cap or reports
-    numerical trouble instead of a clean verdict.
+    Raises NumericalFailure if HiGHS hits :data:`DEFAULT_PIVOT_CAP`, rejects
+    the model or reports numerical trouble instead of a clean verdict.
     """
-    return _backend(lp, pivot_cap)
+    highs = _highs_model(lp)
+    highs.run()
+    return _highs_result(highs, lp)
 
 
-def _highs_model(lp: LinearProgram, pivot_cap: int) -> "_Highs":
+def _highs_model(lp: LinearProgram) -> _Highs:
     """A HiGHS instance holding ``lp`` as a row-wise model, with the options
     ``linprog(method="highs-ds")`` would pass."""
     m, n = lp.A_ineq.shape
@@ -172,13 +169,13 @@ def _highs_model(lp: LinearProgram, pivot_cap: int) -> "_Highs":
     highs.setOptionValue("presolve", "on")
     highs.setOptionValue("solver", "simplex")
     highs.setOptionValue("simplex_strategy", 1)  # dual
-    highs.setOptionValue("simplex_iteration_limit", int(pivot_cap))
+    highs.setOptionValue("simplex_iteration_limit", int(DEFAULT_PIVOT_CAP))
     if highs.passModel(model) == HighsStatus.kError:
         raise NumericalFailure("LP backend rejected the model")
     return highs
 
 
-def _highs_result(highs: "_Highs", lp: LinearProgram, rows=slice(None)) -> LpResult:
+def _highs_result(highs: _Highs, lp: LinearProgram, rows=slice(None)) -> LpResult:
     """The verdict of the last ``highs.run()`` on ``lp`` with only the
     inequality rows ``rows`` in force (an index or mask; all by default).
 
@@ -208,48 +205,6 @@ def _highs_result(highs: "_Highs", lp: LinearProgram, rows=slice(None)) -> LpRes
                     ineq_duals=duals[:m][rows], eq_duals=duals[m:])
 
 
-def _solve_highs(lp: LinearProgram, pivot_cap: int) -> LpResult:
-    """HiGHS dual simplex on a row-wise model, called without linprog."""
-    highs = _highs_model(lp, pivot_cap)
-    highs.run()
-    return _highs_result(highs, lp)
-
-
-def _solve_linprog(lp: LinearProgram, pivot_cap: int) -> LpResult:
-    """The same solver through ``scipy.optimize.linprog``."""
-    res = linprog(
-        -lp.objective,
-        A_ub=lp.A_ineq if lp.A_ineq.size else None,
-        b_ub=lp.b_ineq if lp.b_ineq.size else None,
-        A_eq=lp.A_eq if lp.A_eq.size else None,
-        b_eq=lp.b_eq if lp.b_eq.size else None,
-        bounds=(None, None),
-        method="highs-ds",
-        options={"maxiter": pivot_cap},
-    )
-    if res.status == 0:
-        ineq_duals = (-res.ineqlin.marginals if lp.A_ineq.size else np.zeros(0))
-        eq_duals = (-res.eqlin.marginals if lp.A_eq.size else np.zeros(0))
-        return LpResult(
-            OPTIMAL,
-            value=float(-res.fun),
-            point=np.asarray(res.x, dtype=float),
-            ineq_duals=np.asarray(ineq_duals, dtype=float),
-            eq_duals=np.asarray(eq_duals, dtype=float),
-        )
-    # status 2 also covers a model HiGHS rejects; only its infeasible
-    # verdict says so in the message
-    if res.status == 2 and "infeasible" in res.message.lower():
-        return LpResult(INFEASIBLE)
-    if res.status == 3:
-        return LpResult(UNBOUNDED)
-    raise NumericalFailure(f"LP backend stopped without a verdict: {res.message}")
-
-
-#: The backend :func:`solve` calls, fixed at import time.
-_backend = _solve_linprog if _Highs is None else _solve_highs
-
-
 class RowLps:
     """The LPs ``max G[i] @ z`` over the rows of ``G z <= g`` still kept,
     without row i, and ``F z == f``: the redundancy test of row i.
@@ -263,19 +218,16 @@ class RowLps:
         self._lp = lp = LinearProgram(np.zeros(np.shape(G)[1]), G, g, F, f)
         self.G, self.g, self.F, self.f = lp.A_ineq, lp.b_ineq, lp.A_eq, lp.b_eq
         self.kept = np.ones(self.g.shape[0], dtype=bool)
-        self._pivot_cap = DEFAULT_PIVOT_CAP
         self._cols = np.arange(lp.dim, dtype=np.int32)
         self._highs = None
 
     def warm(self, i: int) -> Optional[LpResult]:
         """LP i on the shared model, if HiGHS finds an optimum that passes
-        the checks of :func:`solve` on the rows in force; else None, as on
-        the ``linprog`` fallback.  Row i must be kept.  The duals are those
-        of the rows in force, as in :meth:`cold`."""
-        if _backend is not _solve_highs:
-            return None
+        the checks of :func:`solve` on the rows in force; else None.  Row i
+        must be kept.  The duals are those of the rows in force, as in
+        :meth:`cold`."""
         if self._highs is None:
-            self._highs = _highs_model(self._lp, self._pivot_cap)
+            self._highs = _highs_model(self._lp)
         highs = self._highs
         highs.changeColsCost(self._cols.size, self._cols, -self.G[i])
         highs.changeRowBounds(i, -math.inf, math.inf)
@@ -292,8 +244,7 @@ class RowLps:
     def cold(self, i: int) -> LpResult:
         """LP i, built afresh and solved by :func:`solve`."""
         rows = self.others(i)
-        return solve(LinearProgram(self.G[i], self.G[rows], self.g[rows], self.F, self.f),
-                     self._pivot_cap)
+        return solve(LinearProgram(self.G[i], self.G[rows], self.g[rows], self.F, self.f))
 
     def others(self, i: int) -> np.ndarray:
         """Mask of the rows in force in LP i: the kept ones but row i."""

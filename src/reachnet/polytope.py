@@ -60,7 +60,7 @@ ABS_TOL = 1e-9
 #: Coefficients below this are treated as exact zeros during elimination.
 ZERO_COEF_TOL = 1e-11
 
-#: Default cap on intermediate inequality rows during elimination.
+#: Cap on the inequality rows one Fourier-Motzkin step may produce.
 ELIMINATION_ROW_CAP = 20_000
 
 #: Vertex enumeration / hull recovery cluster radius.
@@ -541,17 +541,17 @@ def _filter_dominated(G: np.ndarray, g: np.ndarray):
     return G[keep], g[keep]
 
 
-def eliminate(p: HPolytope, positions: Sequence[int], *,
-              row_cap: int = ELIMINATION_ROW_CAP) -> HPolytope:
+def eliminate(p: HPolytope, positions: Sequence[int]) -> HPolytope:
     """Project away the given coordinate positions (orthogonal projection).
 
     Positions refer to columns of ``p``; they are eliminated from the highest
     column down.  Equality rows are used as substitution pivots when they
     involve the coordinate; otherwise Fourier-Motzkin combines the sign
     classes of the inequality rows.  After each coordinate the system is
-    deduplicated and LP-pruned; exceeding ``row_cap`` raises
-    EliminationBlowup.  A projection of a nonempty set is nonempty, so the
-    result records that and its emptiness check solves no LP.
+    deduplicated and LP-pruned; a Fourier-Motzkin step that would produce
+    more than :data:`ELIMINATION_ROW_CAP` rows raises EliminationBlowup.  A
+    projection of a nonempty set is nonempty, so the result records that and
+    its emptiness check solves no LP.
     """
     positions = sorted(set(int(c) for c in positions), reverse=True)
     if not positions:
@@ -591,8 +591,8 @@ def eliminate(p: HPolytope, positions: Sequence[int], *,
             neg = np.nonzero(coef < -ZERO_COEF_TOL)[0]
             zero = np.nonzero(np.abs(coef) <= ZERO_COEF_TOL)[0]
             n_new = zero.size + pos.size * neg.size
-            if n_new > row_cap:
-                raise EliminationBlowup(int(n_new), row_cap)
+            if n_new > ELIMINATION_ROW_CAP:
+                raise EliminationBlowup(int(n_new), ELIMINATION_ROW_CAP)
             if pos.size and neg.size:
                 cp = coef[pos][:, None, None]
                 cn = coef[neg][None, :, None]

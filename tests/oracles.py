@@ -7,7 +7,9 @@ by raw scipy LPs, joins by exhaustive pair checks.  The exceptions are
 package's LP-per-row pruning and LP-per-face inclusion loops, kept to show
 that the certificates in front of those LPs change no answer, and two
 small helpers built on the package that tests compare against hand-built
-answers: :func:`support_point` and :func:`goal_join`.
+answers: :func:`support_point` and :func:`goal_join`.  :func:`linprog_solve`
+solves an ``lpsolve.LinearProgram`` through ``scipy.optimize.linprog``, the
+public route to the HiGHS solver that :func:`lpsolve.solve` drives directly.
 """
 
 from __future__ import annotations
@@ -451,6 +453,38 @@ def monolithic_affine_system(spec, task="pre", lag="paper"):
                 b_ub[r] += res.fun  # minus the worst-case increase
     A_eq = np.array(A_eq).reshape(-1, width)
     return A_ub, b_ub, A_eq, np.array(b_eq, dtype=float)
+
+
+def linprog_solve(lp, pivot_cap: int = lpsolve.DEFAULT_PIVOT_CAP) -> lpsolve.LpResult:
+    """``lpsolve.solve`` through ``scipy.optimize.linprog(method="highs-ds")``,
+    with the same verdicts, duals and NumericalFailure."""
+    res = linprog(
+        -lp.objective,
+        A_ub=lp.A_ineq if lp.A_ineq.size else None,
+        b_ub=lp.b_ineq if lp.b_ineq.size else None,
+        A_eq=lp.A_eq if lp.A_eq.size else None,
+        b_eq=lp.b_eq if lp.b_eq.size else None,
+        bounds=(None, None),
+        method="highs-ds",
+        options={"maxiter": pivot_cap},
+    )
+    if res.status == 0:
+        ineq_duals = (-res.ineqlin.marginals if lp.A_ineq.size else np.zeros(0))
+        eq_duals = (-res.eqlin.marginals if lp.A_eq.size else np.zeros(0))
+        return lpsolve.LpResult(
+            lpsolve.OPTIMAL,
+            value=float(-res.fun),
+            point=np.asarray(res.x, dtype=float),
+            ineq_duals=np.asarray(ineq_duals, dtype=float),
+            eq_duals=np.asarray(eq_duals, dtype=float),
+        )
+    # status 2 also covers a model HiGHS rejects; only its infeasible
+    # verdict says so in the message
+    if res.status == 2 and "infeasible" in res.message.lower():
+        return lpsolve.LpResult(lpsolve.INFEASIBLE)
+    if res.status == 3:
+        return lpsolve.LpResult(lpsolve.UNBOUNDED)
+    raise NumericalFailure(f"linprog stopped without a verdict: {res.message}")
 
 
 def lp_only_prune(p, tol: float = 1e-9, merge_equalities: bool = False):

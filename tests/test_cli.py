@@ -183,6 +183,8 @@ class TestRunConfig:
         {"tolerance": -1e-9},
         {"max_rounds": 0},
         {"disturbance_lag": "delayed"},
+        {"tolerance": float("inf")},
+        {"seed": -1},
     ])
     def test_invalid_settings(self, kw):
         base = dict(mode="compare", task="pre", out_dir="/tmp/x")
@@ -307,6 +309,16 @@ class TestExitCodes:
         assert code == 2
         err = json.loads((out / "error.json").read_text())
         assert err["exit_code"] == 2
+
+    def test_negative_seed_exits_2_before_any_result(self, tmp_path):
+        out = tmp_path / "out"
+        code = run_cli("run", "--mode", "compare", "--task", "pre",
+                       "--spec", str(FIXTURES / "two_agent_affine.json"),
+                       "--out", str(out), "--seed", "-1")
+        assert code == 2
+        err = json.loads((out / "error.json").read_text())
+        assert err["error"] == "ValidationError"
+        assert not (out / "result.json").exists()
 
     def test_parse_error_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"

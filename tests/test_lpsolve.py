@@ -11,7 +11,7 @@ from reachnet import lpsolve
 from reachnet.errors import DimensionMismatch, EmptySet, NumericalFailure
 from reachnet.polytope import HPolytope
 
-from .oracles import box_vertices
+from .oracles import box_vertices, linprog_solve
 
 
 def test_optimal_on_box():
@@ -49,7 +49,7 @@ def test_equalities_handled_directly():
     assert res.is_optimal and res.value == pytest.approx(2.0, abs=1e-9)
 
 
-def test_pivot_cap_raises_numerical_failure():
+def test_pivot_cap_raises_numerical_failure(monkeypatch):
     # generic rows so presolve cannot finish the job before the cap bites
     rng = np.random.default_rng(0)
     lp = lpsolve.LinearProgram(
@@ -57,8 +57,9 @@ def test_pivot_cap_raises_numerical_failure():
         A_ineq=rng.normal(size=(30, 6)),
         b_ineq=np.abs(rng.normal(size=30)) + 1,
     )
+    monkeypatch.setattr(lpsolve, "DEFAULT_PIVOT_CAP", 1)
     with pytest.raises(NumericalFailure):
-        lpsolve.solve(lp, pivot_cap=1)
+        lpsolve.solve(lp)
 
 
 def test_dimension_validation():
@@ -129,14 +130,14 @@ def test_duality_gap_and_vertex_oracle_agreement():
         assert res.value == pytest.approx(float((verts @ c).max()), abs=1e-7)
 
 
-def _solve_outcome(lp, pivot_cap):
+def _outcome(solver, *args):
     try:
-        return lpsolve.solve(lp, pivot_cap=pivot_cap)
+        return solver(*args)
     except NumericalFailure:
         return NumericalFailure
 
 
-def test_direct_highs_and_linprog_fallback_agree(monkeypatch):
+def test_solve_agrees_with_linprog(monkeypatch):
     # the criterion-11 instances, then one case per verdict, the pivot cap,
     # and a model HiGHS rejects (x = 0 is feasible, so it is not infeasible)
     rng = np.random.default_rng(7777)
@@ -160,14 +161,16 @@ def test_direct_highs_and_linprog_fallback_agree(monkeypatch):
                                         b_ineq=[1.0, 1.0]),
                   lpsolve.DEFAULT_PIVOT_CAP))
 
-    default = [_solve_outcome(lp, cap) for lp, cap in cases]
-    monkeypatch.setattr(lpsolve, "_backend", lpsolve._solve_linprog)
-    fallback = [_solve_outcome(lp, cap) for lp, cap in cases]
+    direct, reference = [], []
+    for lp, cap in cases:
+        monkeypatch.setattr(lpsolve, "DEFAULT_PIVOT_CAP", cap)
+        direct.append(_outcome(lpsolve.solve, lp))
+        reference.append(_outcome(linprog_solve, lp, cap))
 
-    tail = [r if r is NumericalFailure else r.status for r in default[-5:]]
+    tail = [r if r is NumericalFailure else r.status for r in direct[-5:]]
     assert tail == [lpsolve.INFEASIBLE, lpsolve.UNBOUNDED, lpsolve.OPTIMAL,
                     NumericalFailure, NumericalFailure]
-    for a, b in zip(default, fallback):
+    for a, b in zip(direct, reference):
         if a is NumericalFailure or b is NumericalFailure:
             assert a is b
             continue
@@ -228,11 +231,3 @@ def test_row_lps_pivot_cap_applies_to_each_lp(monkeypatch):
         points.append(res.point)
     moves = sum(not np.allclose(a, b) for a, b in zip(points, points[1:]))
     assert moves > cap  # each move from one optimal vertex to another pivots
-
-
-def test_row_lps_on_linprog_fallback_solves_cold(monkeypatch):
-    monkeypatch.setattr(lpsolve, "_backend", lpsolve._solve_linprog)
-    lps = lpsolve.RowLps(np.vstack([np.eye(2), -np.eye(2)]), np.ones(4),
-                         np.zeros((0, 2)), np.zeros(0))
-    assert lps.warm(0) is None
-    assert lps.cold(0).status == lpsolve.UNBOUNDED
