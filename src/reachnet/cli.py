@@ -43,7 +43,7 @@ import json
 import logging
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any
 
@@ -55,6 +55,7 @@ from .axisset import (
     FINITE,
     AxisSet,
     LabeledSet,
+    PointTable,
     finite_set,
     polytope_set,
     project_set,
@@ -86,7 +87,6 @@ from .polytope import (
 from .reachability import (
     FiniteDynamics,
     NetworkSpec,
-    build_axis_index,
     centralized_reachability,
     run_distributed_reachability,
     start_join,
@@ -110,12 +110,16 @@ _CSV_MAX_DIM = 3
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated knobs of one CLI run."""
+    """Validated knobs of one CLI run.
+
+    ``tolerance`` None means the problem's own: an axis problem's
+    ``tolerance``, ``ABS_TOL`` for a network; :func:`run` resolves it.
+    """
 
     mode: str
     task: str
     out_dir: Path
-    tolerance: float = ABS_TOL
+    tolerance: float | None = None
     max_rounds: int | None = None
     seed: int = 0
     disturbance_lag: str = "paper"
@@ -125,7 +129,8 @@ class RunConfig:
             raise ValidationError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.task not in TASKS:
             raise ValidationError(f"task must be one of {TASKS}, got {self.task!r}")
-        if not (float(self.tolerance) > 0.0 and np.isfinite(self.tolerance)):
+        if self.tolerance is not None and not (
+                float(self.tolerance) > 0.0 and np.isfinite(self.tolerance)):
             raise ValidationError(
                 f"tolerance must be finite and > 0, got {self.tolerance}")
         if self.max_rounds is not None and int(self.max_rounds) < 1:
@@ -138,8 +143,9 @@ class RunConfig:
                 f"disturbance_lag must be one of {DISTURBANCE_LAGS}, "
                 f"got {self.disturbance_lag!r}")
         object.__setattr__(self, "out_dir", Path(self.out_dir))
-        object.__setattr__(self, "tolerance", float(self.tolerance))
         object.__setattr__(self, "seed", int(self.seed))
+        if self.tolerance is not None:
+            object.__setattr__(self, "tolerance", float(self.tolerance))
         if self.max_rounds is not None:
             object.__setattr__(self, "max_rounds", int(self.max_rounds))
 
@@ -169,23 +175,16 @@ def _int_field(obj: dict, key: str, where: str) -> int:
     return int(val)
 
 
-def _vector(value, where: str) -> np.ndarray:
+def _array(value, where: str, ndim: int) -> np.ndarray:
+    """A numeric vector (``ndim`` 1) or matrix (``ndim`` 2) field."""
+    kind, shape = (("vector", "a flat list of numbers") if ndim == 1
+                   else ("matrix", "a nested list of rows"))
     try:
         arr = np.asarray(value, dtype=float)
     except (TypeError, ValueError):
-        _fail(where, "not a numeric vector")
-    if arr.ndim != 1:
-        _fail(where, f"expected a flat list of numbers, got shape {arr.shape}")
-    return arr
-
-
-def _matrix(value, where: str) -> np.ndarray:
-    try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        _fail(where, "not a numeric matrix")
-    if arr.ndim != 2:
-        _fail(where, f"expected a nested list of rows, got shape {arr.shape}")
+        _fail(where, f"not a numeric {kind}")
+    if arr.ndim != ndim:
+        _fail(where, f"expected {shape}, got shape {arr.shape}")
     return arr
 
 
@@ -212,14 +211,14 @@ def _parse_set(obj, where: str) -> tuple[str, Any]:
                 _fail(where, "'polytope' must hold the text block as a string")
             return "polytope", from_text(obj[kind])
         if kind == "vertices":
-            return "polytope", from_vertices(_matrix(obj[kind], where))
+            return "polytope", from_vertices(_array(obj[kind], where, 2))
         if kind == "box":
-            rows = _matrix(obj[kind], where)
+            rows = _array(obj[kind], where, 2)
             if rows.shape[1] != 2:
                 _fail(where, "'box' rows must be [lo, hi] pairs")
             return "polytope", HPolytope.from_box(rows[:, 0], rows[:, 1])
         return "finite", tuple(tuple(map(float, row))
-                               for row in _matrix(obj[kind], where))
+                               for row in _array(obj[kind], where, 2))
     except ParseError:
         raise
     except ReachnetError as exc:
@@ -324,8 +323,9 @@ def _parse_axis_problem(obj) -> FixpointProblem:
             raise type(exc)(f"{nwhere}.set: {exc}") from exc
         axis_sets.append(axes)
     tolerance = obj.get("tolerance", ABS_TOL)
-    if not isinstance(tolerance, (int, float)) or not tolerance > 0:
-        _fail(f"{where}.tolerance", f"must be a positive number, got {tolerance!r}")
+    if isinstance(tolerance, bool) or not isinstance(tolerance, (int, float)) \
+            or not (tolerance > 0 and np.isfinite(tolerance)):
+        _fail(f"{where}.tolerance", f"must be finite and > 0, got {tolerance!r}")
     return FixpointProblem(axis_sets, sets, tolerance=float(tolerance))
 
 
@@ -336,15 +336,15 @@ def _parse_dynamics(obj, n_agents: int, where: str):
     if kind == "affine":
         _check_keys(obj, where, ("type", "A"),
                     optional=("B", "K", "E", "disturbance_set"))
-        A = {j: _matrix(v, f"{where}.A[{j + 1}]")
+        A = {j: _array(v, f"{where}.A[{j + 1}]", 2)
              for j, v in _id_keyed(obj["A"], n_agents, f"{where}.A").items()}
-        B = {j: _matrix(v, f"{where}.B[{j + 1}]")
+        B = {j: _array(v, f"{where}.B[{j + 1}]", 2)
              for j, v in _id_keyed(obj.get("B", {}), n_agents,
                                    f"{where}.B").items()}
         K = (None if "K" not in obj
-             else _vector(obj["K"], f"{where}.K"))
+             else _array(obj["K"], f"{where}.K", 1))
         E = (None if "E" not in obj
-             else _matrix(obj["E"], f"{where}.E"))
+             else _array(obj["E"], f"{where}.E", 2))
         dset = (None if "disturbance_set" not in obj
                 else _parse_polytope(obj["disturbance_set"],
                                      f"{where}.disturbance_set"))
@@ -359,7 +359,7 @@ def _parse_dynamics(obj, n_agents: int, where: str):
             rwhere = f"{where}.transitions[{k}]"
             if not isinstance(row, list) or len(row) != 3:
                 _fail(rwhere, "each transition is [states, inputs, next_state]")
-            triples.add(tuple(tuple(map(float, _vector(part, rwhere)))
+            triples.add(tuple(tuple(map(float, _array(part, rwhere, 1)))
                               for part in row))
         return "finite", frozenset(triples)
     _fail(f"{where}.type", f"unknown dynamics type {kind!r}")
@@ -405,40 +405,27 @@ def _parse_network(doc) -> NetworkSpec:
     if len(kinds) > 1:
         _fail("agents", "all agents must share one dynamics type")
     backend = kinds.pop()
+    parse = _parse_polytope if backend == "affine" else _parse_points
 
     state_sets, input_sets, dynamics = [], [], []
     for k in range(N):
         where = f"agents[{k}]"
         if state_payloads[k] is None:
             _fail(f"{where}.state_set", "is required")
-        if backend == "affine":
-            state_sets.append(_parse_polytope(state_payloads[k],
-                                              f"{where}.state_set"))
-            if input_payloads[k] is None:
-                if idims[k] > 0:
-                    _fail(f"{where}.input_set",
-                          "is required when input_dim > 0")
-                input_sets.append(None)
-            else:
-                input_sets.append(_parse_polytope(input_payloads[k],
-                                                  f"{where}.input_set"))
-            pay = dyn_payloads[k]
-            try:
-                dynamics.append(AffineAgent(dims[k], idims[k], **pay))
-            except ReachnetError as exc:
-                raise type(exc)(f"{where}.dynamics: {exc}") from exc
+        state_sets.append(parse(state_payloads[k], f"{where}.state_set"))
+        if input_payloads[k] is not None:
+            input_sets.append(parse(input_payloads[k], f"{where}.input_set"))
+        elif idims[k] > 0:
+            _fail(f"{where}.input_set", "is required when input_dim > 0")
         else:
-            state_sets.append(_parse_points(state_payloads[k],
-                                            f"{where}.state_set"))
-            if input_payloads[k] is None:
-                if idims[k] > 0:
-                    _fail(f"{where}.input_set",
-                          "is required when input_dim > 0")
-                input_sets.append(())
-            else:
-                input_sets.append(_parse_points(input_payloads[k],
-                                                f"{where}.input_set"))
+            input_sets.append(None if backend == "affine" else ())
+        if backend == "finite":
             dynamics.append(FiniteDynamics(dyn_payloads[k]))
+            continue
+        try:
+            dynamics.append(AffineAgent(dims[k], idims[k], **dyn_payloads[k]))
+        except ReachnetError as exc:
+            raise type(exc)(f"{where}.dynamics: {exc}") from exc
 
     couplings = [[] for _ in range(N)]
     coupling_at = [[] for _ in range(N)]  # each row's index in the file
@@ -448,10 +435,10 @@ def _parse_network(doc) -> NetworkSpec:
                     optional=("state_coefs", "input_coefs", "offset",
                               "relation"))
         i = _agent_index(row, "agent", N, where)
-        sc = {j: _vector(v, f"{where}.state_coefs[{j + 1}]")
+        sc = {j: _array(v, f"{where}.state_coefs[{j + 1}]", 1)
               for j, v in _id_keyed(row.get("state_coefs", {}), N,
                                     f"{where}.state_coefs").items()}
-        ic = {j: _vector(v, f"{where}.input_coefs[{j + 1}]")
+        ic = {j: _array(v, f"{where}.input_coefs[{j + 1}]", 1)
               for j, v in _id_keyed(row.get("input_coefs", {}), N,
                                     f"{where}.input_coefs").items()}
         offset = row.get("offset", 0.0)
@@ -487,20 +474,17 @@ def _parse_network(doc) -> NetworkSpec:
             if key not in tgt:
                 continue
             fwhere = f"{where}.{key}"
+            family[i] = parse(tgt[key], fwhere)
+            if over != "own":
+                continue
             if backend == "affine":
-                poly = _parse_polytope(tgt[key], fwhere)
-                if over == "own":
-                    poly = _extrude_own(poly, dims, members, i, fwhere)
-                family[i] = poly
-            else:
-                pts = _parse_points(tgt[key], fwhere)
-                if over == "own" and members != (i,):
-                    raise ValidationError(
-                        f"{fwhere}: finite sets over own coordinates cannot "
-                        f"be extended to the neighbourhood stack "
-                        f"{tuple(j + 1 for j in members)}; list the stacked "
-                        "points explicitly")
-                family[i] = pts
+                family[i] = _extrude_own(family[i], dims, members, i, fwhere)
+            elif members != (i,):
+                raise ValidationError(
+                    f"{fwhere}: finite sets over own coordinates cannot "
+                    f"be extended to the neighbourhood stack "
+                    f"{tuple(j + 1 for j in members)}; list the stacked "
+                    "points explicitly")
     for i in range(N):
         if goal[i] is None:
             _fail("targets", f"agent {i + 1} has no goal set")
@@ -563,9 +547,11 @@ def _extrude_own(poly: HPolytope, dims, members, i: int,
 
 
 def _set_payload(obj) -> dict:
+    """A spec set or a LabeledSet's data as a problem-file set payload."""
     if isinstance(obj, HPolytope):
         return {"polytope": to_text(obj)}
-    return {"points": sorted([float(x) for x in row] for row in obj)}
+    rows = obj.points if isinstance(obj, PointTable) else obj
+    return {"points": sorted([float(x) for x in row] for row in rows)}
 
 
 def serialize(obj) -> dict:
@@ -579,7 +565,7 @@ def serialize(obj) -> dict:
         return {"axis_problem": {
             "tolerance": obj.tolerance,
             "nodes": [{"axes": [int(a) for a in axes],
-                       "set": _labeled_payload(s)}
+                       "set": _set_payload(s.data)}
                       for axes, s in zip(obj.axis_sets, obj.initial_sets)],
         }}
     if not isinstance(obj, NetworkSpec):
@@ -663,24 +649,22 @@ def _write_json(path: Path, payload) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _labeled_payload(s: LabeledSet) -> dict:
-    if s.backend == FINITE:
-        return {"points": [[float(x) for x in row] for row in s.data.points]}
-    return {"polytope": to_text(s.data)}
-
-
 def _labeled_to_json(s: LabeledSet) -> dict:
-    out = {"axes": [int(a) for a in s.axes]}
-    out.update(_labeled_payload(s))
-    return out
+    return {"axes": [int(a) for a in s.axes], **_set_payload(s.data)}
 
 
-def _trace_to_json(trace: IterationTrace) -> dict:
+def _convergence_summary(trace: IterationTrace) -> dict:
     return {
         "converged": trace.converged,
         "rounds_executed": trace.rounds_executed,
         "fixed_point_round": trace.fixed_point_round,
         "messages_sent": trace.messages_sent,
+    }
+
+
+def _trace_to_json(trace: IterationTrace) -> dict:
+    return {
+        **_convergence_summary(trace),
         "rounds": [{
             "round": rec.round_index,
             "changed": [bool(c) for c in rec.changed],
@@ -735,43 +719,44 @@ def _direction_bundle(dim: int, rng: np.random.Generator) -> np.ndarray:
     return np.vstack([eye, -eye, extra])
 
 
-def _support_gap(p: HPolytope, q: HPolytope, directions,
-                 embed_positions=None, q_dim: int | None = None) -> float:
-    """Max |h_p(d) - h_q(d)| over the bundle.
-
-    ``q`` may live in a larger space: the direction is then embedded at
-    ``embed_positions`` (support of a projection equals support of the
-    original in the embedded direction).
-    """
-    gap = 0.0
-    for d in directions:
-        sp = support(p, d)
-        if embed_positions is None:
-            sq = support(q, d)
-        else:
-            full = np.zeros(q_dim)
-            full[embed_positions] = d
-            sq = support(q, full)
-        if np.isinf(sp) and np.isinf(sq):
-            continue
-        gap = max(gap, abs(sp - sq))
-    return gap
-
-
 def _compare_sets(dist: LabeledSet, cent: LabeledSet, tolerance: float,
-                  rng: np.random.Generator, *, cent_positions=None,
-                  cent_dim: int | None = None) -> dict:
-    """Agreement record between one distributed and one monolithic set."""
+                  rng: np.random.Generator) -> dict:
+    """Agreement record between one distributed set and the monolithic set
+    ``cent``, whose axes contain ``dist``'s.
+
+    Point tables are compared exactly with the projection of ``cent``.
+    Polytopes are compared by the max gap |h_dist(d) - h_cent(d)| over a
+    direction bundle, each direction embedded at ``dist``'s axes: the
+    support of a projection is the support of the original in the embedded
+    direction, so ``cent`` is never projected.
+    """
     if dist.backend == FINITE:
-        return {"exact_match": sets_equal(dist, cent, tolerance),
+        return {"exact_match": sets_equal(dist, project_set(cent, dist.axes),
+                                          tolerance),
                 "max_support_gap": None}
     if dist.empty or cent.data.is_empty():
         both = dist.empty and cent.data.is_empty()
         return {"exact_match": both, "max_support_gap": 0.0 if both else None}
-    dirs = _direction_bundle(len(dist.axes), rng)
-    gap = _support_gap(dist.data, cent.data, dirs,
-                       embed_positions=cent_positions, q_dim=cent_dim)
+    positions = cent.axes.positions_of(dist.axes)
+    gap = 0.0
+    for d in _direction_bundle(len(dist.axes), rng):
+        full = np.zeros(len(cent.axes))
+        full[positions] = d
+        sp, sq = support(dist.data, d), support(cent.data, full)
+        if not (np.isinf(sp) and np.isinf(sq)):
+            gap = max(gap, abs(sp - sq))
     return {"exact_match": None, "max_support_gap": gap}
+
+
+def _agreement(records) -> dict:
+    """Roll agreement records up: every exact verdict must hold, and the
+    largest support gap wins (None where no record has one)."""
+    matches = [rec["exact_match"] for rec in records
+               if rec["exact_match"] is not None]
+    gaps = [rec["max_support_gap"] for rec in records
+            if rec["max_support_gap"] is not None]
+    return {"exact_match": all(matches) if matches else None,
+            "max_support_gap": max(gaps) if gaps else None}
 
 
 # -- run orchestration ---------------------------------------------------------
@@ -781,8 +766,13 @@ def run(config: RunConfig, problem) -> int:
     """Execute one configured run and write all artifacts.
 
     Returns the process exit code (0 ok, 2 invalid input, 3 numerical
-    failure, 4 round budget exhausted).
+    failure, 4 round budget exhausted).  A config without a tolerance runs
+    at the problem's own.
     """
+    if config.tolerance is None:
+        config = replace(config, tolerance=(
+            problem.tolerance if isinstance(problem, FixpointProblem)
+            else ABS_TOL))
     out = config.out_dir
     out.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
@@ -843,15 +833,6 @@ def _config_header(config: RunConfig) -> dict:
     }
 
 
-def _convergence_summary(trace: IterationTrace) -> dict:
-    return {
-        "converged": trace.converged,
-        "rounds_executed": trace.rounds_executed,
-        "fixed_point_round": trace.fixed_point_round,
-        "messages_sent": trace.messages_sent,
-    }
-
-
 def _run_fixpoint(config: RunConfig, problem: FixpointProblem,
                   out: Path) -> IterationTrace | None:
     problem = FixpointProblem(problem.axis_sets, problem.initial_sets,
@@ -888,30 +869,20 @@ def _run_fixpoint(config: RunConfig, problem: FixpointProblem,
 
 def _build_report(config: RunConfig, per_node: list, trace: IterationTrace,
                   extra: dict | None = None) -> dict:
-    matches = [rec["exact_match"] for rec in per_node]
-    gaps = [rec["max_support_gap"] for rec in per_node
-            if rec["max_support_gap"] is not None]
-    report = {
+    return {
         "mode": config.mode,
         "task": config.task,
         "seed": config.seed,
         "per_node": per_node,
-        "exact_match": (None if all(m is None for m in matches)
-                        else all(m for m in matches if m is not None)),
-        "max_support_gap": max(gaps) if gaps else None,
+        **_agreement(per_node),
+        "directions_per_set": _EXTRA_DIRECTIONS,
+        **_convergence_summary(trace),
+        **(extra or {}),
     }
-    if any(m is False for m in matches):
-        report["exact_match"] = False
-    report["directions_per_set"] = _EXTRA_DIRECTIONS
-    report.update(_convergence_summary(trace))
-    if extra:
-        report.update(extra)
-    return report
 
 
 def _run_network(config: RunConfig, spec: NetworkSpec,
                  out: Path) -> IterationTrace | None:
-    index = build_axis_index(spec)
     result = _config_header(config)
     trace = None
     solutions = flags = None
@@ -936,7 +907,7 @@ def _run_network(config: RunConfig, spec: NetworkSpec,
         result["convergence"] = _convergence_summary(trace)
         _write_json(out / "trace.json", _trace_to_json(trace))
         if config.task == "reach-check":
-            flags = _distributed_reach_flags(spec, index, solutions,
+            flags = _distributed_reach_flags(spec, solutions,
                                              config.tolerance)
             result["per_node_reachable"] = flags
             result["reachable"] = all(flags)
@@ -962,24 +933,23 @@ def _run_network(config: RunConfig, spec: NetworkSpec,
     _write_json(out / "result.json", result)
     if config.mode == "compare":
         _write_json(out / "report.json",
-                    _network_report(config, spec, index, solutions, trace,
+                    _network_report(config, spec, solutions, trace,
                                     central, flags))
     return trace
 
 
-def _distributed_reach_flags(spec: NetworkSpec, index, solutions,
+def _distributed_reach_flags(spec: NetworkSpec, solutions,
                              tolerance: float) -> list[bool]:
     """Per node: does every declared start state admit a trajectory?
 
     The computed start states are always contained in the declared joined
     start restriction; the check is whether the containment is tight.
     """
-    joined = start_join(spec, index)
-    flags = []
-    for sol in solutions:
-        expected = project_set(joined, index.nbhd_state_axes(0, sol.node))
-        flags.append(bool(sets_equal(sol.start_states, expected, tolerance)))
-    return flags
+    joined = start_join(spec)
+    return [bool(sets_equal(sol.start_states,
+                            project_set(joined, sol.start_states.axes),
+                            tolerance))
+            for sol in solutions]
 
 
 def _centralized_reach_flag(spec: NetworkSpec, central,
@@ -988,51 +958,21 @@ def _centralized_reach_flag(spec: NetworkSpec, central,
     return bool(sets_equal(central.start_states, joined, tolerance))
 
 
-def _network_report(config: RunConfig, spec: NetworkSpec, index, solutions,
+def _network_report(config: RunConfig, spec: NetworkSpec, solutions,
                     trace: IterationTrace, central, flags) -> dict:
     """Compare-mode agreement report; ``flags`` are the distributed
     per-node reach-check verdicts (None for the pre task)."""
     rng = np.random.default_rng(config.seed)
-    all_axes = index.all_axes
     per_node = []
     for sol in solutions:
-        i = sol.node
-        if spec.backend == "finite":
-            window = _compare_sets(
-                sol.refined_trajectories,
-                project_set(central.trajectories, index.horizon_axes(i)),
-                config.tolerance, rng)
-            start = _compare_sets(
-                sol.start_states,
-                project_set(central.trajectories,
-                            index.nbhd_state_axes(0, i)),
-                config.tolerance, rng)
-            controls = _compare_sets(
-                sol.admissible_controls,
-                project_set(central.trajectories,
-                            sol.admissible_controls.axes),
-                config.tolerance, rng)
-        else:
-            def against_global(local: LabeledSet) -> dict:
-                positions = all_axes.positions_of(local.axes)
-                return _compare_sets(local, central.trajectories,
-                                     config.tolerance, rng,
-                                     cent_positions=positions,
-                                     cent_dim=len(all_axes))
-            window = against_global(sol.refined_trajectories)
-            start = against_global(sol.start_states)
-            controls = against_global(sol.admissible_controls)
-        gaps = [rec["max_support_gap"] for rec in (window, start, controls)
-                if rec["max_support_gap"] is not None]
-        matches = [rec["exact_match"] for rec in (window, start, controls)]
-        per_node.append({
-            "node": i + 1,
-            "window": window, "start_states": start,
-            "admissible_controls": controls,
-            "max_support_gap": max(gaps) if gaps else None,
-            "exact_match": (None if all(m is None for m in matches)
-                            else all(m for m in matches if m is not None)),
-        })
+        records = {key: _compare_sets(local, central.trajectories,
+                                      config.tolerance, rng)
+                   for key, local in (
+                       ("window", sol.refined_trajectories),
+                       ("start_states", sol.start_states),
+                       ("admissible_controls", sol.admissible_controls))}
+        per_node.append({"node": sol.node + 1, **records,
+                         **_agreement(records.values())})
     extra = {}
     if config.task == "reach-check":
         extra["reachable_distributed"] = all(flags)
@@ -1061,8 +1001,9 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="problem description file (JSON)")
     runp.add_argument("--out", required=True, type=Path,
                       help="output directory for result files")
-    runp.add_argument("--tol", type=float, default=ABS_TOL,
-                      help="set-comparison tolerance (default %(default)s)")
+    runp.add_argument("--tol", type=float, default=None,
+                      help="set-comparison tolerance (default: the axis "
+                           f"problem's own tolerance, else {ABS_TOL})")
     runp.add_argument("--max-rounds", type=int, default=None,
                       help="round budget for the distributed iteration")
     runp.add_argument("--seed", type=int, default=0,

@@ -739,25 +739,18 @@ def centralized_reachability(
         project_set(trajectories, control_axes))
 
 
-def start_join(spec: NetworkSpec, index: AxisIndex | None = None) -> LabeledSet:
+def start_join(spec: NetworkSpec) -> LabeledSet | None:
     """The global start restriction induced by the per-agent start sets
-    (agents without one contribute no constraint)."""
-    if index is None:
-        index = build_axis_index(spec)
+    (agents without one contribute no constraint).  With no start set at
+    all it is the universe for affine networks and None for finite ones."""
+    index = build_axis_index(spec)
     target = index.global_state_axes(0)
-    if spec.start_sets is None:
-        return polytope_set(target, HPolytope.universe(len(target))) \
-            if spec.backend == "affine" else None
-    parts = []
-    for i in range(spec.n_agents):
-        if spec.start_sets[i] is None:
-            continue
-        axes = index.nbhd_state_axes(0, i)
-        if spec.backend == "affine":
-            parts.append(polytope_set(axes, spec.start_sets[i]))
-        else:
-            parts.append(finite_set(axes, [list(p) for p in spec.start_sets[i]]))
-    if not parts:
-        return polytope_set(target, HPolytope.universe(len(target))) \
-            if spec.backend == "affine" else None
-    return join_extrusions(parts, target)
+    make = polytope_set if spec.backend == "affine" else finite_set
+    parts = [make(index.nbhd_state_axes(0, i), start)
+             for i, start in enumerate(spec.start_sets or
+                                       (None,) * spec.n_agents)
+             if start is not None]
+    if parts:
+        return join_extrusions(parts, target)
+    return polytope_set(target, HPolytope.universe(len(target))) \
+        if spec.backend == "affine" else None

@@ -8,6 +8,7 @@ elsewhere in the suite.
 from __future__ import annotations
 
 import copy
+import dataclasses
 import json
 from pathlib import Path
 
@@ -157,6 +158,45 @@ class TestLoadSpec:
         assert set_equal(polys[0], polys[1])
         assert set_equal(polys[0], polys[2])
 
+    @pytest.mark.parametrize("base, edit, message", [
+        ("integrator.json",
+         lambda doc: doc["agents"][0]["dynamics"].update(K=[[0.0]]),
+         "agents[0].dynamics.K: expected a flat list of numbers"),
+        ("integrator.json",
+         lambda doc: doc["agents"][0]["dynamics"].update(A={"1": [1.0]}),
+         "agents[0].dynamics.A[1]: expected a nested list of rows"),
+        ("integrator.json",
+         lambda doc: doc["agents"][0]["dynamics"].update(K=["x"]),
+         "agents[0].dynamics.K: not a numeric vector"),
+        ("integrator.json",
+         lambda doc: doc["agents"][0]["dynamics"].update(A={"1": [["x"]]}),
+         "agents[0].dynamics.A[1]: not a numeric matrix"),
+        ("integrator.json", lambda doc: doc["agents"][0].pop("input_set"),
+         "agents[0].input_set: is required when input_dim > 0"),
+        ("finite_toy", lambda doc: doc["agents"][0].pop("input_set"),
+         "agents[0].input_set: is required when input_dim > 0"),
+    ], ids=["vector-as-matrix", "matrix-as-vector", "vector-not-numeric",
+            "matrix-not-numeric", "affine-input-set-missing",
+            "finite-input-set-missing"])
+    def test_field_errors(self, base, edit, message):
+        doc = (serialize(finite_toy_spec()) if base == "finite_toy"
+               else load_fixture_doc(base))
+        assert doc["agents"][0]["input_dim"] == 1
+        edit(doc)
+        with pytest.raises(ParseError) as info:
+            parse_document(doc)
+        assert str(info.value).startswith(message)
+
+    @pytest.mark.parametrize("value", [True, float("inf"), float("nan"), 0.0,
+                                       -1.0, "1e-9"],
+                             ids=["bool", "inf", "nan", "zero", "negative",
+                                  "string"])
+    def test_axis_problem_tolerance_rejected(self, value):
+        doc = load_fixture_doc("five_node_polytopes.json")
+        doc["axis_problem"]["tolerance"] = value
+        with pytest.raises(ParseError, match=r"^axis_problem\.tolerance: "):
+            parse_document(doc)
+
     def test_two_agent_axis_layout(self):
         spec = load_spec(FIXTURES / "two_agent_affine.json")
         idx = build_axis_index(spec)
@@ -287,6 +327,59 @@ class TestEndToEnd:
         assert code == 0
         result = json.loads((out / "result.json").read_text())
         assert result["reachable"] is verdict
+
+    def test_finite_network_compare(self, tmp_path):
+        out = tmp_path / "out"
+        spec_path = write_doc(tmp_path, serialize(finite_toy_spec()))
+        code = run_cli("run", "--mode", "compare", "--task", "pre",
+                       "--spec", str(spec_path), "--out", str(out))
+        assert code == 0
+        report = json.loads((out / "report.json").read_text())
+        assert (report["exact_match"], report["max_support_gap"]) == (True, None)
+        assert [rec["node"] for rec in report["per_node"]] == [1, 2]
+        for rec in report["per_node"]:
+            for key in (None, "window", "start_states", "admissible_controls"):
+                part = rec if key is None else rec[key]
+                assert (part["exact_match"], part["max_support_gap"]) == \
+                    (True, None), (rec["node"], key)
+
+    @pytest.mark.parametrize("starts,verdict", [
+        (((0.0, 0.0), (1.0, 1.0)), True),
+        (tuple((float(x), float(y)) for x in range(3) for y in range(2)),
+         False),
+    ], ids=["reachable", "full-alphabet"])
+    def test_finite_reach_check_verdict(self, tmp_path, starts, verdict):
+        spec = dataclasses.replace(finite_toy_spec(),
+                                   start_sets=(starts, starts))
+        spec_path = write_doc(tmp_path, serialize(spec))
+        for mode in ("centralized", "distributed", "compare"):
+            out = tmp_path / mode
+            code = run_cli("run", "--mode", mode, "--task", "reach-check",
+                           "--spec", str(spec_path), "--out", str(out))
+            assert code == 0
+            result = json.loads((out / "result.json").read_text())
+            assert result["reachable"] is verdict, mode
+        report = json.loads((tmp_path / "compare" / "report.json").read_text())
+        assert report["reachable_distributed"] is verdict
+        assert report["reachable_centralized"] is verdict
+
+    @pytest.mark.parametrize("tol_args,tolerance,rounds", [
+        ((), 10.0, 1),
+        (("--tol", "1e-9"), 1e-9, 3),
+    ], ids=["file-tolerance", "tol-flag-wins"])
+    def test_axis_problem_tolerance_is_used(self, tmp_path, tol_args,
+                                            tolerance, rounds):
+        doc = load_fixture_doc("five_node_polytopes.json")
+        doc["axis_problem"]["tolerance"] = 10.0
+        out = tmp_path / "out"
+        code = run_cli("run", "--mode", "compare", "--task", "fixpoint-only",
+                       "--spec", str(write_doc(tmp_path, doc)),
+                       "--out", str(out), *tol_args)
+        assert code == 0
+        result = json.loads((out / "result.json").read_text())
+        assert result["tolerance"] == tolerance
+        report = json.loads((out / "report.json").read_text())
+        assert report["rounds_executed"] == rounds
 
     def test_timing_file_is_the_only_wall_clock_artifact(self, tmp_path):
         out = tmp_path / "out"
