@@ -117,9 +117,8 @@ class PointTable:
         if arr.shape[0]:
             key = np.round(arr, QUANT_DECIMALS)
             key += 0.0  # normalize -0.0
-            _, idx = np.unique(key, axis=0, return_index=True)
-            arr = key[np.sort(idx)]
-            arr = arr[np.lexsort(arr.T[::-1])]
+            key = key[np.lexsort(key.T[::-1])]
+            arr = key[_starts_run(key)]
         self.points = arr
         self.points.setflags(write=False)
 
@@ -259,24 +258,41 @@ def extrude(s: LabeledSet, target: AxisSet) -> LabeledSet:
     return LabeledSet(target, _poly.embed_columns(s.data, len(target), positions))
 
 
+def _starts_run(rows: np.ndarray) -> np.ndarray:
+    """Mask of the rows of a lexsorted array that differ from their
+    predecessor (the first row always does)."""
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = np.any(rows[1:] != rows[:-1], axis=1)
+    return first
+
+
 def _natural_join(axes_a: AxisSet, ta: PointTable, axes_b: AxisSet, tb: PointTable):
+    """Sort-merge natural join of two point tables on their shared axes.
+
+    The shared-key columns of both tables are coded as integers (equal keys,
+    equal codes), B's rows are sorted by code, and each A row is paired with
+    the run of B rows holding its code.  Without a shared axis every code is
+    the same, and the result is the cross product.
+    """
     axes_u = axes_a | axes_b
     shared = axes_a & axes_b
-    pa = axes_a.positions_of(shared)
-    pb = axes_b.positions_of(shared)
-    place_a = axes_u.positions_of(axes_a)
-    place_b = axes_u.positions_of(axes_b)
-    buckets: dict[tuple, list[np.ndarray]] = {}
-    for row in tb.points:
-        buckets.setdefault(tuple(row[pb]), []).append(row)
-    out = []
-    for row in ta.points:
-        for match in buckets.get(tuple(row[pa]), ()):
-            combined = np.empty(len(axes_u))
-            combined[place_b] = match
-            combined[place_a] = row
-            out.append(combined)
-    return axes_u, PointTable(out if out else np.zeros((0, len(axes_u))))
+    a, b = ta.points, tb.points
+    keys = np.concatenate([a[:, axes_a.positions_of(shared)],
+                           b[:, axes_b.positions_of(shared)]])
+    order = np.lexsort(keys.T[::-1]) if shared else np.arange(len(keys))
+    codes = np.empty(len(keys), dtype=np.intp)
+    codes[order] = np.cumsum(_starts_run(keys[order]))
+    code_a, code_b = codes[:len(a)], codes[len(a):]
+    by_b = np.argsort(code_b)
+    sorted_b = code_b[by_b]
+    lo = np.searchsorted(sorted_b, code_a, side="left")
+    counts = np.searchsorted(sorted_b, code_a, side="right") - lo
+    # A row i pairs with the B rows at sorted positions lo[i] .. lo[i] + counts[i] - 1
+    at = np.arange(counts.sum()) + np.repeat(lo - np.cumsum(counts) + counts, counts)
+    out = np.empty((len(at), len(axes_u)))
+    out[:, axes_u.positions_of(axes_b)] = b[by_b[at]]
+    out[:, axes_u.positions_of(axes_a)] = np.repeat(a, counts, axis=0)
+    return axes_u, PointTable(out, dim=len(axes_u))
 
 
 def join_extrusions(sets: Sequence[LabeledSet], target: AxisSet) -> LabeledSet:

@@ -185,7 +185,15 @@ def _array(value, where: str, ndim: int) -> np.ndarray:
         _fail(where, f"not a numeric {kind}")
     if arr.ndim != ndim:
         _fail(where, f"expected {shape}, got shape {arr.shape}")
+    if np.isnan(arr).any():
+        _fail(where, f"null or NaN in a numeric {kind}")
     return arr
+
+
+def _list_of(value, where: str, what: str) -> list:
+    if not isinstance(value, list):
+        _fail(where, f"must be a list of {what}")
+    return value
 
 
 _SET_KINDS = ("polytope", "vertices", "box", "points")
@@ -351,9 +359,7 @@ def _parse_dynamics(obj, n_agents: int, where: str):
         return "affine", dict(A=A, B=B, K=K, E=E, disturbance_set=dset)
     if kind == "finite":
         _check_keys(obj, where, ("type", "transitions"))
-        rows = obj["transitions"]
-        if not isinstance(rows, list):
-            _fail(f"{where}.transitions", "must be a list of triples")
+        rows = _list_of(obj["transitions"], f"{where}.transitions", "triples")
         triples = set()
         for k, row in enumerate(rows):
             rwhere = f"{where}.transitions[{k}]"
@@ -385,11 +391,8 @@ def _parse_network(doc) -> NetworkSpec:
         idims.append(_int_field(ag, "input_dim", where))
         for key, dest in (("dynamics_neighbors", dyn_nb),
                           ("constraint_neighbors", con_nb)):
-            lst = ag.get(key, [])
-            if not isinstance(lst, list):
-                _fail(f"{where}.{key}", "must be a list of agent ids")
             entry = []
-            for ident in lst:
+            for ident in _list_of(ag.get(key, []), f"{where}.{key}", "agent ids"):
                 if isinstance(ident, bool) or not isinstance(ident, int) or \
                         not 1 <= ident <= N:
                     _fail(f"{where}.{key}",
@@ -429,7 +432,8 @@ def _parse_network(doc) -> NetworkSpec:
 
     couplings = [[] for _ in range(N)]
     coupling_at = [[] for _ in range(N)]  # each row's index in the file
-    for k, row in enumerate(doc.get("coupling", [])):
+    for k, row in enumerate(_list_of(doc.get("coupling", []), "coupling",
+                                     "coupling rows")):
         where = f"coupling[{k}]"
         _check_keys(row, where, ("agent",),
                     optional=("state_coefs", "input_coefs", "offset",
@@ -456,7 +460,8 @@ def _parse_network(doc) -> NetworkSpec:
         [None] * N for _ in range(5))
     families = {"goal": goal, "start": start,
                 "start_partition": start_part, "goal_partition": goal_part}
-    for k, tgt in enumerate(doc.get("targets", [])):
+    for k, tgt in enumerate(_list_of(doc.get("targets", []), "targets",
+                                     "target entries")):
         where = f"targets[{k}]"
         _check_keys(tgt, where, ("agent", "goal"),
                     optional=("over", "start", "start_partition",

@@ -287,6 +287,72 @@ def test_join_matches_brute_oracle_random(data):
     assert as_tuple_set(joined) == set(map(tuple, oracle))
 
 
+# ---- both point-table kernels, byte for byte against oracles ---------------
+
+# signed zeros and values one quantization step away from 1 collide as keys
+NEAR_EQUAL = [0.0, -0.0, 1.0, 1.0 + 1e-12, 1.0 - 1e-12, 2.0, -1.5]
+
+
+def assert_same_bytes(table: PointTable, expected: np.ndarray):
+    assert table.points.shape == expected.shape
+    assert table.points.tobytes() == expected.tobytes()
+
+
+def assert_join_matches_oracle(labeled):
+    target = sorted(set().union(*(labs for labs, _ in labeled)))
+    joined = join_extrusions([finite_set(labs, pts) for labs, pts in labeled],
+                             AxisSet(target))
+    oracle = PointTable(brute_join(labeled, target), dim=len(target))
+    assert joined.table() == oracle
+    assert_same_bytes(joined.table(), oracle.points)
+
+
+@pytest.mark.parametrize("labeled", [
+    [([1, 2], [(0, 0), (0, 1), (1, 0), (2, 2)]),
+     ([2, 3], [(0, 5), (0, 6), (1, 7), (3, 9)])],
+    [([1], [(0,), (1,), (2,)]), ([2, 3], [(5, 6), (7, 8)])],
+    [([1, 2], [(0, 0), (1, 0)]), ([2, 3], [(1, 5), (2, 6)])],
+    [([1, 2, 3], [(4, 5, 6)]), ([3, 4], [(6, 0), (6, 1), (7, 2)])],
+    [([1, 3, 5], [(0, 1, 2), (1, 1, 2), (2, 2, 2)]),
+     ([3, 4, 5], [(1, 9, 2), (2, 8, 2), (1, 7, 3)])],
+    [([2, 4], [(0, 1), (1, 1)]), ([1, 2], [(5, 0), (6, 1), (7, 0)])],
+    [([1, 2], [(-0.0, 1 + 1e-12), (0.0, 2)]),
+     ([1, 3], [(0.0, 7), (1 - 1e-12, 8)]), ([2, 3], [(1, 7), (2, 8)])],
+], ids=["many-to-many", "cross-product", "no-matching-key", "one-row-side",
+        "shared-at-other-positions", "shared-first-in-a-last-in-b",
+        "equal-after-quantization"])
+def test_join_matches_oracle_byte_for_byte(labeled):
+    assert_join_matches_oracle(
+        [(labs, np.array(pts, dtype=float)) for labs, pts in labeled])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_join_matches_oracle_byte_for_byte_random(data):
+    labeled = []
+    for _ in range(data.draw(st.integers(2, 3))):
+        labs = sorted(data.draw(st.sets(st.integers(1, 5), min_size=1, max_size=3)))
+        rows = data.draw(st.lists(
+            st.lists(st.sampled_from(NEAR_EQUAL), min_size=len(labs),
+                     max_size=len(labs)), min_size=1, max_size=6))
+        labeled.append((labs, np.array(rows)))
+    assert_join_matches_oracle(labeled)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_point_table_matches_sorted_distinct_rows(data):
+    dim = data.draw(st.integers(1, 4))
+    value = st.one_of(st.sampled_from(NEAR_EQUAL),
+                      st.floats(-1e3, 1e3, allow_nan=False))
+    rows = data.draw(st.lists(st.lists(value, min_size=dim, max_size=dim),
+                              min_size=1, max_size=12))
+    repeats = data.draw(st.lists(st.integers(0, len(rows) - 1), max_size=12))
+    arr = np.array(rows + [rows[k] for k in repeats])
+    expected = np.array(sorted(set(map(tuple, np.round(arr, 9) + 0.0))))
+    assert_same_bytes(PointTable(arr), expected)
+
+
 # ---- tightest-generator properties (finite, exact) --------------------------
 
 

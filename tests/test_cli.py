@@ -509,6 +509,30 @@ class TestExitCodes:
         err = json.loads((out / "error.json").read_text())
         assert (err["error"], err["message"]) == (error, message)
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc.update(coupling=None),
+         "coupling: must be a list of coupling rows"),
+        (lambda doc: doc.update(targets={"agent": 1}),
+         "targets: must be a list of target entries"),
+        (lambda doc: doc["agents"][0]["dynamics"]["transitions"][2][0]
+         .__setitem__(1, None),
+         "agents[0].dynamics.transitions[2]: null or NaN in a numeric vector"),
+        (lambda doc: doc["targets"][1]["goal"]["points"][3]
+         .__setitem__(0, None),
+         "targets[1].goal: null or NaN in a numeric matrix"),
+    ], ids=["coupling-null", "targets-object", "transition-null",
+            "goal-point-null"])
+    def test_malformed_finite_network_exits_2_naming_the_field(
+            self, tmp_path, edit, message):
+        doc = serialize(finite_toy_spec())
+        edit(doc)
+        out = tmp_path / "out"
+        code = run_cli("run", "--mode", "distributed", "--task", "pre",
+                       "--spec", str(write_doc(tmp_path, doc)), "--out", str(out))
+        assert code == 2
+        err = json.loads((out / "error.json").read_text())
+        assert (err["error"], err["message"]) == ("ParseError", message)
+
     def test_round_budget_exhaustion_exits_4_with_partial_trace(self, tmp_path):
         out = tmp_path / "out"
         code = run_cli("run", "--mode", "distributed", "--task",
