@@ -34,7 +34,7 @@ from .errors import (
     UnsupportedMaterialization,
     ValidationError,
 )
-from .polytope import ABS_TOL, HPolytope
+from .polytope import ABS_TOL, HPolytope, _starts_run
 
 #: Decimal places used when quantizing coordinates for exact-match joins;
 #: matches the 1e-9 membership tolerance used everywhere else.
@@ -256,14 +256,6 @@ def extrude(s: LabeledSet, target: AxisSet) -> LabeledSet:
             "finite tables cannot materialize a strict cylinder extension")
     positions = target.positions_of(s.axes)
     return LabeledSet(target, _poly.embed_columns(s.data, len(target), positions))
-
-
-def _starts_run(rows: np.ndarray) -> np.ndarray:
-    """Mask of the rows of a lexsorted array that differ from their
-    predecessor (the first row always does)."""
-    first = np.ones(len(rows), dtype=bool)
-    first[1:] = np.any(rows[1:] != rows[:-1], axis=1)
-    return first
 
 
 def _natural_join(axes_a: AxisSet, ta: PointTable, axes_b: AxisSet, tb: PointTable):

@@ -264,9 +264,10 @@ def _poly_lp(poly: "HPolytope", objective: np.ndarray) -> LinearProgram:
 
 
 def is_empty(poly: "HPolytope") -> bool:
-    """Feasibility check via a zero-objective LP."""
-    if poly.trivially_empty:
-        return True
+    """Feasibility check via a zero-objective LP; a set with no columns has
+    no rows left but all-zero ones, so those decide."""
+    if poly.trivially_empty or poly.dim == 0:
+        return poly.trivially_empty
     res = solve(_poly_lp(poly, np.zeros(poly.dim)))
     return res.status == INFEASIBLE
 

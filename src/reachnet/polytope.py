@@ -8,7 +8,9 @@ elimination substitute variables instead of combining rows.
 Coordinate elimination is Fourier-Motzkin on the inequality rows (equality
 rows are used as pivots first), one coordinate at a time from the highest
 column down, with duplicate/dominated-row filtering and redundancy pruning
-after every step to keep the row count from exploding.
+after every step to keep the row count from exploding.  Only the rows a step
+creates are normalized; rows that come out of a set already are taken as
+they are.
 
 Pruning (:func:`prune`) asks one LP per row whether the row is implied by
 the rows kept so far.  Most rows are not, so before those LPs it shoots rays
@@ -19,6 +21,10 @@ next one satisfies every other row and the equalities, and lies beyond the
 first row by more than the tolerance: that point is a witness, and the row
 skips its LP.  The same centre LP settles emptiness: a ball of positive
 radius inside the set is a point of it, so the emptiness LP is left out.
+A projection of that point lies in the projection of the set, so
+:func:`eliminate` hands each column's centre, minus the eliminated
+coordinate, to the next column's prune, which checks it in numpy against
+the same bound and solves the centre LP only when the check fails.
 The LPs that remain run warm on one HiGHS model (:class:`lpsolve.RowLps`);
 a warm optimum decides only with a certificate for its verdict (the same
 witness test for a needed row, a dual bound for a redundant one), and any
@@ -81,11 +87,19 @@ _MAX_VERTEX_DIM = 8
 _MAX_VERTEX_COMBOS = 400_000
 
 
+def _starts_run(rows: np.ndarray) -> np.ndarray:
+    """Mask of the rows of a lexsorted array that differ from their
+    predecessor (the first row always does)."""
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = np.any(rows[1:] != rows[:-1], axis=1)
+    return first
+
+
 def _normalize_system(A, b, eq: bool):
     """Unit-norm rows; returns (A, b, infeasible_flag) after dropping trivia."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
     b = np.atleast_1d(np.asarray(b, dtype=float))
-    if A.size == 0:
+    if A.size == 0 and A.shape[0] != b.shape[0]:
         A = A.reshape(0, A.shape[1] if A.ndim == 2 else 0)
     if A.shape[0] != b.shape[0]:
         raise DimensionMismatch("row count does not match right-hand side")
@@ -115,10 +129,11 @@ def _normalize_system(A, b, eq: bool):
                 if nz.size and A[r, nz[0]] < 0:
                     A[r] = -A[r]
                     b[r] = -b[r]
-        # drop exact duplicates (after rounding), keep deterministic order
+        # drop exact duplicates (after rounding; -0.0 equals 0.0), keeping
+        # the first of each in input order: the sort is stable
         key = np.round(np.hstack([A, b[:, None]]), 12)
-        _, idx = np.unique(key, axis=0, return_index=True)
-        idx = np.sort(idx)
+        order = np.lexsort(key.T[::-1])
+        idx = np.sort(order[_starts_run(key[order])])
         A, b = A[idx], b[idx]
     return A, b, infeasible
 
@@ -135,7 +150,7 @@ class HPolytope:
     """
 
     __slots__ = ("A_ineq", "b_ineq", "A_eq", "b_eq", "dim", "trivially_empty",
-                 "_empty_cache")
+                 "_empty_cache", "_centre")
 
     def __init__(self, A_ineq=None, b_ineq=None, A_eq=None, b_eq=None,
                  dim: int | None = None):
@@ -166,8 +181,26 @@ class HPolytope:
         self.dim = int(dim)
         self.trivially_empty = bool(bad1 or bad2)
         self._empty_cache = True if self.trivially_empty else None
+        self._centre = None
         for arr in (self.A_ineq, self.b_ineq, self.A_eq, self.b_eq):
             arr.setflags(write=False)
+
+    @classmethod
+    def _normalized(cls, A_ineq, b_ineq, A_eq, b_eq, dim: int,
+                    centre: np.ndarray | None = None) -> "HPolytope":
+        """A set from rows that came out of an HPolytope: unit-norm,
+        sign-canonical, deduped and none all-zero, so they are taken as
+        they are.  ``centre`` is a point that may lie deep inside the set;
+        :func:`prune` checks it before it uses it."""
+        p = object.__new__(cls)
+        p.A_ineq, p.b_ineq, p.A_eq, p.b_eq = A_ineq, b_ineq, A_eq, b_eq
+        p.dim = int(dim)
+        p.trivially_empty = False
+        p._empty_cache = None
+        p._centre = centre
+        for arr in (A_ineq, b_ineq, A_eq, b_eq):
+            arr.setflags(write=False)
+        return p
 
     # -- constructors -----------------------------------------------------
 
@@ -345,34 +378,19 @@ def _witnesses(G, g, F, f, L, lead, x, first, tol: float) -> np.ndarray:
     return ok
 
 
-def _certify_irredundant(G, g, F, f, tol: float):
-    """Mask of the rows of ``G z <= g`` that ray shooting proves irredundant,
-    whether the centre LP found a point inside the set, and the factors
-    ``L`` and ``lead`` of ``F`` (see :func:`_gram_schmidt`).
+def _radius_floor(c: np.ndarray, tol: float) -> float:
+    """The ball radius a centre c must exceed to count as inside the set:
+    ``tol`` plus :data:`CERTIFY_MARGIN` scaled by c's largest coordinate."""
+    return tol + CERTIFY_MARGIN * max(1.0, np.abs(c).max(initial=0.0))
 
-    One Chebyshev-centre LP gives a point c inside the set, at the centre of
-    the largest ball within its affine hull ``F z = f``.  A ray from c, in the
-    null space of ``F``, first crosses the hyperplane of some row i and next
-    that of another row; the point x at that second crossing satisfies every
-    row but i, and ``F x = f``.  Row i is certified when x, checked
-    explicitly by :func:`_witnesses`, does so within ``tol`` and exceeds
-    row i by more than ``tol`` plus :data:`CERTIFY_MARGIN`.
 
-    The centre counts as found when the ball's radius exceeds that same
-    bound; it then satisfies every row with room to spare, so the set is
-    nonempty.  With fewer than two rows, or a single point, no LP is solved
-    and nothing is found.
-    """
-    m, dim = G.shape
-    certified = np.zeros(m, dtype=bool)
-    Q, L, lead = _gram_schmidt(F)
-    if m < 2:  # the centre LP would cost as much as it could save
-        return certified, False, L, lead
-    if Q.shape[0] == dim:
-        return certified, False, L, lead  # a single point
-    norms = np.linalg.norm(G - (G @ Q.T) @ Q, axis=1)
-    # maximize the radius r of a ball around z inside the set and its affine
-    # hull; the cap keeps the LP bounded when the set is unbounded
+def _chebyshev_centre(G, g, F, f, norms, tol: float):
+    """The centre LP: the centre of the largest ball inside ``G z <= g``
+    within its affine hull ``F z = f`` (``norms`` are the rows' lengths in
+    that hull), or None when it fails or its radius does not exceed
+    :func:`_radius_floor`."""
+    dim = G.shape[1]
+    # the cap keeps the LP bounded when the set is unbounded
     radius_row = np.eye(1, dim + 1, dim)
     lp = lpsolve.LinearProgram(
         radius_row[0], np.vstack([np.column_stack([G, norms]), radius_row]),
@@ -381,12 +399,60 @@ def _certify_irredundant(G, g, F, f, tol: float):
     try:
         res = lpsolve.solve(lp)
     except NumericalFailure:
-        return certified, False, L, lead
+        return None
     if res.status != lpsolve.OPTIMAL:
-        return certified, False, L, lead
+        return None
     c = res.point[:dim]
-    if res.point[dim] <= tol + CERTIFY_MARGIN * max(1.0, np.abs(c).max()):
-        return certified, False, L, lead  # no interior: implicit equalities, or empty
+    if res.point[dim] <= _radius_floor(c, tol):
+        return None  # no interior: implicit equalities, or empty
+    return c
+
+
+def _deep_inside(G, g, F, f, L, lead, norms, c, tol: float) -> bool:
+    """Whether c meets the bound :func:`_chebyshev_centre` puts on its
+    centre: the ball around c that fits by the rows of nonzero ``norms``
+    has a radius above :func:`_radius_floor`, the other rows hold, and c
+    lies within ``tol`` of ``F z = f`` (see :func:`_equality_gap`)."""
+    slack = g - G @ c
+    live = norms > 0.0
+    radius = (slack[live] / norms[live]).min(initial=math.inf)
+    return bool(radius > _radius_floor(c, tol) and np.all(slack[~live] >= 0.0)
+                and (not F.shape[0] or _equality_gap(F, f, L, lead, c[None])[0] <= tol))
+
+
+def _certify_irredundant(G, g, F, f, tol: float, centre=None):
+    """Mask of the rows of ``G z <= g`` that ray shooting proves irredundant,
+    the point inside the set the rays start from (None if there is none),
+    and the factors ``L`` and ``lead`` of ``F`` (see :func:`_gram_schmidt`).
+
+    The rays start from ``centre`` when it passes :func:`_deep_inside`;
+    otherwise one Chebyshev-centre LP gives the point c, at the centre of
+    the largest ball within the set's affine hull ``F z = f``
+    (:func:`_chebyshev_centre`).  A ray from c, in the null space of ``F``,
+    first crosses the hyperplane of some row i and next that of another
+    row; the point x at that second crossing satisfies every row but i, and
+    ``F x = f``.  Row i is certified when x, checked explicitly by
+    :func:`_witnesses`, does so within ``tol`` and exceeds row i by more
+    than ``tol`` plus :data:`CERTIFY_MARGIN`.
+
+    A point is returned only when its ball's radius exceeds that same
+    bound; it then satisfies every row with room to spare, so the set is
+    nonempty.  With fewer than two rows, or a single point, no LP is solved
+    and no point is returned.
+    """
+    m, dim = G.shape
+    certified = np.zeros(m, dtype=bool)
+    Q, L, lead = _gram_schmidt(F)
+    if m < 2:  # the centre LP would cost as much as it could save
+        return certified, None, L, lead
+    if Q.shape[0] == dim:
+        return certified, None, L, lead  # a single point
+    norms = np.linalg.norm(G - (G @ Q.T) @ Q, axis=1)
+    c = centre
+    if c is None or not _deep_inside(G, g, F, f, L, lead, norms, c, tol):
+        c = _chebyshev_centre(G, g, F, f, norms, tol)
+        if c is None:
+            return certified, None, L, lead
     slack = g - G @ c
     live = norms > ZERO_COEF_TOL
     rng = np.random.default_rng(0)  # a fixed seed keeps LP counts repeatable
@@ -416,7 +482,7 @@ def _certify_irredundant(G, g, F, f, tol: float):
         certified[first[ok]] = True
         if certified.all():
             break
-    return certified, True, L, lead
+    return certified, c, L, lead
 
 
 def prune(p: HPolytope, tol: float = ABS_TOL, merge_equalities: bool = False) -> HPolytope:
@@ -461,11 +527,19 @@ def prune(p: HPolytope, tol: float = ABS_TOL, merge_equalities: bool = False) ->
     about ``p``: a merged pair may lie up to ``tol`` apart the wrong way,
     which leaves ``p`` empty and its merged form not.  Whenever no centre
     proves it, the emptiness LP decides, as before.
+
+    A set built inside :func:`eliminate` carries a point that may serve as
+    the centre; it is used only when it meets the centre LP's bound (see
+    :func:`_deep_inside`), and never with ``merge_equalities``.  Any point
+    inside the set certifies soundly, so the kept rows do not depend on
+    which centre the rays start from.  Without a merge the result's rows
+    are a subset of ``p``'s, so they are not normalized again, and the
+    result carries the centre used.
     """
     if p._empty_cache:
         return HPolytope.empty(p.dim)
-    G, g = [np.array(m) for m in (p.A_ineq, p.b_ineq)]
-    F, f = [np.array(m) for m in (p.A_eq, p.b_eq)]
+    G, g, F, f = p.A_ineq, p.b_ineq, p.A_eq, p.b_eq
+    centre = None if merge_equalities else p._centre
     merged = False
     if merge_equalities and G.shape[0]:
         used = np.zeros(G.shape[0], dtype=bool)
@@ -485,22 +559,24 @@ def prune(p: HPolytope, tol: float = ABS_TOL, merge_equalities: bool = False) ->
             F = np.vstack([F, np.array(eq_rows)])
             f = np.hstack([f, np.array(eq_rhs)])
             merged = True
-    certified, interior, L, lead = _certify_irredundant(G, g, F, f, tol)
-    if interior and not merged:
+    certified, centre, L, lead = _certify_irredundant(G, g, F, f, tol, centre)
+    if centre is not None and not merged:
         p._empty_cache = False
     elif p.is_empty():
         return HPolytope.empty(p.dim)
-    if certified.all():
+    if not certified.all():
+        lps = lpsolve.RowLps(G, g, F, f)
+        for i in np.flatnonzero(~certified):
+            res = lps.warm(i)
+            if res is None or not _settles(res, i, lps, L, lead, tol):
+                res = lps.cold(i)
+            if res.status == lpsolve.OPTIMAL and res.value <= g[i] + tol:
+                lps.drop(i)
+            # unbounded or (numerically) infeasible: keep the row
+        G, g = G[lps.kept], g[lps.kept]
+    if merged:  # the merged rows are not sign-canonical or deduped yet
         return HPolytope(G, g, F, f, dim=p.dim)
-    lps = lpsolve.RowLps(G, g, F, f)
-    for i in np.flatnonzero(~certified):
-        res = lps.warm(i)
-        if res is None or not _settles(res, i, lps, L, lead, tol):
-            res = lps.cold(i)
-        if res.status == lpsolve.OPTIMAL and res.value <= g[i] + tol:
-            lps.drop(i)
-        # unbounded or (numerically) infeasible: keep the row
-    return HPolytope(G[lps.kept], g[lps.kept], F, f, dim=p.dim)
+    return HPolytope._normalized(G, g, F, f, p.dim, centre)
 
 
 def _settles(res: lpsolve.LpResult, i: int, lps: lpsolve.RowLps, L, lead,
@@ -522,22 +598,21 @@ def _settles(res: lpsolve.LpResult, i: int, lps: lpsolve.RowLps, L, lead,
 
 
 def _filter_dominated(G: np.ndarray, g: np.ndarray):
-    """Drop duplicate rows and rows dominated by an identical normal."""
+    """Drop duplicate rows and rows dominated by an identical normal.
+
+    Rows sort by their normal rounded to 10 decimals; a run of rows whose
+    rounded normals are equal byte for byte keeps its smallest right-hand
+    side, the first of equals in sorted order.
+    """
     if not G.shape[0]:
         return G, g
     key = np.round(G, 10)
     order = np.lexsort(key.T[::-1])
-    keep = []
-    last_key = None
-    for idx in order:
-        k = key[idx].tobytes()
-        if k == last_key:
-            if g[idx] < g[keep[-1]] - 0.0:
-                keep[-1] = idx
-        else:
-            keep.append(idx)
-            last_key = k
-    keep = sorted(keep)
+    starts = _starts_run(key[order].view(np.int64))  # bytes: -0.0 is not 0.0
+    run = np.cumsum(starts) - 1
+    gs = g[order]
+    lowest = np.flatnonzero(gs == np.minimum.reduceat(gs, np.flatnonzero(starts))[run])
+    keep = np.sort(order[lowest[_starts_run(run[lowest, None])]])
     return G[keep], g[keep]
 
 
@@ -552,6 +627,12 @@ def eliminate(p: HPolytope, positions: Sequence[int]) -> HPolytope:
     more than :data:`ELIMINATION_ROW_CAP` rows raises EliminationBlowup.  A
     projection of a nonempty set is nonempty, so the result records that and
     its emptiness check solves no LP.
+
+    Only each step's new rows are normalized; the prune input and output and
+    the result are built from rows that are normalized already.  The centre
+    of one column's prune, with the next eliminated coordinate deleted, goes
+    to the next column's prune as a candidate centre (see :func:`prune`), so
+    a run of columns usually solves one centre LP, not one per column.
     """
     positions = sorted(set(int(c) for c in positions), reverse=True)
     if not positions:
@@ -561,9 +642,8 @@ def eliminate(p: HPolytope, positions: Sequence[int]) -> HPolytope:
     remaining_dim = p.dim - len(positions)
     if p.is_empty():
         return HPolytope.empty(remaining_dim)
-    G, g = np.array(p.A_ineq), np.array(p.b_ineq)
-    F, f = np.array(p.A_eq), np.array(p.b_eq)
-
+    G, g, F, f = p.A_ineq, p.b_ineq, p.A_eq, p.b_eq
+    centre = None  # a point of the current set, from the last prune
     for col in positions:
         pivoted = False
         if F.shape[0]:
@@ -606,18 +686,20 @@ def eliminate(p: HPolytope, positions: Sequence[int]) -> HPolytope:
                 G, g = G[zero], g[zero]
         G = np.delete(G, col, axis=1)
         F = np.delete(F, col, axis=1)
+        if centre is not None:
+            centre = np.delete(centre, col)
         step = HPolytope(G, g, F, f, dim=G.shape[1])
         if step.trivially_empty:
             return HPolytope.empty(remaining_dim)
-        G, g = _filter_dominated(np.array(step.A_ineq), np.array(step.b_ineq))
-        F, f = np.array(step.A_eq), np.array(step.b_eq)
+        G, g = _filter_dominated(step.A_ineq, step.b_ineq)
+        F, f = step.A_eq, step.b_eq
         if G.shape[0] > G.shape[1] + 1:
-            pruned = prune(HPolytope(G, g, F, f, dim=G.shape[1]))
+            pruned = prune(HPolytope._normalized(G, g, F, f, G.shape[1], centre))
             if pruned.trivially_empty:
                 return HPolytope.empty(remaining_dim)
-            G, g = np.array(pruned.A_ineq), np.array(pruned.b_ineq)
-            F, f = np.array(pruned.A_eq), np.array(pruned.b_eq)
-    out = HPolytope(G, g, F, f, dim=remaining_dim)
+            G, g, F, f = pruned.A_ineq, pruned.b_ineq, pruned.A_eq, pruned.b_eq
+            centre = pruned._centre
+    out = HPolytope._normalized(G, g, F, f, remaining_dim)
     out._empty_cache = False  # the projection of a nonempty set
     return out
 

@@ -5,9 +5,11 @@ the package's own geometry code paths: hulls by gift wrapping, extremeness
 by raw scipy LPs, joins by exhaustive pair checks.  The exceptions are
 :func:`lp_only_prune` and :func:`lp_only_includes`, frozen copies of the
 package's LP-per-row pruning and LP-per-face inclusion loops, kept to show
-that the certificates in front of those LPs change no answer, and two
-small helpers built on the package that tests compare against hand-built
-answers: :func:`support_point` and :func:`goal_join`.  :func:`linprog_solve`
+that the certificates in front of those LPs change no answer,
+:func:`unique_rows` and :func:`loop_filter_dominated`, the row dedupes the
+package used before its lexsort kernels, and two small helpers built on
+the package that tests compare against hand-built answers:
+:func:`support_point` and :func:`goal_join`.  :func:`linprog_solve`
 solves an ``lpsolve.LinearProgram`` through ``scipy.optimize.linprog``, the
 public route to the HiGHS solver that :func:`lpsolve.solve` drives directly.
 """
@@ -540,3 +542,33 @@ def lp_only_includes(p, q, tol: float = 1e-9) -> bool:
         if s > b + tol:
             return False
     return True
+
+
+def unique_rows(A, b):
+    """The rows of ``A z <= b`` without those equal to an earlier row after
+    rounding to 12 decimals, by ``np.unique(axis=0)``: the dedupe step of
+    ``polytope._normalize_system`` before its lexsort kernel."""
+    key = np.round(np.hstack([A, b[:, None]]), 12)
+    _, idx = np.unique(key, axis=0, return_index=True)
+    idx = np.sort(idx)
+    return A[idx], b[idx]
+
+
+def loop_filter_dominated(G, g):
+    """``polytope._filter_dominated`` as a Python loop over the rows in
+    sorted order, as it was before its vectorized kernel."""
+    if not G.shape[0]:
+        return G, g
+    key = np.round(G, 10)
+    keep = []
+    last_key = None
+    for idx in np.lexsort(key.T[::-1]):
+        k = key[idx].tobytes()
+        if k == last_key:
+            if g[idx] < g[keep[-1]]:
+                keep[-1] = idx
+        else:
+            keep.append(idx)
+            last_key = k
+    keep = sorted(keep)
+    return G[keep], g[keep]

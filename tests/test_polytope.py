@@ -22,8 +22,10 @@ from .oracles import (
     extreme_points,
     gift_wrap_2d,
     hausdorff,
+    loop_filter_dominated,
     lp_only_includes,
     lp_only_prune,
+    unique_rows,
 )
 
 
@@ -522,6 +524,90 @@ def test_prune_after_merging_still_solves_its_emptiness_lp(emptiness_checks):
     assert same_system(got, lp_only_prune(p, merge_equalities=True))
 
 
+# ---- elimination: the centre carried from column to column -------------------
+
+
+def is_centre_lp(lp):
+    """The Chebyshev-centre LP of ``_certify_irredundant``: maximize the
+    radius, its last variable, which a cap row bounds."""
+    radius = np.eye(1, lp.dim, lp.dim - 1)[0]
+    return (np.array_equal(lp.objective, radius) and lp.A_ineq.shape[0] > 0
+            and np.array_equal(lp.A_ineq[-1], radius))
+
+
+def eliminated(p, batches):
+    """``eliminate`` applied for each batch of columns in turn: the system
+    it leaves, or the type of the error it raised."""
+    try:
+        for cols in batches:
+            p = pl.eliminate(p, cols)
+    except (EliminationBlowup, NumericalFailure) as exc:
+        return type(exc)
+    return (p.dim, p.trivially_empty,
+            *(getattr(p, name).tobytes() for name in ("A_ineq", "b_ineq", "A_eq", "b_eq")))
+
+
+def random_body_case(rng):
+    d = int(rng.integers(2, 6))
+    return pl.HPolytope(*random_body(rng, d, rng.normal(size=d)))
+
+
+ELIMINATE_CASES = (cube_case, near_parallel_case, pinned_case, random_body_case)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from(ELIMINATE_CASES), st.integers(0, 2**32 - 1), st.data())
+def test_eliminate_matches_one_column_at_a_time(make, seed, data):
+    # each one-column call starts without a carried centre and solves its
+    # own centre LP; the verdicts, and so the rows, must not change
+    p = make(np.random.default_rng(seed))
+    assume(p.dim >= 2)
+    cols = data.draw(st.lists(st.integers(0, p.dim - 1), min_size=2,
+                              max_size=p.dim, unique=True))
+    one_call = eliminated(p, [cols])
+    assert one_call == eliminated(p, [[c] for c in sorted(cols, reverse=True)]), \
+        (make.__name__, seed, cols)
+
+
+def test_eliminating_several_columns_solves_one_centre_lp(lp_calls, monkeypatch):
+    # the centre of the first column's prune, minus each eliminated
+    # coordinate, stays deep inside every later projection
+    prunes = []
+    prune = pl.prune
+    monkeypatch.setattr(pl, "prune", lambda p, *a, **k: prunes.append(p) or prune(p, *a, **k))
+    rng = np.random.default_rng(7)
+    p = pl.HPolytope(*rotated_cube(rng, 5, 1.0, rng.normal(size=5)))
+    out = pl.eliminate(p, [4, 3, 2])
+    assert len(prunes) == 3
+    assert sum(map(is_centre_lp, lp_calls)) == 1
+    assert out.dim == 2 and out.is_empty() is False
+
+
+def test_prune_checks_a_carried_centre_before_using_it(lp_calls):
+    # a centre on a facet, within 1e-10, fits no ball above the floor
+    rng = np.random.default_rng(3)
+    p = pl.HPolytope(*rotated_cube(rng, 4, 1.0, np.zeros(4)))
+    expect = lp_only_prune(p)
+    on_facet = p.A_ineq[0] * (p.b_ineq[0] - 1e-10)
+    for centre, centre_lps in ((np.zeros(4), 0), (on_facet, 1), (np.full(4, 5.0), 1)):
+        q = pl.HPolytope._normalized(p.A_ineq, p.b_ineq, p.A_eq, p.b_eq, p.dim, centre)
+        lp_calls.clear()
+        assert same_system(pl.prune(q), expect)
+        assert sum(map(is_centre_lp, lp_calls)) == centre_lps, centre
+
+
+def test_prune_after_merging_takes_no_carried_centre(lp_calls):
+    # x <= 0 and x >= 5e-10 merge into x = 0; the origin would pass the
+    # check on the merged set, but the centre LP decides
+    p = pl.HPolytope([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0], [1.0, 1.0]],
+                     [0.0, -5e-10, 1.0, 1.0, 3.0])
+    q = pl.HPolytope._normalized(p.A_ineq, p.b_ineq, p.A_eq, p.b_eq, p.dim,
+                                 np.zeros(2))
+    got = pl.prune(q, merge_equalities=True)
+    assert sum(map(is_centre_lp, lp_calls)) == 1
+    assert same_system(got, lp_only_prune(p, merge_equalities=True))
+
+
 # ---- inclusion: row-match bounds against the LP-only loop ---------------------
 
 
@@ -685,6 +771,15 @@ def test_text_round_trip_preserves_emptiness():
     assert q.is_empty()
 
 
+def test_text_round_trip_of_the_empty_zero_dimensional_set():
+    text = pl.to_text(pl.HPolytope.empty(0))
+    q = pl.from_text(text)
+    assert q.dim == 0 and q.trivially_empty and q.is_empty()
+    assert pl.to_text(q) == text
+    assert pl.from_text("dim 0\nI -1.0\n").trivially_empty
+    assert not pl.from_text("dim 0\nI 1.0\n").is_empty()
+
+
 @pytest.mark.parametrize(
     "bad",
     ["", "dim x\n", "dim 2\nI 1 0\n", "dim 2\nQ 1 0 3\n", "dim 2\nI 1 zero 3\n"],
@@ -708,3 +803,72 @@ def test_zero_row_trivial_infeasibility():
     assert p.trivially_empty and p.is_empty()
     ok = pl.HPolytope([[0.0, 0.0]], [1.0])
     assert not ok.trivially_empty and ok.A_ineq.shape[0] == 0
+
+
+# ---- zero-dimensional sets -------------------------------------------------------
+
+
+def test_zero_dimensional_sets_need_no_lp(lp_calls):
+    # all-zero rows decide them: {()} or nothing
+    empty, point = pl.HPolytope.empty(0), pl.HPolytope.universe(0)
+    assert empty.trivially_empty and empty.is_empty()
+    assert point.is_empty() is False
+    assert pl.includes(point, point) and pl.includes(point, empty)
+    assert not pl.includes(empty, point)
+    assert lp_calls == []
+
+
+def test_projection_onto_no_columns():
+    box = pl.HPolytope.from_box([-1.0, 0.0, 2.0], [1.0, 5.0, 2.5])
+    for out in (pl.project_to(box, []), pl.eliminate(box, range(box.dim))):
+        assert out.dim == 0 and out.n_rows == 0 and out.is_empty() is False
+    empty = pl.HPolytope(np.vstack([np.eye(2), -np.eye(2)]), [1.0, 1.0, -2.0, 0.0])
+    assert pl.project_to(empty, []).is_empty()
+
+
+# ---- row dedupes against the kernels they replaced -------------------------------
+
+
+#: Coordinates of the base rows; -0.0 and 0.0 both occur.
+COORDS = (0.0, -0.0, 1.0, -1.0, 0.5, -2.0, 3.0)
+
+
+def unit_rows(data, d):
+    """Unit-norm rows, some repeated, some moved by 1e-14 (equal after
+    rounding to 12 decimals), some with their zeros signed the other way,
+    with right-hand sides that repeat, differ or are -0.0."""
+    base = data.draw(st.lists(st.lists(st.sampled_from(COORDS), min_size=d, max_size=d)
+                              .filter(lambda r: any(r)), min_size=1, max_size=4))
+    base = np.array(base)
+    base /= np.linalg.norm(base, axis=1, keepdims=True)
+    rows, rhs = [], []
+    for _ in range(data.draw(st.integers(1, 10))):
+        a = base[data.draw(st.integers(0, len(base) - 1))].copy()
+        kind = data.draw(st.sampled_from(["same", "nudged", "signed zeros"]))
+        if kind == "nudged":
+            a[data.draw(st.integers(0, d - 1))] += 1e-14
+        elif kind == "signed zeros":
+            a[a == 0.0] = -np.copysign(0.0, a[a == 0.0])
+        rows.append(a)
+        rhs.append(data.draw(st.sampled_from([0.0, -0.0, 1.0, 1.0 + 1e-14, 2.5])))
+    return np.array(rows), np.array(rhs)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_normalize_dedupe_matches_np_unique(data):
+    A, b = unit_rows(data, data.draw(st.integers(1, 4)))
+    got_A, got_b, bad = pl._normalize_system(A, b, eq=False)
+    want_A, want_b = unique_rows(A, b)
+    assert not bad
+    assert got_A.shape == want_A.shape
+    assert got_A.tobytes() == want_A.tobytes() and got_b.tobytes() == want_b.tobytes()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_filter_dominated_matches_the_row_loop(data):
+    G, g = unit_rows(data, data.draw(st.integers(1, 4)))
+    got, want = pl._filter_dominated(G, g), loop_filter_dominated(G, g)
+    assert got[0].shape == want[0].shape
+    assert all(x.tobytes() == y.tobytes() for x, y in zip(got, want))
