@@ -319,9 +319,16 @@ def _parse_axis_problem(obj) -> FixpointProblem:
     for k, node in enumerate(nodes):
         nwhere = f"{where}.nodes[{k}]"
         _check_keys(node, nwhere, ("axes", "set"))
+        labels = _list_of(node["axes"], f"{nwhere}.axes", "axis labels")
+        for label in labels:
+            if isinstance(label, bool) or not isinstance(label, int):
+                _fail(f"{nwhere}.axes",
+                      f"axis label {label!r} is not an integer")
+        if len(set(labels)) != len(labels):
+            _fail(f"{nwhere}.axes", "repeated axis label")
         try:
-            axes = AxisSet(node["axes"])
-        except (ReachnetError, TypeError, ValueError) as exc:
+            axes = AxisSet(labels)
+        except ReachnetError as exc:
             _fail(f"{nwhere}.axes", str(exc))
         kind, val = _parse_set(node["set"], f"{nwhere}.set")
         try:

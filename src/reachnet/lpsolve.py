@@ -275,13 +275,17 @@ def is_empty(poly: "HPolytope") -> bool:
 def support(poly: "HPolytope", direction) -> float:
     """Support function max{d'z : z in poly}; +inf when unbounded that way.
 
-    Raises EmptySet on an empty polytope (the supremum over nothing).
+    Raises EmptySet on an empty polytope (the supremum over nothing).  A
+    nonempty set with no columns is the one point ``()``, whose support is
+    0.0 with no LP.
     """
     d = np.atleast_1d(np.asarray(direction, dtype=float))
     if d.shape[0] != poly.dim:
         raise DimensionMismatch("direction dimension does not match polytope")
     if poly.trivially_empty:
         raise EmptySet("support of an empty set")
+    if poly.dim == 0:
+        return 0.0
     res = solve(_poly_lp(poly, d))
     if res.status == INFEASIBLE:
         raise EmptySet("support of an empty set")

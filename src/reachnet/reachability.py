@@ -99,16 +99,6 @@ def _spec_error(cls, field: tuple, what: str, detail: str):
     return exc
 
 
-def _finite_family(entries, field: tuple, what: str) -> tuple[tuple[tuple, ...], ...]:
-    """Normalize a finite point family: tuple of quantized vectors."""
-    out = []
-    for vec in entries:
-        out.append(_key(vec))
-    if len(set(out)) != len(out):
-        raise _spec_error(ValidationError, field, what, "duplicate points")
-    return tuple(out)
-
-
 def _payload_kind(i: int, payload) -> str:
     if isinstance(payload, AffineAgent):
         return "affine"
@@ -118,6 +108,14 @@ def _payload_kind(i: int, payload) -> str:
         UnsupportedDynamics, ("dynamics", i), f"agent {i}",
         f"payload {type(payload).__name__} is neither affine nor "
         "a finite transition table")
+
+
+#: Each per-agent set family of a NetworkSpec and how its errors name it.
+_SET_FAMILIES = {"state_sets": "state set", "input_sets": "input set",
+                 "goal_sets": "goal set", "start_sets": "start set",
+                 "start_partitions": "start partition",
+                 "goal_partitions": "goal partition"}
+_OPTIONAL_SETS = ("start_sets", "start_partitions", "goal_partitions")
 
 
 # -- network description ------------------------------------------------------
@@ -135,17 +133,27 @@ class NetworkSpec:
     as per-agent alphabets.
 
     A spec that constructs is solvable: every structural check runs here,
-    once, and the local-system builders trust it.  Besides list lengths,
-    dimensions, neighbour indices and partition nesting, it checks that:
+    once, and the local-system builders trust it.  Besides list lengths and
+    neighbour indices, it checks that:
 
     * each dynamics payload is an ``AffineAgent`` or ``FiniteDynamics``
       (UnsupportedDynamics), all of one kind (ValidationError);
     * affine A/B blocks have the declared shapes and finite entries
-      (ShapeMismatch);
+      (ShapeMismatch); finite transitions have the lengths of the agent's
+      dynamic neighbourhood and finite entries (DimensionMismatch);
     * coupling rows are ``CouplingRow``s (affine: NonlinearConstraint) or
       callables (finite: UnsupportedDynamics), and a ``CouplingRow`` names
       only constraint neighbours, with coefficients of their agents' state
-      and input lengths (ValidationError).
+      and input lengths (ValidationError);
+    * every state, input, goal, start and partition entry, by one check
+      for both backends, is of the backend's type (ValidationError; only
+      the start and partition entries, and an affine agent's input set
+      when it has no inputs, may be None) and of the right dimension
+      (DimensionMismatch); a point family also has finite coordinates
+      (DimensionMismatch), no duplicate points, and an alphabet has at
+      least one point (ValidationError);
+    * each goal set lies inside its goal partition and each start set
+      inside its start partition (ValidationError).
 
     Each ``AffineAgent`` checks at its own construction that its
     disturbance set is bounded (UnboundedDisturbance).  An error about one
@@ -214,7 +222,7 @@ class NetworkSpec:
         if len(couplings) != N:
             raise ValidationError("couplings must list all agents")
         set_attr(self, "couplings", tuple(tuple(rows) for rows in couplings))
-        for opt in ("start_sets", "start_partitions", "goal_partitions"):
+        for opt in _OPTIONAL_SETS:
             val = getattr(self, opt)
             if val is not None:
                 if len(val) != N:
@@ -233,10 +241,25 @@ class NetworkSpec:
         for i in range(N):
             for r, row in enumerate(self.couplings[i]):
                 self._validate_coupling(i, r, row)
-        if self._backend == "affine":
-            self._validate_affine()
-        elif self._backend == "finite":
-            self._validate_finite()
+            self._validate_dynamics(i)
+        for name in _SET_FAMILIES:
+            fam = getattr(self, name)
+            if fam is not None:
+                set_attr(self, name, tuple(self._check_set(name, i, entry)
+                                           for i, entry in enumerate(fam)))
+        for part_name, set_name, what in (
+                ("goal_partitions", "goal_sets", "goal"),
+                ("start_partitions", "start_sets", "start")):
+            parts = getattr(self, part_name) or (None,) * N
+            sets = getattr(self, set_name) or (None,) * N
+            for i, (part, inner) in enumerate(zip(parts, sets)):
+                if part is None or inner is None:
+                    continue
+                if not (includes(part, inner) if self._backend == "affine"
+                        else set(inner) <= set(part)):
+                    raise _spec_error(
+                        ValidationError, (part_name, i), f"agent {i}",
+                        f"{what} set is not inside its partition")
 
     # -- simple accessors ----------------------------------------------------
 
@@ -284,142 +307,85 @@ class NetworkSpec:
                         f"agent {i}: coupling {kind} coefficients for {j}",
                         f"have length {c.shape[0]}, expected {dims[j]}")
 
-    def _validate_affine(self):
-        for i in range(self.n_agents):
-            ag = self.dynamics[i]
-            if ag.state_dim != self.state_dims[i] or \
-                    ag.input_dim != self.input_dims[i]:
-                raise _spec_error(
-                    ValidationError, ("dynamics", i), f"agent {i}",
-                    f"dynamics dims {(ag.state_dim, ag.input_dim)} disagree "
-                    f"with declared {(self.state_dims[i], self.input_dims[i])}")
-            allowed = set(self.dyn_neighbors[i]) | {i}
-            for name, blocks, dims in (("A", ag.A, self.state_dims),
-                                       ("B", ag.B, self.input_dims)):
-                for j, M in blocks.items():
-                    field = ("dynamics", i, name, j)
-                    if j not in allowed:
-                        raise _spec_error(
-                            ValidationError, field, f"agent {i}",
-                            f"dynamics block for {j} but {j} is not a "
-                            "declared dynamic neighbour")
-                    what = f"agent {i}: {name} block for {j}"
-                    if M.shape != (ag.state_dim, dims[j]):
-                        raise _spec_error(
-                            ShapeMismatch, field, what,
-                            f"expected shape {(ag.state_dim, dims[j])}, "
-                            f"got {M.shape}")
-                    if not np.all(np.isfinite(M)):
-                        raise _spec_error(ShapeMismatch, field, what,
-                                          "entries must be finite")
-            def check_poly(poly, dim, name, what):
-                if not isinstance(poly, HPolytope):
-                    raise _spec_error(ValidationError, (name, i), what,
-                                      "expected a polytope")
-                if poly.dim != dim:
-                    raise _spec_error(DimensionMismatch, (name, i), what,
-                                      f"dimension {poly.dim}, expected {dim}")
-
-            check_poly(self.state_sets[i], self.state_dims[i], "state_sets",
-                       f"state set of agent {i}")
-            if self.input_dims[i]:
-                check_poly(self.input_sets[i], self.input_dims[i],
-                           "input_sets", f"input set of agent {i}")
-            nd = self.neighborhood_state_dim(i)
-            check_poly(self.goal_sets[i], nd, "goal_sets",
-                       f"goal set of agent {i}")
-            for opt, what in (("start_sets", "start set"),
-                              ("start_partitions", "start partition"),
-                              ("goal_partitions", "goal partition")):
-                fam = getattr(self, opt)
-                if fam is not None and fam[i] is not None:
-                    check_poly(fam[i], nd, opt, f"{what} of agent {i}")
-            if self.goal_partitions is not None and \
-                    self.goal_partitions[i] is not None:
-                if not includes(self.goal_partitions[i], self.goal_sets[i]):
-                    raise _spec_error(
-                        ValidationError, ("goal_partitions", i), f"agent {i}",
-                        "goal set is not inside its partition")
-            if self.start_sets is not None and self.start_sets[i] is not None \
-                    and self.start_partitions is not None and \
-                    self.start_partitions[i] is not None:
-                if not includes(self.start_partitions[i], self.start_sets[i]):
-                    raise _spec_error(
-                        ValidationError, ("start_partitions", i), f"agent {i}",
-                        "start set is not inside its partition")
-
-    def _validate_finite(self):
-        set_attr = object.__setattr__
-        state_sets = []
-        input_sets = []
-        for i in range(self.n_agents):
-            what = f"state alphabet of agent {i}"
-            alpha = _finite_family(self.state_sets[i], ("state_sets", i), what)
-            if any(len(v) != self.state_dims[i] for v in alpha):
-                raise _spec_error(DimensionMismatch, ("state_sets", i), what,
-                                  "wrong vector length")
-            if not alpha:
-                raise _spec_error(ValidationError, ("state_sets", i),
-                                  f"agent {i}", "empty state alphabet")
-            state_sets.append(alpha)
-            what = f"input alphabet of agent {i}"
-            inp = _finite_family(self.input_sets[i], ("input_sets", i), what)
-            if any(len(v) != self.input_dims[i] for v in inp):
-                raise _spec_error(DimensionMismatch, ("input_sets", i), what,
-                                  "wrong vector length")
-            if not inp:
-                inp = ((),) if self.input_dims[i] == 0 else inp
-            if not inp:
-                raise _spec_error(ValidationError, ("input_sets", i),
-                                  f"agent {i}", "empty input alphabet")
-            input_sets.append(inp)
+    def _validate_dynamics(self, i: int):
+        dyn = self.dynamics[i]
+        if self._backend == "finite":
             who = (i, *self.dyn_neighbors[i])
             shape = (sum(self.state_dims[j] for j in who),
                      sum(self.input_dims[j] for j in who), self.state_dims[i])
-            if any(tuple(map(len, r)) != shape for r in self.dynamics[i].transitions):
+            if any(tuple(map(len, r)) != shape for r in dyn.transitions):
                 raise _spec_error(DimensionMismatch, ("dynamics", i),
                                   f"agent {i}",
                                   f"transition lengths must be {shape}")
-        set_attr(self, "state_sets", tuple(state_sets))
-        set_attr(self, "input_sets", tuple(input_sets))
-
-        def norm_family(name):
-            fam = getattr(self, name)
-            if fam is None:
-                return
-            out = []
-            for i, entry in enumerate(fam):
-                if entry is None:
-                    out.append(None)
-                    continue
-                what = f"{name} of agent {i}"
-                pts = _finite_family(entry, (name, i), what)
-                nd = self.neighborhood_state_dim(i)
-                if any(len(v) != nd for v in pts):
-                    raise _spec_error(DimensionMismatch, (name, i), what,
-                                      f"stacks must have length {nd}")
-                out.append(pts)
-            set_attr(self, name, tuple(out))
-
-        norm_family("goal_sets")
-        norm_family("start_sets")
-        norm_family("start_partitions")
-        norm_family("goal_partitions")
-        if self.goal_partitions is not None:
-            for i in range(self.n_agents):
-                part = self.goal_partitions[i]
-                if part is not None and \
-                        not set(self.goal_sets[i]) <= set(part):
+            if not np.isfinite([xs + us + nxt for xs, us, nxt
+                                in dyn.transitions]).all():
+                raise _spec_error(DimensionMismatch, ("dynamics", i),
+                                  f"agent {i}",
+                                  "transition entries must be finite")
+            return
+        if dyn.state_dim != self.state_dims[i] or \
+                dyn.input_dim != self.input_dims[i]:
+            raise _spec_error(
+                ValidationError, ("dynamics", i), f"agent {i}",
+                f"dynamics dims {(dyn.state_dim, dyn.input_dim)} disagree "
+                f"with declared {(self.state_dims[i], self.input_dims[i])}")
+        allowed = set(self.dyn_neighbors[i]) | {i}
+        for name, blocks, dims in (("A", dyn.A, self.state_dims),
+                                   ("B", dyn.B, self.input_dims)):
+            for j, M in blocks.items():
+                field = ("dynamics", i, name, j)
+                if j not in allowed:
                     raise _spec_error(
-                        ValidationError, ("goal_partitions", i), f"agent {i}",
-                        "goal set is not inside its partition")
-        if self.start_sets is not None and self.start_partitions is not None:
-            for i in range(self.n_agents):
-                s, p = self.start_sets[i], self.start_partitions[i]
-                if s is not None and p is not None and not set(s) <= set(p):
+                        ValidationError, field, f"agent {i}",
+                        f"dynamics block for {j} but {j} is not a "
+                        "declared dynamic neighbour")
+                what = f"agent {i}: {name} block for {j}"
+                if M.shape != (dyn.state_dim, dims[j]):
                     raise _spec_error(
-                        ValidationError, ("start_partitions", i), f"agent {i}",
-                        "start set is not inside its partition")
+                        ShapeMismatch, field, what,
+                        f"expected shape {(dyn.state_dim, dims[j])}, "
+                        f"got {M.shape}")
+                if not np.all(np.isfinite(M)):
+                    raise _spec_error(ShapeMismatch, field, what,
+                                      "entries must be finite")
+
+    def _check_set(self, name: str, i: int, entry):
+        """Check agent i's entry of the set family ``name``; return it as
+        the spec keeps it (a finite family as a tuple of ``_key`` vectors)."""
+        field, what = (name, i), f"{_SET_FAMILIES[name]} of agent {i}"
+        dim = (self.state_dims[i] if name == "state_sets" else
+               self.input_dims[i] if name == "input_sets" else
+               self.neighborhood_state_dim(i))
+        if entry is None and name in _OPTIONAL_SETS:
+            return None
+        if self._backend == "affine":
+            if name == "input_sets" and not dim:
+                return entry  # an agent without inputs has no input set
+            if not isinstance(entry, HPolytope):
+                raise _spec_error(ValidationError, field, what,
+                                  "expected a polytope")
+            if entry.dim != dim:
+                raise _spec_error(DimensionMismatch, field, what,
+                                  f"dimension {entry.dim}, expected {dim}")
+            return entry
+        try:
+            pts = tuple(_key(v) for v in entry)
+        except (TypeError, ValueError):
+            raise _spec_error(ValidationError, field, what,
+                              "expected a list of points") from None
+        if any(len(v) != dim for v in pts):
+            raise _spec_error(DimensionMismatch, field, what,
+                              f"points must have length {dim}")
+        if not np.isfinite(np.reshape(pts, (len(pts), dim))).all():
+            raise _spec_error(DimensionMismatch, field, what,
+                              "point coordinates must be finite")
+        if len(set(pts)) != len(pts):
+            raise _spec_error(ValidationError, field, what, "duplicate points")
+        if not pts and name in ("state_sets", "input_sets"):
+            if not dim:
+                return ((),)  # the one input vector of an agent without inputs
+            raise _spec_error(ValidationError, field, what, "empty alphabet")
+        return pts
 
 
 # -- axis numbering -----------------------------------------------------------

@@ -10,6 +10,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -196,6 +197,21 @@ class TestLoadSpec:
         doc["axis_problem"]["tolerance"] = value
         with pytest.raises(ParseError, match=r"^axis_problem\.tolerance: "):
             parse_document(doc)
+
+    @pytest.mark.parametrize("axes, message", [
+        ([1.7, 5], "axis label 1.7 is not an integer"),
+        ([True, 5], "axis label True is not an integer"),
+        (["3", 5], "axis label '3' is not an integer"),
+        ([3, 3], "repeated axis label"),
+        ([0, 5], "axis labels must be positive integers"),
+        (3, "must be a list of axis labels"),
+    ], ids=["float", "bool", "string", "repeated", "zero", "scalar"])
+    def test_axis_labels_rejected(self, axes, message):
+        doc = load_fixture_doc("five_node_points.json")
+        doc["axis_problem"]["nodes"][1]["axes"] = axes
+        with pytest.raises(ParseError) as info:
+            parse_document(doc)
+        assert str(info.value) == f"axis_problem.nodes[1].axes: {message}"
 
     def test_two_agent_axis_layout(self):
         spec = load_spec(FIXTURES / "two_agent_affine.json")
@@ -532,6 +548,25 @@ class TestExitCodes:
         assert code == 2
         err = json.loads((out / "error.json").read_text())
         assert (err["error"], err["message"]) == ("ParseError", message)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc["targets"][1]["goal"]["points"][0]
+         .__setitem__(0, math.inf),
+         "targets[1].goal: point coordinates must be finite"),
+        (lambda doc: doc["agents"][0]["dynamics"]["transitions"][2][2]
+         .__setitem__(0, -math.inf),
+         "agents[0].dynamics: transition entries must be finite"),
+    ], ids=["goal-point-inf", "transition-inf"])
+    def test_non_finite_finite_network_exits_2_naming_the_field(
+            self, tmp_path, edit, message):
+        doc = serialize(finite_toy_spec())
+        edit(doc)
+        out = tmp_path / "out"
+        code = run_cli("run", "--mode", "distributed", "--task", "pre",
+                       "--spec", str(write_doc(tmp_path, doc)), "--out", str(out))
+        assert code == 2
+        err = json.loads((out / "error.json").read_text())
+        assert (err["error"], err["message"]) == ("DimensionMismatch", message)
 
     def test_round_budget_exhaustion_exits_4_with_partial_trace(self, tmp_path):
         out = tmp_path / "out"

@@ -815,6 +815,9 @@ def test_zero_dimensional_sets_need_no_lp(lp_calls):
     assert point.is_empty() is False
     assert pl.includes(point, point) and pl.includes(point, empty)
     assert not pl.includes(empty, point)
+    assert lpsolve.support(point, []) == 0.0
+    with pytest.raises(EmptySet):
+        lpsolve.support(empty, [])
     assert lp_calls == []
 
 

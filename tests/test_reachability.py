@@ -8,6 +8,7 @@ for set membership.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -25,6 +26,8 @@ from reachnet.errors import (
     DimensionCapExceeded,
     DimensionMismatch,
     IndexOutOfRange,
+    ReachnetError,
+    ShapeMismatch,
     UnsupportedDynamics,
     ValidationError,
 )
@@ -53,6 +56,9 @@ from .oracles import (
 # ---------------------------------------------------------------------------
 # instance builders (shared with the acceptance suite)
 # ---------------------------------------------------------------------------
+
+
+INF, NAN = float("inf"), float("nan")
 
 
 def box(lo, hi) -> HPolytope:
@@ -403,6 +409,47 @@ class TestNetworkSpecValidation:
         spec = integrator_spec(start_sets=(box(-1, 1),),
                                start_partitions=(box(-2, 2),))
         assert spec.start_sets[0].dim == 1
+
+    @pytest.mark.parametrize("base, field, value, error", [
+        (chain_spec, ("goal_sets", 1), None, ValidationError),
+        (chain_spec, ("state_sets", 1), [(0.0,)], ValidationError),
+        (chain_spec, ("goal_sets", 1), box(-1, 1), DimensionMismatch),
+        (chain_spec, ("start_partitions", 1), box(-1, 1), DimensionMismatch),
+        (chain_spec, ("dynamics", 1, "A", 1),
+         AffineAgent(1, 1, A={1: [[INF]]}, B={1: [[1.0]]}), ShapeMismatch),
+        (finite_toy_spec, ("goal_sets", 1), None, ValidationError),
+        (finite_toy_spec, ("input_sets", 0), None, ValidationError),
+        (finite_toy_spec, ("goal_sets", 1), box([0, 0], [1, 1]),
+         ValidationError),
+        (finite_toy_spec, ("goal_sets", 1), [(0.0,)], DimensionMismatch),
+        (finite_toy_spec, ("start_sets", 1), [(0.0, 0.0, 0.0)],
+         DimensionMismatch),
+        (finite_toy_spec, ("goal_sets", 1), [(0.0, INF)], DimensionMismatch),
+        (finite_toy_spec, ("state_sets", 1), [(0.0,), (NAN,)],
+         DimensionMismatch),
+        (finite_toy_spec, ("input_sets", 0), [(0.0,), (-INF,)],
+         DimensionMismatch),
+        (finite_toy_spec, ("start_partitions", 1), [(INF, 0.0)],
+         DimensionMismatch),
+        (finite_toy_spec, ("state_sets", 1), [], ValidationError),
+        (finite_toy_spec, ("dynamics", 1),
+         FiniteDynamics({((0,), (), (INF,))}), DimensionMismatch),
+    ], ids=["affine-goal-none", "affine-state-points", "affine-goal-dim",
+            "affine-partition-dim", "affine-block-inf", "finite-goal-none",
+            "finite-input-none", "finite-goal-polytope", "finite-goal-dim",
+            "finite-start-dim", "finite-goal-inf", "finite-state-nan",
+            "finite-input-inf", "finite-partition-inf", "finite-state-empty",
+            "finite-transition-inf"])
+    def test_bad_entry_is_refused_naming_its_field(self, base, field, value,
+                                                   error):
+        spec = base()
+        family, i = field[:2]
+        entries = list(getattr(spec, family) or (None,) * spec.n_agents)
+        entries[i] = value
+        with pytest.raises(ReachnetError) as info:
+            dataclasses.replace(spec, **{family: tuple(entries)})
+        assert type(info.value) is error
+        assert info.value.field == field
 
     def test_finite_alphabet_normalization(self):
         spec = finite_toy_spec()
