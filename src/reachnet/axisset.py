@@ -19,6 +19,7 @@ a zero-dimensional point).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence, Union
@@ -41,14 +42,30 @@ from .polytope import ABS_TOL, HPolytope, _starts_run
 QUANT_DECIMALS = 9
 
 
+#: Integer-like for ``operator.index`` but refused as labels.
+_BOOL_TYPES = frozenset({bool, np.bool_})
+
+
 @dataclass(frozen=True)
 class AxisSet:
-    """Strictly increasing tuple of positive integer coordinate labels."""
+    """Strictly increasing tuple of positive integer coordinate labels.
+
+    A label must be an integer (numpy integers count; a float, bool or
+    string raises ValidationError).  Repeated labels are merged, which
+    ``__or__`` and ``union_of`` rely on: they concatenate label tuples.
+    """
 
     labels: tuple[int, ...]
 
     def __init__(self, labels: Iterable[int] = ()):
-        seen = sorted(set(int(x) for x in labels))
+        labels = tuple(labels)
+        try:
+            if not _BOOL_TYPES.isdisjoint(map(type, labels)):
+                raise TypeError
+            seen = sorted(set(map(operator.index, labels)))
+        except TypeError:
+            raise ValidationError("axis labels must be positive integers, "
+                                  f"got {labels!r}") from None
         if seen and seen[0] < 1:
             raise ValidationError("axis labels must be positive integers")
         object.__setattr__(self, "labels", tuple(seen))

@@ -902,20 +902,16 @@ def _run_network(config: RunConfig, spec: NetworkSpec,
         solutions, trace = run_distributed_reachability(
             spec, task=config.task, disturbance_lag=config.disturbance_lag,
             max_rounds=config.max_rounds, tolerance=config.tolerance)
-        nodes = []
+        # read every shadow first: a failing projection writes no node file
+        result["nodes"] = [
+            {"node": sol.node + 1,
+             "start_states": _labeled_to_json(sol.start_states),
+             "admissible_controls": _labeled_to_json(sol.admissible_controls)}
+            for sol in solutions]
         for sol in solutions:
-            i = sol.node
-            entry = {
-                "node": i + 1,
-                "start_states": _labeled_to_json(sol.start_states),
-                "admissible_controls": _labeled_to_json(
-                    sol.admissible_controls),
-            }
-            nodes.append(entry)
-            _write_node_set(out, f"node_{i + 1:02d}_start", sol.start_states)
-            _write_node_set(out, f"node_{i + 1:02d}_controls",
-                            sol.admissible_controls)
-        result["nodes"] = nodes
+            stem = f"node_{sol.node + 1:02d}"
+            _write_node_set(out, stem + "_start", sol.start_states)
+            _write_node_set(out, stem + "_controls", sol.admissible_controls)
         result["convergence"] = _convergence_summary(trace)
         _write_json(out / "trace.json", _trace_to_json(trace))
         if config.task == "reach-check":
@@ -926,11 +922,8 @@ def _run_network(config: RunConfig, spec: NetworkSpec,
 
     central = None
     if config.mode in ("centralized", "compare"):
-        materialize = config.mode == "centralized" or \
-            config.task == "reach-check"
         central = centralized_reachability(
-            spec, task=config.task, disturbance_lag=config.disturbance_lag,
-            materialize=materialize)
+            spec, task=config.task, disturbance_lag=config.disturbance_lag)
         if config.mode == "centralized":
             result["start_states"] = _labeled_to_json(central.start_states)
             result["admissible_controls"] = _labeled_to_json(

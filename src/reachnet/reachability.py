@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -518,17 +519,26 @@ class LocalSolution:
 
     ``trajectories``: locally admissible trajectory set before the exchange;
     ``refined_trajectories``: the same window after the fixed point, i.e. the
-    projection of the global trajectory set; ``start_states``: its shadow on
-    the step-0 neighbourhood states (the backward-reachable starts);
-    ``admissible_controls``: starts joined with the input sequence that
-    realizes them.
+    projection of the global trajectory set.  Its two shadows are projected
+    when first read and then cached: ``start_states`` on ``start_axes``, the
+    step-0 neighbourhood states (the backward-reachable starts), and
+    ``admissible_controls`` on ``control_axes``, starts joined with the input
+    sequence that realizes them.
     """
 
     node: int
     trajectories: LabeledSet
     refined_trajectories: LabeledSet
-    start_states: LabeledSet
-    admissible_controls: LabeledSet
+    start_axes: AxisSet
+    control_axes: AxisSet
+
+    @cached_property
+    def start_states(self) -> LabeledSet:
+        return project_set(self.refined_trajectories, self.start_axes)
+
+    @cached_property
+    def admissible_controls(self) -> LabeledSet:
+        return project_set(self.refined_trajectories, self.control_axes)
 
 
 def local_system_solution(spec: NetworkSpec, index: AxisIndex, i: int, *,
@@ -618,8 +628,9 @@ def run_distributed_reachability(
         spec: NetworkSpec, *, task: str = "pre",
         disturbance_lag: str = "paper", max_rounds: int | None = None,
         tolerance: float = ABS_TOL) -> tuple[list[LocalSolution], IterationTrace]:
-    """Solve every agent's local system, exchange windows to a fixed point,
-    and extract per-agent start states and admissible controls.
+    """Solve every agent's local system and exchange windows to a fixed
+    point; each returned solution projects its start states and admissible
+    controls from its refined window when they are first read.
 
     Each agent's dynamics payload picks its backend.  The windows come from
     the communication neighbourhoods of the spec's influence graph; the
@@ -627,6 +638,10 @@ def run_distributed_reachability(
     overlap exactly when their neighbourhoods share an agent), so
     information can travel between nodes that co-constrain a shared
     coordinate even without a direct link.
+
+    A failing shadow projection raises at the shadow's first read, not here.
+    ``reachnet run`` reads every shadow before it writes a node file, so
+    such a failure leaves ``error.json`` and no node or result file.
     """
     index = build_axis_index(spec)
     locals_ = [local_system_solution(spec, index, i, task=task,
@@ -641,18 +656,10 @@ def run_distributed_reachability(
                                for i in range(spec.n_agents)],
                               locals_, tolerance)
     finals, trace = run_distributed(problem, max_rounds=max_rounds)
-    solutions = []
-    for i in range(spec.n_agents):
-        start_axes = index.nbhd_state_axes(0, i)
-        control_axes = start_axes | index.horizon_input_axes(i)
-        solutions.append(LocalSolution(
-            node=i,
-            trajectories=locals_[i],
-            refined_trajectories=finals[i],
-            start_states=project_set(finals[i], start_axes),
-            admissible_controls=project_set(finals[i], control_axes),
-        ))
-    return solutions, trace
+    starts = [index.nbhd_state_axes(0, i) for i in range(spec.n_agents)]
+    return [LocalSolution(i, locals_[i], finals[i], axes,
+                          axes | index.horizon_input_axes(i))
+            for i, axes in enumerate(starts)], trace
 
 
 # -- centralized route ------------------------------------------------------------
@@ -660,19 +667,27 @@ def run_distributed_reachability(
 
 @dataclass(frozen=True)
 class CentralizedSolution:
-    """Monolithic counterpart: the global trajectory set plus its shadows on
-    the step-0 states (``start_states``) and on states-plus-inputs
-    (``admissible_controls``)."""
+    """Monolithic counterpart: the global trajectory set.  Its shadows on the
+    step-0 states (``start_states``) and on states-plus-inputs
+    (``admissible_controls``) are projected when first read and then
+    cached."""
 
     trajectories: LabeledSet
-    start_states: LabeledSet | None
-    admissible_controls: LabeledSet | None
+    start_axes: AxisSet
+    control_axes: AxisSet
+
+    @cached_property
+    def start_states(self) -> LabeledSet:
+        return project_set(self.trajectories, self.start_axes)
+
+    @cached_property
+    def admissible_controls(self) -> LabeledSet:
+        return project_set(self.trajectories, self.control_axes)
 
 
 def centralized_reachability(
         spec: NetworkSpec, *, task: str = "pre",
-        disturbance_lag: str = "paper",
-        materialize: bool = True) -> CentralizedSolution:
+        disturbance_lag: str = "paper") -> CentralizedSolution:
     """The global trajectory set over all coordinates at once (for
     cross-checks): the join of every agent's local system, which by the
     paper's equivalence is exactly the monolithic solution.  Each agent's
@@ -680,9 +695,8 @@ def centralized_reachability(
 
     Refuses, with DimensionCapExceeded and before any local system is
     solved, once the trajectory vector grows beyond DEFAULT_DIMENSION_CAP
-    coordinates.  ``materialize=False`` skips the projections and returns
-    only the global trajectory set (cheaper; the shadows can still be probed
-    through support functions).
+    coordinates.  No shadow is projected here; a caller that never reads
+    one pays only for the join.
     """
     if task not in TASKS:
         raise ValidationError(f"task must be one of {TASKS}, got {task!r}")
@@ -695,14 +709,9 @@ def centralized_reachability(
         [local_system_solution(spec, index, i, task=task,
                                disturbance_lag=disturbance_lag)
          for i in range(spec.n_agents)], index.all_axes)
-    if not materialize:
-        return CentralizedSolution(trajectories, None, None)
     start_axes = index.global_state_axes(0)
-    control_axes = start_axes | index.global_input_axes
-    return CentralizedSolution(
-        trajectories,
-        project_set(trajectories, start_axes),
-        project_set(trajectories, control_axes))
+    return CentralizedSolution(trajectories, start_axes,
+                               start_axes | index.global_input_axes)
 
 
 def start_join(spec: NetworkSpec) -> LabeledSet | None:

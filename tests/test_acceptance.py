@@ -235,7 +235,7 @@ def test_criterion_08_affine_windows_match_monolithic_projections():
             idx = build_axis_index(spec)
             sols, trace = run_distributed_reachability(spec)
             assert trace.converged
-            cent = centralized_reachability(spec, materialize=False)
+            cent = centralized_reachability(spec)
             if lpsolve.is_empty(cent.trajectories.poly()):
                 assert all(s.refined_trajectories.empty for s in sols)
                 continue

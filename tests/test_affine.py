@@ -590,8 +590,8 @@ def _raw_support(A_ub, b_ub, A_eq, b_eq, direction):
                          ids=[case[0] for case in MONOLITHIC_CASES])
 def test_join_of_local_systems_matches_monolithic_system(name, make, task, lag):
     spec = make()
-    joined = centralized_reachability(spec, task=task, disturbance_lag=lag,
-                                      materialize=False).trajectories.poly()
+    joined = centralized_reachability(spec, task=task,
+                                      disturbance_lag=lag).trajectories.poly()
     system = monolithic_affine_system(spec, task, lag)
     width = system[0].shape[1]
     assert joined.dim == width

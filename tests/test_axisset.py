@@ -91,6 +91,21 @@ def test_axis_set_rejects_nonpositive():
         AxisSet([0, 1])
 
 
+@pytest.mark.parametrize("labels", [[1.7, 2], [True, 2], ["3", 3],
+                                    [np.float64(2.0)], [np.True_]])
+def test_axis_set_rejects_non_integer_labels(labels):
+    # a float, bool or string label is refused, not coerced to an integer
+    with pytest.raises(ValidationError, match="positive integers"):
+        AxisSet(labels)
+
+
+def test_axis_set_accepts_numpy_integers_and_ranges():
+    assert AxisSet(np.array([4, 2, 4])).labels == (2, 4)
+    assert AxisSet([np.int64(3), np.uint8(1), 3]).labels == (1, 3)
+    assert type(AxisSet(np.arange(1, 3)).labels[0]) is int
+    assert AxisSet(range(1, 4)) == AxisSet([3, 2, 1])
+
+
 def test_axis_set_ops():
     a, b = AxisSet([1, 3, 5]), AxisSet([3, 4])
     assert (a | b).labels == (1, 3, 4, 5)

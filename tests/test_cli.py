@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from reachnet.axisset import AxisSet
+from reachnet.axisset import AxisSet, project_set
 from reachnet.cli import (
     RunConfig,
     load_spec,
@@ -24,7 +24,7 @@ from reachnet.cli import (
     save_spec,
     serialize,
 )
-from reachnet.errors import ParseError, ValidationError
+from reachnet.errors import NumericalFailure, ParseError, ValidationError
 from reachnet.fixpoint import FixpointProblem
 from reachnet.polytope import HPolytope, from_text, set_equal
 from reachnet.reachability import NetworkSpec, build_axis_index
@@ -486,6 +486,32 @@ class TestExitCodes:
         assert code == 3
         err = json.loads((out / "error.json").read_text())
         assert err["error"] == "UnboundedDisturbance"
+
+    def test_failing_start_projection_exits_3_before_any_node_file(
+            self, tmp_path, monkeypatch):
+        # the shadows are projected when first read, so the failure surfaces
+        # in the CLI, not in run_distributed_reachability; here it hits the
+        # second node's start projection, after the first node's shadows
+        spec_path = FIXTURES / "two_agent_affine.json"
+        index = build_axis_index(load_spec(spec_path))
+        start_axes = {index.nbhd_state_axes(0, i) for i in range(2)}
+        starts_read = []
+
+        def failing(source, axes):
+            if axes in start_axes:
+                starts_read.append(axes)
+                if len(starts_read) == 2:
+                    raise NumericalFailure("projection failed")
+            return project_set(source, axes)
+
+        monkeypatch.setattr("reachnet.reachability.project_set", failing)
+        out = tmp_path / "out"
+        code = run_cli("run", "--mode", "distributed", "--task", "pre",
+                       "--spec", str(spec_path), "--out", str(out))
+        assert code == 3 and len(starts_read) == 2
+        err = json.loads((out / "error.json").read_text())
+        assert err["error"] == "NumericalFailure"
+        assert sorted(p.name for p in out.iterdir()) == ["error.json"]
 
     def test_finite_coupling_wrong_length_exits_2(self, tmp_path):
         # the spec's construction refuses the row, so the run never starts

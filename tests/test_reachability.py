@@ -660,6 +660,13 @@ def _assert_routes_match_forward_search(spec: NetworkSpec, task: str):
                           project_set(oracle, idx.nbhd_state_axes(0, sol.node)))
 
 
+def _set_bytes(s) -> tuple:
+    """Axis labels and raw array bytes of a labeled set."""
+    arrays = ((s.data.points,) if s.backend == "finite" else
+              (s.data.A_ineq, s.data.b_ineq, s.data.A_eq, s.data.b_eq))
+    return s.axes.labels, tuple(a.tobytes() for a in arrays)
+
+
 def _random_finite_spec(seed: int) -> NetworkSpec:
     rng = np.random.default_rng(1000 + seed)
     n = int(rng.integers(2, 4))
@@ -808,7 +815,7 @@ class TestAffineDistributedEqualsCentralized:
         idx = build_axis_index(spec)
         sols, trace = run_distributed_reachability(spec)
         assert trace.converged
-        cent = centralized_reachability(spec, materialize=False)
+        cent = centralized_reachability(spec)
         rng = np.random.default_rng(0)
         for sol in sols:
             for local in (sol.refined_trajectories, sol.start_states,
@@ -823,7 +830,7 @@ class TestAffineDistributedEqualsCentralized:
         idx = build_axis_index(spec)
         sols, trace = run_distributed_reachability(spec)
         assert trace.converged
-        cent = centralized_reachability(spec, materialize=False)
+        cent = centralized_reachability(spec)
         cent_empty = lpsolve.is_empty(cent.trajectories.poly())
         if cent_empty:
             assert all(s.refined_trajectories.empty for s in sols)
@@ -842,7 +849,7 @@ class TestAffineDistributedEqualsCentralized:
         # raw one-step recursion, satisfy dynamics, state boxes, coupling,
         # and the goals
         spec = chain_spec(horizon=1)
-        cent = centralized_reachability(spec, materialize=False)
+        cent = centralized_reachability(spec)
         poly = cent.trajectories.poly()
         rng = np.random.default_rng(5)
         width = 4  # (x1, x2, u1, u2) per step
@@ -931,12 +938,33 @@ class TestGuardrails:
         sols, _ = run_distributed_reachability(spec)
         assert sols[0].start_states.table().points.tolist() == [[1.0]]
 
-    def test_materialize_false_skips_projections(self):
-        spec = integrator_spec()
-        cent = centralized_reachability(spec, materialize=False)
-        assert cent.start_states is None
-        assert cent.admissible_controls is None
-        assert cent.trajectories.poly().dim == 4
+    @pytest.mark.parametrize("make", [integrator_spec,
+                                      lambda: _random_finite_spec(0)],
+                             ids=["affine", "finite"])
+    def test_shadows_are_projected_once_on_first_read(self, make,
+                                                      monkeypatch):
+        calls = []
+
+        def counting(source, axes):
+            calls.append(axes)
+            return project_set(source, axes)
+
+        monkeypatch.setattr("reachnet.reachability.project_set", counting)
+        spec = make()
+        sols, _ = run_distributed_reachability(spec)
+        cent = centralized_reachability(spec)
+        assert calls == []  # building either solution projects nothing
+        for sol, source in [(s, s.refined_trajectories) for s in sols] \
+                + [(cent, cent.trajectories)]:
+            for name, axes in (("start_states", sol.start_axes),
+                               ("admissible_controls", sol.control_axes)):
+                before = len(calls)
+                shadow = getattr(sol, name)
+                assert calls[before:] == [axes]
+                assert getattr(sol, name) is shadow
+                assert len(calls) == before + 1
+                assert _set_bytes(shadow) == _set_bytes(
+                    project_set(source, axes))
 
     def test_backend_mismatch_raises(self):
         # the payload picks the backend, and a payload that matches neither
