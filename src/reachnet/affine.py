@@ -225,8 +225,11 @@ def build_equalities(spec, index, i: int) -> tuple[np.ndarray, np.ndarray]:
 # -- inequality assembly ------------------------------------------------------
 
 
-def _coupling_row_vector(row: CouplingRow, index, t: int,
-                         cols: AxisSet) -> tuple[np.ndarray, float]:
+def coupling_row_vector(row: CouplingRow, index, t: int,
+                        cols: AxisSet) -> tuple[np.ndarray, float]:
+    """``row`` at step ``t`` as ``vec . z <= bound`` (``=`` for an equality
+    row) over a trajectory ``z`` on ``cols``.  The affine assembler stacks
+    ``vec``; the finite backend multiplies its point table by it."""
     vec = np.zeros(len(cols))
     for j, c in row.state_coefs.items():
         vec[cols.positions_of(index.own_state_axes(t, j))] = c
@@ -272,7 +275,7 @@ def build_inequalities(spec, index, i: int, *, include_start: bool = False):
 
     for t in range(H):
         for row in spec.couplings[i]:
-            vec, bound = _coupling_row_vector(row, index, t, cols)
+            vec, bound = coupling_row_vector(row, index, t, cols)
             G_blocks.append(vec[None, :])
             g_blocks.append(np.array([bound]))
             if row.relation == "=":

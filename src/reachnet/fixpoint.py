@@ -34,7 +34,8 @@ from .polytope import ABS_TOL
 
 @dataclass(frozen=True)
 class FixpointProblem:
-    """Per-node axis sets and initial sets, plus the comparison tolerance."""
+    """Per-node axis sets and initial sets, plus the comparison tolerance
+    (finite and > 0, else ValidationError)."""
 
     axis_sets: tuple[AxisSet, ...]
     initial_sets: tuple[LabeledSet, ...]
@@ -51,7 +52,11 @@ class FixpointProblem:
                 raise ValidationError(f"set over {s.axes} does not match {b}")
         object.__setattr__(self, "axis_sets", axis_sets)
         object.__setattr__(self, "initial_sets", initial_sets)
-        object.__setattr__(self, "tolerance", float(tolerance))
+        tolerance = float(tolerance)
+        if not 0.0 < tolerance < float("inf"):
+            raise ValidationError(
+                f"tolerance must be finite and > 0, got {tolerance}")
+        object.__setattr__(self, "tolerance", tolerance)
 
     @property
     def n_nodes(self) -> int:

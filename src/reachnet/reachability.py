@@ -567,23 +567,17 @@ def local_system_solution(spec: NetworkSpec, index: AxisIndex, i: int, *,
     return polytope_set(index.horizon_axes(i), system.polytope())
 
 
-def _eval_coupling(row, states: dict, inputs: dict) -> bool:
-    if not isinstance(row, CouplingRow):
-        return bool(row(states, inputs))
-    total = row.offset
-    for j, c in row.state_coefs.items():
-        total += float(np.dot(c, states[j]))
-    for j, c in row.input_coefs.items():
-        total += float(np.dot(c, inputs[j]))
-    if row.relation == "=":
-        return abs(total) <= ABS_TOL
-    return total <= ABS_TOL
-
-
 def _finite_local_solution(spec: NetworkSpec, index: AxisIndex, i: int,
                            task: str) -> LabeledSet:
     """Join of the window's goal, start, partition, transition and alphabet
-    tables, less the rows that break a coupling row at some t < H."""
+    tables, less the rows that break a coupling row at some t < H.
+
+    Steps come first, then the agent's rows in order.  A linear row is one
+    product of the table with its :func:`reachnet.affine.coupling_row_vector`.
+    A callable row is called, on per-agent ``_key`` tuples of the step's
+    states and inputs, only for the table rows still kept, so it sees the
+    (table row, step) pairs of a row-by-row scan that stops at a row's first
+    failure."""
     H = spec.horizon
     members = index.members[i]
     cols = index.horizon_axes(i)
@@ -609,16 +603,21 @@ def _finite_local_solution(spec: NetworkSpec, index: AxisIndex, i: int,
     joined = join_extrusions(parts, cols)
     if not spec.couplings[i]:
         return joined
-
-    def admissible(z, t: int) -> bool:
-        at = dict(zip(cols.labels, z))
-        xs = {j: _key([at[k] for k in index.own_state_axes(t, j)]) for j in members}
-        us = {j: _key([at[k] for k in index.own_input_axes(t, j)]) for j in members}
-        return all(_eval_coupling(row, xs, us) for row in spec.couplings[i])
-
-    kept = [z for z in joined.table().points
-            if all(admissible(z, t) for t in range(H))]
-    return finite_set(cols, np.reshape(kept, (len(kept), len(cols))))
+    z = joined.table().points
+    keep = np.ones(len(z), dtype=bool)
+    for t in range(H):
+        xs_at = {j: cols.positions_of(index.own_state_axes(t, j)) for j in members}
+        us_at = {j: cols.positions_of(index.own_input_axes(t, j)) for j in members}
+        for row in spec.couplings[i]:
+            if isinstance(row, CouplingRow):
+                vec, bound = _affine.coupling_row_vector(row, index, t, cols)
+                miss = z @ vec - bound
+                keep &= (np.abs(miss) if row.relation == "=" else miss) <= ABS_TOL
+                continue
+            for k in np.flatnonzero(keep):
+                keep[k] = bool(row({j: _key(z[k, p]) for j, p in xs_at.items()},
+                                   {j: _key(z[k, p]) for j, p in us_at.items()}))
+    return finite_set(cols, z[keep])
 
 
 # -- distributed orchestration ---------------------------------------------------

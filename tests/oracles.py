@@ -7,7 +7,9 @@ by raw scipy LPs, joins by exhaustive pair checks.  The exceptions are
 package's LP-per-row pruning and LP-per-face inclusion loops, kept to show
 that the certificates in front of those LPs change no answer,
 :func:`unique_rows` and :func:`loop_filter_dominated`, the row dedupes the
-package used before its lexsort kernels, and two small helpers built on
+package used before its lexsort kernels, :func:`row_by_row_coupling_filter`,
+the finite backend's coupling-row scan from before it multiplied the table
+by the affine row vectors, and two small helpers built on
 the package that tests compare against hand-built answers:
 :func:`support_point` and :func:`goal_join`.  :func:`linprog_solve`
 solves an ``lpsolve.LinearProgram`` through ``scipy.optimize.linprog``, the
@@ -22,9 +24,15 @@ import numpy as np
 from scipy.optimize import linprog
 
 from reachnet import lpsolve
-from reachnet.axisset import finite_set, join_extrusions, polytope_set
+from reachnet.affine import CouplingRow
+from reachnet.axisset import (
+    QUANT_DECIMALS,
+    finite_set,
+    join_extrusions,
+    polytope_set,
+)
 from reachnet.errors import EmptySet, NumericalFailure
-from reachnet.polytope import HPolytope
+from reachnet.polytope import ABS_TOL, HPolytope
 from reachnet.reachability import build_axis_index
 
 
@@ -246,6 +254,36 @@ def _coupling_holds(row, xs, us, tol=1e-9):
     for j, c in row.input_coefs.items():
         val += float(np.dot(c, us[j]))
     return abs(val) <= tol if row.relation == "=" else val <= tol
+
+
+def row_by_row_coupling_filter(spec, index, i: int, points) -> np.ndarray:
+    """Rows of ``points``, a table over agent i's window, that meet every
+    coupling row of agent i at every t < H, scanned one table row and one
+    step at a time.  Each table row stops at its first failing (step, row),
+    steps first; a callable row gets per-agent dicts of quantized tuples.
+    """
+    cols = index.horizon_axes(i)
+    steps = [tuple({j: axes(t, j).labels for j in index.members[i]}
+                   for axes in (index.own_state_axes, index.own_input_axes))
+             for t in range(spec.horizon)]
+
+    def holds(row, states: dict, inputs: dict) -> bool:
+        if not isinstance(row, CouplingRow):
+            return bool(row(states, inputs))
+        return _coupling_holds(row, states, inputs, ABS_TOL)
+
+    def admissible(z) -> bool:
+        quantized = np.round(np.asarray(z, dtype=float), QUANT_DECIMALS) + 0.0
+        at = dict(zip(cols.labels, map(float, quantized)))
+        for state_labels, input_labels in steps:
+            xs = {j: tuple(at[k] for k in labs) for j, labs in state_labels.items()}
+            us = {j: tuple(at[k] for k in labs) for j, labs in input_labels.items()}
+            if not all(holds(row, xs, us) for row in spec.couplings[i]):
+                return False
+        return True
+
+    kept = [z for z in np.asarray(points, dtype=float) if admissible(z)]
+    return np.reshape(kept, (len(kept), len(cols)))
 
 
 def finite_forward_trajectories(spec, include_start=False):

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from reachnet.affine import CouplingRow
 from reachnet.axisset import AxisSet, project_set
 from reachnet.cli import (
     RunConfig,
@@ -358,6 +359,35 @@ class TestEndToEnd:
                 part = rec if key is None else rec[key]
                 assert (part["exact_match"], part["max_support_gap"]) == \
                     (True, None), (rec["node"], key)
+
+    def test_finite_network_with_coupling_rows(self, tmp_path):
+        # agent 1 owns x0 + x1 <= 2 and x1 = u0 over both agents
+        rows = (CouplingRow({0: [1.0], 1: [1.0]}, {}, -2.0),
+                CouplingRow({1: [1.0]}, {0: [-1.0]}, 0.0, "="))
+        base = finite_toy_spec()
+        coupled = dataclasses.replace(base, con_neighbors=((), (0,)),
+                                      couplings=((), rows))
+        idx = build_axis_index(coupled)
+        windows = {}
+        for name, spec in (("base", base), ("coupled", coupled)):
+            spec_path = write_doc(tmp_path, serialize(spec), f"{name}.json")
+            for mode in ("distributed", "centralized", "compare"):
+                out = tmp_path / f"{name}-{mode}"
+                code = run_cli("run", "--mode", mode, "--task", "pre",
+                               "--spec", str(spec_path), "--out", str(out))
+                assert code == 0, (name, mode)
+            report = json.loads((out / "report.json").read_text())
+            assert report["exact_match"] is True, name
+            trace = json.loads((out / "trace.json").read_text())
+            windows[name] = trace["rounds"][-1]["nodes"]
+        assert any(len(c["points"]) < len(b["points"])
+                   for b, c in zip(windows["base"], windows["coupled"]))
+        for node in windows["coupled"]:
+            at = {lab: k for k, lab in enumerate(node["axes"])}
+            x0, x1 = (at[idx.own_state_axes(0, j).labels[0]] for j in (0, 1))
+            u0 = at[idx.own_input_axes(0, 0).labels[0]]
+            for z in node["points"]:
+                assert z[x0] + z[x1] - 2.0 <= 1e-9 and z[x1] == z[u0], z
 
     @pytest.mark.parametrize("starts,verdict", [
         (((0.0, 0.0), (1.0, 1.0)), True),

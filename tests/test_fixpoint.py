@@ -105,6 +105,15 @@ class TestProblemAndCentralized:
         with pytest.raises(ValidationError):
             FixpointProblem([], [])
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"),
+                                     -float("inf"), 0.0, -1.0])
+    def test_tolerance_must_be_finite_and_positive(self, tol):
+        # a NaN tolerance used to make every set compare equal, so round 0
+        # passed for the fixed point
+        s = finite_set(AxisSet((1,)), [[1.0]])
+        with pytest.raises(ValidationError, match="tolerance"):
+            FixpointProblem([s.axes], [s], tol)
+
     def test_centralized_join_golden(self):
         joined = centralized_join(five_node_problem())
         assert joined.axes == AxisSet((1, 2, 3, 4, 5, 6))

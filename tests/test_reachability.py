@@ -8,6 +8,7 @@ for set membership.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import itertools
 
@@ -32,7 +33,13 @@ from reachnet.errors import (
     ValidationError,
 )
 from reachnet.netgraph import graph_from_dynamics
-from reachnet.polytope import HPolytope, embed_columns, intersect, set_equal
+from reachnet.polytope import (
+    ABS_TOL,
+    HPolytope,
+    embed_columns,
+    intersect,
+    set_equal,
+)
 from reachnet.reachability import (
     DEFAULT_DIMENSION_CAP,
     TASKS,
@@ -49,6 +56,7 @@ from reachnet.reachability import (
 from .oracles import (
     finite_forward_trajectories,
     goal_join,
+    row_by_row_coupling_filter,
     simulate_network,
     support_point,
 )
@@ -789,6 +797,76 @@ def _coupled_finite_spec(seed: int) -> NetworkSpec:
         start_sets=tuple(starts), start_partitions=tuple(partitions))
 
 
+def _logging_callables(spec: NetworkSpec) -> tuple[NetworkSpec, list]:
+    """``spec`` with every callable coupling row wrapped to log the
+    (states, inputs) it is called on, and the log."""
+    calls = []
+
+    def wrap(row):
+        if isinstance(row, CouplingRow):
+            return row
+
+        def logged(xs, us):
+            calls.append((tuple(xs.items()), tuple(us.items())))
+            return row(xs, us)
+        return logged
+
+    return dataclasses.replace(spec, couplings=tuple(
+        tuple(map(wrap, rows)) for rows in spec.couplings)), calls
+
+
+class TestFiniteCouplingFilter:
+    """The finite backend checks a linear coupling row through the affine
+    row vector; a row-by-row scan is the reference."""
+
+    @pytest.mark.parametrize("task", TASKS)
+    @pytest.mark.parametrize("seed", range(60))
+    def test_kept_table_and_callable_calls_match_oracle(self, seed, task):
+        spec = _coupled_finite_spec(seed)
+        idx = build_axis_index(spec)
+        bare = dataclasses.replace(spec, couplings=None)
+        for i in range(spec.n_agents):
+            if not spec.couplings[i]:
+                continue
+            lib_spec, lib_calls = _logging_callables(spec)
+            oracle_spec, oracle_calls = _logging_callables(spec)
+            joined = local_system_solution(bare, idx, i, task=task).table().points
+            got = local_system_solution(lib_spec, idx, i, task=task)
+            want = finite_set(idx.horizon_axes(i), row_by_row_coupling_filter(
+                oracle_spec, idx, i, joined))
+            assert _set_bytes(got) == _set_bytes(want)
+            assert collections.Counter(lib_calls) == \
+                collections.Counter(oracle_calls)
+
+    @pytest.mark.parametrize("relation", ["<=", "="])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_totals_at_the_tolerance(self, relation, sign):
+        # one scalar agent, H = 1: the table rows are (v, 0), and the row
+        # total sign * v * ABS_TOL / 2 is exactly (-)0, +-ABS_TOL/2,
+        # +-ABS_TOL or +-2 ABS_TOL
+        values = (0.0, 1.0, -1.0, 2.0, -2.0, 4.0, -4.0)
+        row = CouplingRow({0: [sign * ABS_TOL / 2]}, {}, sign * 0.0, relation)
+        spec = NetworkSpec(
+            state_dims=(1,), input_dims=(0,),
+            dyn_neighbors=((),), con_neighbors=((),), horizon=1,
+            state_sets=([(v,) for v in values],), input_sets=((),),
+            goal_sets=([(0.0,)],),
+            dynamics=(FiniteDynamics(frozenset(
+                ((v,), (), (0.0,)) for v in values)),),
+            couplings=((row,),))
+        idx = build_axis_index(spec)
+        bare = dataclasses.replace(spec, couplings=None)
+        joined = local_system_solution(bare, idx, 0).table().points
+        assert joined.tolist() == [[v, 0.0] for v in sorted(values)]
+        got = local_system_solution(spec, idx, 0)
+        want = row_by_row_coupling_filter(spec, idx, 0, joined)
+        assert got.table().points.tobytes() == want.tobytes()
+        # '<=' drops the total 2 ABS_TOL, '=' drops both totals +-2 ABS_TOL
+        kept = [v for v in sorted(values)
+                if (abs(v) if relation == "=" else sign * v) <= 2.0]
+        assert got.table().points[:, 0].tolist() == kept
+
+
 # ---------------------------------------------------------------------------
 # affine network: distributed vs monolithic equivalence
 # ---------------------------------------------------------------------------
@@ -1000,6 +1078,11 @@ class TestGuardrails:
                 state_sets=chain.state_sets, input_sets=chain.input_sets,
                 goal_sets=chain.goal_sets,
                 dynamics=(chain.dynamics[0], "mystery"))
+
+    @pytest.mark.parametrize("tol", [NAN, INF, -INF, 0.0, -1.0])
+    def test_tolerance_must_be_finite_and_positive(self, tol):
+        with pytest.raises(ValidationError, match="tolerance"):
+            run_distributed_reachability(chain_spec(), tolerance=tol)
 
     def test_max_rounds_propagates(self):
         from reachnet.errors import MaxRoundsExceeded
