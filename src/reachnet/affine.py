@@ -34,7 +34,7 @@ from .errors import (
     UnboundedDisturbance,
     ValidationError,
 )
-from .polytope import HPolytope
+from .polytope import HPolytope, is_bounded
 
 logger = logging.getLogger("reachnet.affine")
 
@@ -127,7 +127,7 @@ class AffineAgent:
             if self.disturbance_set.dim != E.shape[1]:
                 raise DimensionMismatch(
                     "disturbance set dimension does not match the map")
-            if not _bounded(self.disturbance_set):
+            if not is_bounded(self.disturbance_set):
                 raise UnboundedDisturbance("disturbance set is unbounded")
         elif self.disturbance_set is not None:
             raise ValidationError("disturbance set given without a map E")
@@ -178,7 +178,7 @@ def _as_inequalities(poly: HPolytope) -> tuple[np.ndarray, np.ndarray]:
 # -- equality assembly -------------------------------------------------------
 
 
-def build_equalities(spec, index, i: int) -> tuple[np.ndarray, np.ndarray]:
+def build_equalities(spec, i: int) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form dynamics rows of agent ``i`` over its horizon axes.
 
     For every ``t = 1 .. H`` the block row states
@@ -186,7 +186,7 @@ def build_equalities(spec, index, i: int) -> tuple[np.ndarray, np.ndarray]:
     + sum_j sum_tau A_ii^{t-tau-1} B_ij u_j(tau) + sum_tau A_ii^{t-tau-1} K``.
     """
     agent: AffineAgent = spec.dynamics[i]
-    H = spec.horizon
+    index, H = spec.index, spec.horizon
     n_i = agent.state_dim
     cols = index.horizon_axes(i)
     width = len(cols)
@@ -238,59 +238,43 @@ def coupling_row_vector(row: CouplingRow, index, t: int,
     return vec, -row.offset
 
 
-def build_inequalities(spec, index, i: int, *, include_start: bool = False):
-    """Stacked inequality rows ``G z <= g`` of agent ``i``: per-time
-    state/input sets for every communication neighbour, the agent's own
-    coupling rows for ``t = 0 .. H-1``, the optional start restriction at
-    ``t = 0``, the start partition for ``t = 0 .. H-1``, and the goal set at
-    ``t = H``.
+def build_inequalities(spec, i: int, *, task: str = "pre"):
+    """Stacked inequality rows ``G z <= g`` of agent ``i``: the per-time
+    state/input sets of :meth:`~reachnet.reachability.NetworkSpec.window_sets`,
+    then the agent's own coupling rows for ``t = 0 .. H-1``, then the
+    window's targets for ``task`` (start, start partition, goal).
 
     Omitted partitions add no rows: the per-time state-set rows already
     enforce the default product of state sets.
     """
-    H = spec.horizon
-    cols = index.horizon_axes(i)
+    cols = spec.index.horizon_axes(i)
     width = len(cols)
-    members = index.members[i]
+    steps, targets = spec.window_sets(i, task)
 
     G_blocks: list[np.ndarray] = []
     g_blocks: list[np.ndarray] = []
 
-    def add(poly: HPolytope, positions: list[int]):
-        A, b = _as_inequalities(poly)
-        if not A.shape[0]:
-            return
-        block = np.zeros((A.shape[0], width))
-        block[:, positions] = A
-        G_blocks.append(block)
-        g_blocks.append(b)
+    def add(placed):
+        for axes, poly in placed:
+            A, b = _as_inequalities(poly)
+            if not A.shape[0]:
+                continue
+            block = np.zeros((A.shape[0], width))
+            block[:, cols.positions_of(axes)] = A
+            G_blocks.append(block)
+            g_blocks.append(b)
 
-    for t in range(H + 1):
-        for j in members:
-            add(spec.state_sets[j],
-                cols.positions_of(index.own_state_axes(t, j)))
-            if spec.input_dims[j]:
-                add(spec.input_sets[j],
-                    cols.positions_of(index.own_input_axes(t, j)))
-
-    for t in range(H):
+    add(steps)
+    for t in range(spec.horizon):
         for row in spec.couplings[i]:
-            vec, bound = coupling_row_vector(row, index, t, cols)
+            vec, bound = coupling_row_vector(row, spec.index, t, cols)
             G_blocks.append(vec[None, :])
             g_blocks.append(np.array([bound]))
             if row.relation == "=":
                 G_blocks.append(-vec[None, :])
                 g_blocks.append(np.array([-bound]))
 
-    nbhd_state_pos = {t: cols.positions_of(index.nbhd_state_axes(t, i))
-                      for t in range(H + 1)}
-    start = spec.start_sets[i] if spec.start_sets is not None else None
-    if include_start and start is not None:
-        add(start, nbhd_state_pos[0])
-    if spec.start_partitions is not None:
-        for t in range(H):
-            add(spec.start_partitions[i], nbhd_state_pos[t])
-    add(spec.goal_sets[i], nbhd_state_pos[H])
+    add(targets)
 
     G = np.vstack(G_blocks) if G_blocks else np.zeros((0, width))
     g = np.hstack(g_blocks) if g_blocks else np.zeros(0)
@@ -318,17 +302,6 @@ def _box_bounds(poly: HPolytope):
     return lo, hi
 
 
-def _bounded(poly: HPolytope) -> bool:
-    """Whether every coordinate is bounded both ways on the polytope."""
-    box = _box_bounds(poly)
-    if box is not None:
-        return bool(np.all(np.isfinite(box[0])) and np.all(np.isfinite(box[1])))
-    for direction in np.vstack([np.eye(poly.dim), -np.eye(poly.dim)]):
-        if not math.isfinite(lpsolve.support(poly, direction)):
-            return False
-    return True
-
-
 def _global_blocks(spec):
     """Global one-step state matrix and block-diagonal disturbance map."""
     dims = spec.state_dims
@@ -349,7 +322,7 @@ def _global_blocks(spec):
     return A, E, offs, total_v
 
 
-def disturbance_map(spec, index, i: int, *,
+def disturbance_map(spec, i: int, *,
                     disturbance_lag: str = "paper") -> np.ndarray:
     """Matrix sending the stacked disturbance sequence ``d(0) .. d(H-1)`` to
     the perturbation of agent ``i``'s trajectory vector.
@@ -362,7 +335,7 @@ def disturbance_map(spec, index, i: int, *,
     if disturbance_lag not in DISTURBANCE_LAGS:
         raise ValidationError(
             f"disturbance_lag must be one of {DISTURBANCE_LAGS}")
-    H = spec.horizon
+    index, H = spec.index, spec.horizon
     cols = index.horizon_axes(i)
     A, E, offs, total_v = _global_blocks(spec)
     L = np.zeros((len(cols), H * total_v))
@@ -385,7 +358,7 @@ def disturbance_map(spec, index, i: int, *,
     return L
 
 
-def robust_margin(spec, index, i: int, G: np.ndarray, *,
+def robust_margin(spec, i: int, G: np.ndarray, *,
                   disturbance_lag: str = "paper") -> np.ndarray:
     """Worst-case increase of every inequality row under admissible
     disturbances: ``margins[r] = max_d (G[r] . L d)`` with ``d`` ranging over
@@ -395,7 +368,7 @@ def robust_margin(spec, index, i: int, G: np.ndarray, *,
     boxes use the closed form (sum of positive parts at the upper bound and
     negative parts at the lower bound), anything else one small LP per block.
     """
-    L = disturbance_map(spec, index, i, disturbance_lag=disturbance_lag)
+    L = disturbance_map(spec, i, disturbance_lag=disturbance_lag)
     H = spec.horizon
     n_rows = G.shape[0]
     margins = np.zeros(n_rows)
@@ -428,15 +401,15 @@ def robust_margin(spec, index, i: int, G: np.ndarray, *,
 # -- full assembly ------------------------------------------------------------
 
 
-def assemble_robust_system(spec, index, i: int, *, include_start: bool = False,
+def assemble_robust_system(spec, i: int, *, task: str = "pre",
                            disturbance_lag: str = "paper") -> RobustLocalSystem:
     """Build the complete (possibly disturbance-tightened) local system of
-    agent ``i``; ``include_start`` adds its start restriction at ``t = 0``."""
-    F, f = build_equalities(spec, index, i)
-    G, g = build_inequalities(spec, index, i, include_start=include_start)
+    agent ``i`` for ``task`` (see ``NetworkSpec.window_sets``)."""
+    F, f = build_equalities(spec, i)
+    G, g = build_inequalities(spec, i, task=task)
     margins = np.zeros(G.shape[0])
     if any(agent.has_disturbance() for agent in spec.dynamics):
-        margins = robust_margin(spec, index, i, G,
+        margins = robust_margin(spec, i, G,
                                 disturbance_lag=disturbance_lag)
         if np.any(margins):
             logger.info("agent %d: disturbance margins tighten %d of %d rows",

@@ -32,6 +32,18 @@ from .netgraph import exchange, graph_from_axis_overlap
 from .polytope import ABS_TOL
 
 
+def check_limits(tolerance: float, max_rounds: Optional[int] = None) -> float:
+    """Check that ``tolerance`` is finite and > 0 and that ``max_rounds``,
+    unless None, is >= 1 (else ValidationError); return the tolerance."""
+    tolerance = float(tolerance)
+    if not 0.0 < tolerance < float("inf"):
+        raise ValidationError(
+            f"tolerance must be finite and > 0, got {tolerance}")
+    if max_rounds is not None and max_rounds < 1:
+        raise ValidationError("max_rounds must be at least 1")
+    return tolerance
+
+
 @dataclass(frozen=True)
 class FixpointProblem:
     """Per-node axis sets and initial sets, plus the comparison tolerance
@@ -52,11 +64,7 @@ class FixpointProblem:
                 raise ValidationError(f"set over {s.axes} does not match {b}")
         object.__setattr__(self, "axis_sets", axis_sets)
         object.__setattr__(self, "initial_sets", initial_sets)
-        tolerance = float(tolerance)
-        if not 0.0 < tolerance < float("inf"):
-            raise ValidationError(
-                f"tolerance must be finite and > 0, got {tolerance}")
-        object.__setattr__(self, "tolerance", tolerance)
+        object.__setattr__(self, "tolerance", check_limits(tolerance))
 
     @property
     def n_nodes(self) -> int:
@@ -137,10 +145,9 @@ def run_distributed(
     MaxRoundsExceeded (partial trace attached) if the budget, defaulting to
     10 * n_nodes, runs out first.
     """
+    check_limits(problem.tolerance, max_rounds)
     if max_rounds is None:
         max_rounds = 10 * problem.n_nodes
-    if max_rounds < 1:
-        raise ValidationError("max_rounds must be at least 1")
     graph = graph_from_axis_overlap(problem.axis_sets)
     tol = problem.tolerance
 

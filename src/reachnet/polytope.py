@@ -37,8 +37,8 @@ that on its result.
 Inclusion (:func:`includes`) asks one support LP per face of the outer set,
 but a face whose normal is also a row normal of the inner set is capped by
 that row's right-hand side already: the inner set lies in that halfspace.
-Such a face skips its LP; so do the boundedness probes of :func:`vertices`
-along a coordinate axis that a row bounds.
+Such a face skips its LP; so do the boundedness probes of
+:func:`is_bounded` along a coordinate axis that a row bounds.
 """
 
 from __future__ import annotations
@@ -282,6 +282,15 @@ def _row_bounds(p: HPolytope) -> dict:
 def _row_bound(bounds: dict, a: np.ndarray) -> float:
     """The bound :func:`_row_bounds` holds for normal ``a``, else +inf."""
     return bounds.get((a + 0.0).tobytes(), math.inf)
+
+
+def is_bounded(p: HPolytope) -> bool:
+    """Whether every coordinate of ``p`` is bounded both ways: one support LP
+    per probe ``+-e_k``, unless a row of ``p`` along the probe bounds it."""
+    bounds = _row_bounds(p)
+    return not any(math.isinf(_row_bound(bounds, probe))
+                   and math.isinf(lpsolve.support(p, probe))
+                   for e in np.eye(p.dim) for probe in (e, -e))
 
 
 def includes(p: HPolytope, q: HPolytope, tol: float = ABS_TOL) -> bool:
@@ -750,12 +759,8 @@ def vertices(p: HPolytope, tol: float = VERTEX_TOL) -> np.ndarray:
     G = q.A_ineq @ basis
     g = q.b_ineq - q.A_ineq @ z0
     reduced = HPolytope(G, g, dim=r)
-    bounds = _row_bounds(reduced)
-    for e in np.eye(r):
-        for probe in (e, -e):  # a row along the probe bounds it without an LP
-            if (math.isinf(_row_bound(bounds, probe))
-                    and math.isinf(lpsolve.support(reduced, probe))):
-                raise UnboundedSet("polytope is unbounded; vertices undefined")
+    if not is_bounded(reduced):
+        raise UnboundedSet("polytope is unbounded; vertices undefined")
     G, g = reduced.A_ineq, reduced.b_ineq
     m = G.shape[0]
     if m < r:

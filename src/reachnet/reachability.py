@@ -45,7 +45,7 @@ from .errors import (
     UnsupportedDynamics,
     ValidationError,
 )
-from .fixpoint import FixpointProblem, IterationTrace, run_distributed
+from .fixpoint import FixpointProblem, IterationTrace, check_limits, run_distributed
 from .netgraph import graph_from_dynamics
 from .polytope import ABS_TOL, HPolytope, includes
 
@@ -160,6 +160,8 @@ class NetworkSpec:
     disturbance set is bounded (UnboundedDisturbance).  An error about one
     agent's entry names the field at fault in its ``field`` attribute (see
     :func:`_spec_error`).
+    ``index``, its :class:`AxisIndex`, is built here once, and
+    :meth:`window_sets` lists the sets on each agent's window.
     """
 
     state_dims: tuple
@@ -237,7 +239,8 @@ class NetworkSpec:
         set_attr(self, "_backend", kinds.pop())
 
         graph = graph_from_dynamics(self.dyn_neighbors, self.con_neighbors)
-        set_attr(self, "_graph", graph)
+        members = tuple(graph.neighborhood(i) for i in range(N))
+        set_attr(self, "index", AxisIndex(dims, idims, self.horizon, members))
 
         for i in range(N):
             for r, row in enumerate(self.couplings[i]):
@@ -274,10 +277,33 @@ class NetworkSpec:
 
     def members(self, i: int) -> tuple:
         """Communication neighbourhood of agent i (itself included)."""
-        return self._graph.neighborhood(i)
+        self.index._check(0, i)
+        return self.index.members[i]
 
-    def neighborhood_state_dim(self, i: int) -> int:
-        return sum(self.state_dims[j] for j in self.members(i))
+    def window_sets(self, i: int, task: str) -> tuple[list, list]:
+        """The sets on agent i's window, as two lists of ``(axes, set)``
+        pairs, for both backends: each member's state and input set at
+        t = 0..H, step by step; then the targets on the stacked neighbourhood
+        states: the start set at t = 0 (reach-check only, if the agent has
+        one), the start partition for t < H (if it has one), the goal at H."""
+        index, H = self.index, self.horizon
+        steps = []
+        for t in range(H + 1):
+            for j in self.members(i):
+                steps.append((index.own_state_axes(t, j), self.state_sets[j]))
+                if self.input_dims[j]:
+                    steps.append((index.own_input_axes(t, j),
+                                  self.input_sets[j]))
+        start, partition = (None if fam is None else fam[i]
+                            for fam in (self.start_sets, self.start_partitions))
+        targets = []
+        if task == "reach-check" and start is not None:
+            targets.append((index.nbhd_state_axes(0, i), start))
+        if partition is not None:
+            targets += [(index.nbhd_state_axes(t, i), partition)
+                        for t in range(H)]
+        targets.append((index.nbhd_state_axes(H, i), self.goal_sets[i]))
+        return steps, targets
 
     # -- validation helpers --------------------------------------------------
 
@@ -356,7 +382,7 @@ class NetworkSpec:
         field, what = (name, i), f"{_SET_FAMILIES[name]} of agent {i}"
         dim = (self.state_dims[i] if name == "state_sets" else
                self.input_dims[i] if name == "input_sets" else
-               self.neighborhood_state_dim(i))
+               sum(self.state_dims[j] for j in self.members(i)))
         if entry is None and name in _OPTIONAL_SETS:
             return None
         if self._backend == "affine":
@@ -399,7 +425,8 @@ class AxisIndex:
     The trajectory vector is laid out step by step: all states of step t
     (agents in index order), then all inputs of step t.  Labels are 1-based.
     ``members[i]`` is the communication neighbourhood used for the windowed
-    ("nbhd") variants.
+    ("nbhd") variants.  A :class:`NetworkSpec` builds its own, once, as
+    ``spec.index``.
     """
 
     state_dims: tuple
@@ -503,13 +530,6 @@ class AxisIndex:
                                 for j in range(self.n_agents))
 
 
-def build_axis_index(spec: NetworkSpec) -> AxisIndex:
-    """Number the coordinates and record each agent's neighbourhood window,
-    its communication neighbourhood in the spec's influence graph."""
-    members = tuple(spec.members(i) for i in range(spec.n_agents))
-    return AxisIndex(spec.state_dims, spec.input_dims, spec.horizon, members)
-
-
 # -- local systems -------------------------------------------------------------
 
 
@@ -547,12 +567,16 @@ def local_system_solution(spec: NetworkSpec, index: AxisIndex, i: int, *,
     """All locally admissible trajectories of agent i over its window.
 
     The set collects every assignment of neighbourhood states (t = 0..H) and
-    inputs that satisfies the agent's own dynamics, its coupling rows, the
-    per-time state/input sets, the start restriction (reach-check task only),
-    the start partition for t < H, and the goal set at t = H.  The spec's
-    backend decides the form: an affine spec gives a polytope, a finite one
-    a point table.  An empty result is a valid outcome, not an error.
+    inputs that satisfies the agent's own dynamics, its coupling rows and
+    the sets of :meth:`NetworkSpec.window_sets`.  The spec's backend decides
+    the form: an affine spec gives a polytope, a finite one a point table.
+    An empty result is a valid outcome, not an error.
+
+    ``index`` must equal ``spec.index`` (else ValidationError); it stays
+    because ``bench/tracing.py`` reads the agent from the third argument.
     """
+    if index != spec.index:
+        raise ValidationError("index must be the spec's own axis index")
     if task not in TASKS:
         raise ValidationError(f"task must be one of {TASKS}, got {task!r}")
     if disturbance_lag not in _affine.DISTURBANCE_LAGS:
@@ -560,47 +584,33 @@ def local_system_solution(spec: NetworkSpec, index: AxisIndex, i: int, *,
             f"disturbance_lag must be one of {_affine.DISTURBANCE_LAGS}, "
             f"got {disturbance_lag!r}")
     if spec.backend == "finite":
-        return _finite_local_solution(spec, index, i, task)
+        return _finite_local_solution(spec, i, task)
     system = _affine.assemble_robust_system(
-        spec, index, i, include_start=(task == "reach-check"),
-        disturbance_lag=disturbance_lag)
+        spec, i, task=task, disturbance_lag=disturbance_lag)
     return polytope_set(index.horizon_axes(i), system.polytope())
 
 
-def _finite_local_solution(spec: NetworkSpec, index: AxisIndex, i: int,
-                           task: str) -> LabeledSet:
-    """Join of the window's goal, start, partition, transition and alphabet
-    tables, less the rows that break a coupling row at some t < H.
+def _finite_local_solution(spec: NetworkSpec, i: int, task: str) -> LabeledSet:
+    """Join of the window's target tables (goal first), transition tables
+    and alphabets, less the rows that break a coupling row at some t < H.
 
-    Steps come first, then the agent's rows in order.  A linear row is one
-    product of the table with its :func:`reachnet.affine.coupling_row_vector`.
-    A callable row is called, on per-agent ``_key`` tuples of the step's
-    states and inputs, only for the table rows still kept, so it sees the
-    (table row, step) pairs of a row-by-row scan that stops at a row's first
-    failure."""
-    H = spec.horizon
+    The filter takes the steps t < H in order and, at each, the agent's
+    rows in order.  A linear row is one product of the table with its
+    :func:`reachnet.affine.coupling_row_vector`.  A callable row is called,
+    on per-agent ``_key`` tuples of the step's states and inputs, only for
+    the table rows still kept, so it sees the (table row, step) pairs of a
+    row-by-row scan that stops at a row's first failure."""
+    index, H = spec.index, spec.horizon
     members = index.members[i]
     cols = index.horizon_axes(i)
-    parts = [finite_set(index.nbhd_state_axes(H, i), spec.goal_sets[i])]
-    if task == "reach-check" and spec.start_sets is not None \
-            and spec.start_sets[i] is not None:
-        parts.append(finite_set(index.nbhd_state_axes(0, i), spec.start_sets[i]))
-    partition = None if spec.start_partitions is None else spec.start_partitions[i]
+    steps, targets = spec.window_sets(i, task)
     # label order within a step is states, then inputs, then next states
     transitions = [xs + us + nxt for xs, us, nxt in spec.dynamics[i].transitions]
-    for t in range(H):
-        if partition is not None:
-            parts.append(finite_set(index.nbhd_state_axes(t, i), partition))
-        step_axes = AxisSet.union_of(index.own_axes(t, j)
-                                     for j in (i, *spec.dyn_neighbors[i]))
-        parts.append(finite_set(step_axes | index.own_state_axes(t + 1, i),
-                                transitions))
-    for t in range(H + 1):
-        for j in members:
-            parts.append(finite_set(index.own_state_axes(t, j), spec.state_sets[j]))
-            if spec.input_dims[j]:
-                parts.append(finite_set(index.own_input_axes(t, j), spec.input_sets[j]))
-    joined = join_extrusions(parts, cols)
+    who = (i, *spec.dyn_neighbors[i])
+    moves = [(AxisSet.union_of(index.own_axes(t, j) for j in who)
+              | index.own_state_axes(t + 1, i), transitions) for t in range(H)]
+    joined = join_extrusions([finite_set(*pair) for pair in (
+        targets[-1], *targets[:-1], *moves, *steps)], cols)
     if not spec.couplings[i]:
         return joined
     z = joined.table().points
@@ -638,11 +648,14 @@ def run_distributed_reachability(
     information can travel between nodes that co-constrain a shared
     coordinate even without a direct link.
 
-    A failing shadow projection raises at the shadow's first read, not here.
-    ``reachnet run`` reads every shadow before it writes a node file, so
-    such a failure leaves ``error.json`` and no node or result file.
+    A bad ``tolerance`` or ``max_rounds`` raises ValidationError before any
+    local system is solved.  A failing shadow projection raises at the
+    shadow's first read, not here: ``reachnet run`` reads every shadow
+    before it writes a node file, so such a failure leaves ``error.json``
+    and no node or result file.
     """
-    index = build_axis_index(spec)
+    tolerance = check_limits(tolerance, max_rounds)
+    index = spec.index
     locals_ = [local_system_solution(spec, index, i, task=task,
                                      disturbance_lag=disturbance_lag)
                for i in range(spec.n_agents)]
@@ -699,7 +712,7 @@ def centralized_reachability(
     """
     if task not in TASKS:
         raise ValidationError(f"task must be one of {TASKS}, got {task!r}")
-    index = build_axis_index(spec)
+    index = spec.index
     width = (spec.horizon + 1) * index.step_width
     if width > DEFAULT_DIMENSION_CAP:
         raise DimensionCapExceeded(f"monolithic system has {width} "
@@ -717,7 +730,7 @@ def start_join(spec: NetworkSpec) -> LabeledSet | None:
     """The global start restriction induced by the per-agent start sets
     (agents without one contribute no constraint).  With no start set at
     all it is the universe for affine networks and None for finite ones."""
-    index = build_axis_index(spec)
+    index = spec.index
     target = index.global_state_axes(0)
     make = polytope_set if spec.backend == "affine" else finite_set
     parts = [make(index.nbhd_state_axes(0, i), start)

@@ -33,7 +33,6 @@ from reachnet.axisset import (
 )
 from reachnet.errors import EmptySet, NumericalFailure
 from reachnet.polytope import ABS_TOL, HPolytope
-from reachnet.reachability import build_axis_index
 
 
 def gift_wrap_2d(points) -> np.ndarray:
@@ -155,7 +154,7 @@ def goal_join(spec, index=None):
     """The global goal set induced by the per-agent goals: the join of their
     cylinder extensions over the step-H state coordinates."""
     if index is None:
-        index = build_axis_index(spec)
+        index = spec.index
     H = spec.horizon
     parts = []
     for i in range(spec.n_agents):
@@ -286,7 +285,7 @@ def row_by_row_coupling_filter(spec, index, i: int, points) -> np.ndarray:
     return np.reshape(kept, (len(kept), len(cols)))
 
 
-def finite_forward_trajectories(spec, include_start=False):
+def finite_forward_trajectories(spec, task="pre"):
     """All admissible global trajectories of a finite-transition network,
     found by forward depth-first search over the transition relations.
 
@@ -330,7 +329,7 @@ def finite_forward_trajectories(spec, include_start=False):
                 traj_us = us_by_t + [list(us)]
                 ok = all(stacked(xs_by_t[H], members[i])
                          in set(spec.goal_sets[i]) for i in range(n))
-                if ok and include_start and spec.start_sets is not None:
+                if ok and task == "reach-check" and spec.start_sets is not None:
                     ok = family_ok(spec.start_sets, [0], xs_by_t)
                 if ok:
                     ok = family_ok(spec.start_partitions, range(H), xs_by_t)

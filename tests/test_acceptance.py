@@ -36,7 +36,6 @@ from reachnet.fixpoint import centralized_projections, run_distributed
 from reachnet.polytope import HPolytope, embed_columns, vertices
 from reachnet.reachability import (
     NetworkSpec,
-    build_axis_index,
     centralized_reachability,
     run_distributed_reachability,
 )
@@ -232,7 +231,7 @@ def test_criterion_08_affine_windows_match_monolithic_projections():
         t0 = time.perf_counter()
         for seed in range(20):
             spec = random_affine_spec(seed)
-            idx = build_axis_index(spec)
+            idx = spec.index
             sols, trace = run_distributed_reachability(spec)
             assert trace.converged
             cent = centralized_reachability(spec)
@@ -337,8 +336,8 @@ def test_criterion_10_robust_soundness_and_tightness():
                        "violations; every active tightened row is tight to "
                        "within 1e-7"):
         spec = robust_integrator_spec(horizon=2, half_width=0.5)
-        idx = build_axis_index(spec)
-        sys0 = assemble_robust_system(spec, idx, 0,
+        idx = spec.index
+        sys0 = assemble_robust_system(spec, 0,
                                       disturbance_lag="standard")
         poly = sys0.polytope()
         assert np.count_nonzero(sys0.margins) > 0

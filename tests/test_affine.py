@@ -36,7 +36,6 @@ from reachnet.errors import (
 from reachnet.polytope import HPolytope, set_equal, vertices
 from reachnet.reachability import (
     NetworkSpec,
-    build_axis_index,
     centralized_reachability,
     local_system_solution,
 )
@@ -191,8 +190,8 @@ class TestAffineAgentValidation:
 class TestBuildEqualities:
     def test_integrator_single_step_row(self):
         spec = integrator_spec()
-        idx = build_axis_index(spec)
-        F, f = build_equalities(spec, idx, 0)
+        idx = spec.index
+        F, f = build_equalities(spec, 0)
         # columns ordered x(0), u(0), x(1), u(1)
         assert np.array_equal(F, [[-1.0, -1.0, 1.0, 0.0]])
         assert np.array_equal(f, [0.0])
@@ -201,8 +200,8 @@ class TestBuildEqualities:
         # x(t+1) = 2 x(t) + u(t) + 1, horizon 2: hand-expanded rows
         spec = scalar_spec(AffineAgent(1, 1, A={0: [[2.0]]}, B={0: [[1.0]]},
                                        K=[1.0]), horizon=2)
-        idx = build_axis_index(spec)
-        F, f = build_equalities(spec, idx, 0)
+        idx = spec.index
+        F, f = build_equalities(spec, 0)
         want_F = np.array([[-2.0, -1.0, 1.0, 0.0, 0.0, 0.0],
                            [-4.0, -2.0, 0.0, -1.0, 1.0, 0.0]])
         assert np.array_equal(F, want_F)
@@ -210,15 +209,15 @@ class TestBuildEqualities:
 
     def test_zero_horizon_has_no_rows(self):
         spec = integrator_spec(horizon=0)
-        idx = build_axis_index(spec)
-        F, f = build_equalities(spec, idx, 0)
+        idx = spec.index
+        F, f = build_equalities(spec, 0)
         assert F.shape == (0, 2) and f.shape == (0,)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_rows_vanish_on_simulated_trajectories(self, seed):
         # oracle: any forward-simulated trajectory satisfies the closed form
         spec = random_affine_spec(seed)
-        idx = build_axis_index(spec)
+        idx = spec.index
         rng = np.random.default_rng(seed + 77)
         all_axes = idx.all_axes
         for _ in range(5):
@@ -231,7 +230,7 @@ class TestBuildEqualities:
             z_full = pack_trajectory(states, inputs)
             assert z_full.shape == (len(all_axes),)
             for i in range(spec.n_agents):
-                F, f = build_equalities(spec, idx, i)
+                F, f = build_equalities(spec, i)
                 z = z_full[all_axes.positions_of(idx.horizon_axes(i))]
                 assert np.max(np.abs(F @ z - f), initial=0.0) <= 1e-9
 
@@ -256,7 +255,7 @@ class TestBuildEqualities:
 # ---------------------------------------------------------------------------
 
 
-def _holds_directly(spec, idx, i, z, *, include_start) -> bool:
+def _holds_directly(spec, idx, i, z, *, task) -> bool:
     """Independent membership evaluator for agent i's inequality system."""
     cols = idx.horizon_axes(i)
     H = spec.horizon
@@ -282,7 +281,7 @@ def _holds_directly(spec, idx, i, z, *, include_start) -> bool:
                 return False
             if row.relation == "<=" and val > 1e-9:
                 return False
-    if include_start and spec.start_sets is not None:
+    if task == "reach-check" and spec.start_sets is not None:
         if not spec.start_sets[i].contains(block(idx.nbhd_state_axes(0, i))):
             return False
     if spec.start_partitions is not None:
@@ -296,17 +295,17 @@ def _holds_directly(spec, idx, i, z, *, include_start) -> bool:
 class TestBuildInequalities:
     def test_membership_agrees_with_direct_evaluation(self):
         spec = chain_spec()
-        idx = build_axis_index(spec)
+        idx = spec.index
         rng = np.random.default_rng(3)
         for i in range(spec.n_agents):
-            G, g = build_inequalities(spec, idx, i)
+            G, g = build_inequalities(spec, i)
             width = len(idx.horizon_axes(i))
             inside = outside = 0
             for k in range(300):
                 scale = 6.0 if k % 2 else 0.5
                 z = rng.uniform(-scale, scale, size=width)
                 lhs = bool(np.all(G @ z <= g + 1e-12))
-                rhs = _holds_directly(spec, idx, i, z, include_start=False)
+                rhs = _holds_directly(spec, idx, i, z, task="pre")
                 assert lhs == rhs
                 inside += lhs
                 outside += not lhs
@@ -321,9 +320,9 @@ class TestBuildInequalities:
             horizon=2, state_sets=base.state_sets, input_sets=base.input_sets,
             goal_sets=base.goal_sets, dynamics=base.dynamics,
             couplings=((eq_row,), ()))
-        idx = build_axis_index(spec)
-        G_le, _ = build_inequalities(base, idx, 0)
-        G_eq, g_eq = build_inequalities(spec, idx, 0)
+        idx = spec.index
+        G_le, _ = build_inequalities(base, 0)
+        G_eq, g_eq = build_inequalities(spec, 0)
         assert G_eq.shape[0] == G_le.shape[0] + 2  # one extra sign per step
         # the flipped rows really are negations of each other
         z = np.random.default_rng(0).uniform(-1, 1, size=G_eq.shape[1])
@@ -335,9 +334,9 @@ class TestBuildInequalities:
 
     def test_start_rows_only_when_requested(self):
         spec = integrator_spec(start_sets=(box(-1.8, 1.8),))
-        idx = build_axis_index(spec)
-        G_no, _ = build_inequalities(spec, idx, 0, include_start=False)
-        G_yes, g_yes = build_inequalities(spec, idx, 0, include_start=True)
+        idx = spec.index
+        G_no, _ = build_inequalities(spec, 0, task="pre")
+        G_yes, g_yes = build_inequalities(spec, 0, task="reach-check")
         assert G_yes.shape[0] == G_no.shape[0] + 2
         # the added rows pin x(0) to the start interval
         z_in = np.array([1.7, 0.0, 0.9, 0.0])
@@ -366,32 +365,32 @@ class TestBuildInequalities:
 class TestDisturbanceMap:
     def test_integrator_two_step_goldens(self):
         spec = robust_integrator_spec(horizon=2)
-        idx = build_axis_index(spec)
+        idx = spec.index
         # columns: d(0), d(1); rows ordered x0,u0,x1,u1,x2,u2
         delayed = np.zeros((6, 2))
         delayed[4, 0] = 1.0                      # x(2) sees d(0) only
         assert np.array_equal(
-            disturbance_map(spec, idx, 0, disturbance_lag="paper"), delayed)
+            disturbance_map(spec, 0, disturbance_lag="paper"), delayed)
         onestep = np.zeros((6, 2))
         onestep[2, 0] = 1.0                      # x(1) sees d(0)
         onestep[4, 0] = 1.0                      # x(2) sees d(0) + d(1)
         onestep[4, 1] = 1.0
         assert np.array_equal(
-            disturbance_map(spec, idx, 0, disturbance_lag="standard"), onestep)
+            disturbance_map(spec, 0, disturbance_lag="standard"), onestep)
 
     def test_bad_lag_label(self):
         spec = robust_integrator_spec()
-        idx = build_axis_index(spec)
+        idx = spec.index
         with pytest.raises(ValidationError, match="disturbance_lag"):
-            disturbance_map(spec, idx, 0, disturbance_lag="delayed")
+            disturbance_map(spec, 0, disturbance_lag="delayed")
 
     @pytest.mark.parametrize("seed", range(5))
     @pytest.mark.parametrize("lag", ["paper", "standard"])
     def test_matches_unit_impulse_responses(self, seed, lag):
         spec = disturbed_pair_spec(seed)
-        idx = build_axis_index(spec)
+        idx = spec.index
         for i in range(spec.n_agents):
-            L = disturbance_map(spec, idx, i, disturbance_lag=lag)
+            L = disturbance_map(spec, i, disturbance_lag=lag)
             want = _oracle_disturbance_matrix(spec, idx, i, lag)
             assert np.allclose(L, want, atol=1e-12)
 
@@ -404,19 +403,19 @@ class TestDisturbanceMap:
 class TestRobustMargin:
     def test_two_step_goal_row_goldens(self):
         spec = robust_integrator_spec(horizon=2, half_width=0.5)
-        idx = build_axis_index(spec)
+        idx = spec.index
         G = np.zeros((1, 6))
         G[0, 4] = 1.0                            # the row "x(2) <= 1"
-        assert robust_margin(spec, idx, 0, G,
+        assert robust_margin(spec, 0, G,
                              disturbance_lag="paper") == pytest.approx([0.5])
-        assert robust_margin(spec, idx, 0, G,
+        assert robust_margin(spec, 0, G,
                              disturbance_lag="standard") == pytest.approx([1.0])
 
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("lag", ["paper", "standard"])
     def test_matches_vertex_enumeration(self, seed, lag):
         spec = disturbed_pair_spec(seed)
-        idx = build_axis_index(spec)
+        idx = spec.index
         rng = np.random.default_rng(seed)
         H, total_v = spec.horizon, 2
         widths = [spec.dynamics[j].disturbance_set.b_ineq[0]
@@ -425,7 +424,7 @@ class TestRobustMargin:
             *[(-widths[j % 2], widths[j % 2]) for j in range(H * total_v)]))
         for i in range(spec.n_agents):
             G = rng.standard_normal((4, len(idx.horizon_axes(i))))
-            got = robust_margin(spec, idx, i, G, disturbance_lag=lag)
+            got = robust_margin(spec, i, G, disturbance_lag=lag)
             zetas = np.array([_oracle_zeta(spec, idx, i, np.array(c), lag)
                               for c in corners])
             want = np.max(G @ zetas.T, axis=1)
@@ -438,10 +437,10 @@ class TestRobustMargin:
         agent = AffineAgent(1, 1, A={0: [[0.7]]}, B={0: [[1.0]]},
                             E=[[1.0, 0.5]], disturbance_set=tri)
         spec = scalar_spec(agent, horizon=2)
-        idx = build_axis_index(spec)
+        idx = spec.index
         rng = np.random.default_rng(9)
         G = rng.standard_normal((5, 6))
-        got = robust_margin(spec, idx, 0, G, disturbance_lag="standard")
+        got = robust_margin(spec, 0, G, disturbance_lag="standard")
         verts = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
         best = np.full(5, -np.inf)
         for c0, c1 in itertools.product(verts, verts):
@@ -477,16 +476,15 @@ class TestAssembledSystem:
                         disturbance_set=box(-0.5, 0.5)), horizon=2)
         without = scalar_spec(
             AffineAgent(1, 1, A={0: [[1.0]]}, B={0: [[1.0]]}), horizon=2)
-        a = assemble_robust_system(with_zero, build_axis_index(with_zero), 0)
-        b = assemble_robust_system(without, build_axis_index(without), 0)
+        a = assemble_robust_system(with_zero, 0)
+        b = assemble_robust_system(without, 0)
         for field in ("F", "f", "G", "g", "margins"):
             assert np.array_equal(getattr(a, field), getattr(b, field))
-        assert not np.any(disturbance_map(with_zero,
-                                          build_axis_index(with_zero), 0))
+        assert not np.any(disturbance_map(with_zero, 0))
 
     def test_one_step_backward_interval_with_disturbance(self):
         spec = robust_integrator_spec(horizon=1, half_width=0.5)
-        idx = build_axis_index(spec)
+        idx = spec.index
         local = local_system_solution(spec, idx, 0,
                                       disturbance_lag="standard")
         starts = project_set(local, idx.nbhd_state_axes(0, 0))
@@ -498,8 +496,8 @@ class TestAssembledSystem:
         # (b) rows whose margin is active are tight: some admissible
         #     disturbance exhausts the slack to within 1e-7
         spec = robust_integrator_spec(horizon=2, half_width=0.5)
-        idx = build_axis_index(spec)
-        sys0 = assemble_robust_system(spec, idx, 0,
+        idx = spec.index
+        sys0 = assemble_robust_system(spec, 0,
                                       disturbance_lag="standard")
         poly = sys0.polytope()
         verts = vertices(poly)

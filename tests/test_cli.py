@@ -28,7 +28,7 @@ from reachnet.cli import (
 from reachnet.errors import NumericalFailure, ParseError, ValidationError
 from reachnet.fixpoint import FixpointProblem
 from reachnet.polytope import HPolytope, from_text, set_equal
-from reachnet.reachability import NetworkSpec, build_axis_index
+from reachnet.reachability import NetworkSpec
 
 from .test_reachability import box, finite_toy_spec, integrator_spec
 
@@ -216,7 +216,7 @@ class TestLoadSpec:
 
     def test_two_agent_axis_layout(self):
         spec = load_spec(FIXTURES / "two_agent_affine.json")
-        idx = build_axis_index(spec)
+        idx = spec.index
         assert idx.own_state_axes(0, 0) == AxisSet([1])
         assert idx.own_state_axes(0, 1) == AxisSet([2])
         assert idx.own_input_axes(0, 0) == AxisSet([3])
@@ -315,6 +315,21 @@ class TestEndToEnd:
         assert report["max_support_gap"] <= 1e-6
         assert {rec["node"] for rec in report["per_node"]} == {1, 2}
 
+    def test_start_partition_on_one_agent_only(self, tmp_path):
+        # a start partition on the second target alone: both routes place
+        # it on agent 2's window only and agree on every set
+        doc = load_fixture_doc("two_agent_affine.json")
+        doc["targets"][1]["start_partition"] = {"box": [[-4, 4]]}
+        out = tmp_path / "out"
+        code = run_cli("run", "--mode", "compare", "--task", "pre",
+                       "--spec", str(write_doc(tmp_path, doc)),
+                       "--out", str(out), "--tol", "1e-6")
+        assert code == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["converged"] is True
+        assert report["exact_match"] is True \
+            or report["max_support_gap"] <= 1e-6
+
     def test_disturbance_lag_flag_changes_result(self, tmp_path):
         doc = load_fixture_doc("integrator.json")
         doc["agents"][0]["dynamics"]["E"] = [[1.0]]
@@ -367,7 +382,7 @@ class TestEndToEnd:
         base = finite_toy_spec()
         coupled = dataclasses.replace(base, con_neighbors=((), (0,)),
                                       couplings=((), rows))
-        idx = build_axis_index(coupled)
+        idx = coupled.index
         windows = {}
         for name, spec in (("base", base), ("coupled", coupled)):
             spec_path = write_doc(tmp_path, serialize(spec), f"{name}.json")
@@ -523,7 +538,7 @@ class TestExitCodes:
         # in the CLI, not in run_distributed_reachability; here it hits the
         # second node's start projection, after the first node's shadows
         spec_path = FIXTURES / "two_agent_affine.json"
-        index = build_axis_index(load_spec(spec_path))
+        index = load_spec(spec_path).index
         start_axes = {index.nbhd_state_axes(0, i) for i in range(2)}
         starts_read = []
 

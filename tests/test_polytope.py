@@ -753,6 +753,23 @@ def test_vertices_of_a_box_probe_boundedness_without_lps(monkeypatch):
     assert probes == []
 
 
+def test_is_bounded_solves_an_lp_only_for_probes_no_row_bounds(monkeypatch):
+    probes = []
+    support = lpsolve.support
+    monkeypatch.setattr(lpsolve, "support",
+                        lambda poly, d: probes.append(tuple(d)) or support(poly, d))
+    assert pl.is_bounded(pl.HPolytope.from_box([-1.0, 0.0], [1.0, 5.0]))
+    assert probes == []
+    # x >= 0 and y >= 0 bound the -e_k probes; each +e_k probe needs an LP
+    triangle = pl.HPolytope([[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]],
+                            [0.0, 0.0, 1.0])
+    assert pl.is_bounded(triangle)
+    assert probes == [(1.0, 0.0), (0.0, 1.0)]
+    probes.clear()
+    assert not pl.is_bounded(pl.HPolytope([[1.0]], [1.0]))  # x <= 1 only
+    assert probes == [(-1.0,)]
+
+
 # ---- text format --------------------------------------------------------------
 
 

@@ -46,7 +46,6 @@ from reachnet.reachability import (
     AxisIndex,
     FiniteDynamics,
     NetworkSpec,
-    build_axis_index,
     centralized_reachability,
     local_system_solution,
     run_distributed_reachability,
@@ -296,7 +295,7 @@ class TestAxisIndex:
 
     def test_single_agent_window_is_everything(self):
         spec = integrator_spec(horizon=3)
-        idx = build_axis_index(spec)
+        idx = spec.index
         assert idx.horizon_axes(0) == idx.all_axes
 
     def test_decoupled_agents_have_disjoint_windows(self):
@@ -309,7 +308,7 @@ class TestAxisIndex:
             goal_sets=(box(-1, 1), box(-1, 1)),
             dynamics=(AffineAgent(1, 1, A={0: [[1.0]]}, B={0: [[1.0]]}),
                       AffineAgent(1, 1, A={1: [[1.0]]}, B={1: [[1.0]]})))
-        idx = build_axis_index(spec)
+        idx = spec.index
         assert not (idx.horizon_axes(0) & idx.horizon_axes(1))
 
 
@@ -494,6 +493,9 @@ class TestNetworkSpecValidation:
         # agent 1 reads nobody; it is in agent 0's neighbourhood and 0 in its
         # own only because agent 0 reads it
         assert spec.dyn_neighbors[1] == () and spec.con_neighbors[1] == ()
+        for i in (2, -1):
+            with pytest.raises(ValidationError, match="out of range"):
+                spec.members(i)
 
 
 # ---------------------------------------------------------------------------
@@ -588,7 +590,7 @@ class TestFiniteNetwork:
         got = set(map(tuple, cent.trajectories.table().points))
         assert got == want
 
-        idx = build_axis_index(spec)
+        idx = spec.index
         sols, trace = run_distributed_reachability(spec)
         assert trace.converged
         oracle = finite_set(idx.all_axes, sorted(want)) if want else None
@@ -606,7 +608,7 @@ class TestFiniteNetwork:
     def test_local_solution_matches_product_filter(self):
         # independent per-node oracle: enumerate the node's own window
         spec = finite_toy_spec()
-        idx = build_axis_index(spec)
+        idx = spec.index
         sol = local_system_solution(spec, idx, 0)
         got = set(map(tuple, sol.table().points))
         want = set()
@@ -633,7 +635,7 @@ class TestFiniteNetwork:
         sols, _ = run_distributed_reachability(spec, task="reach-check")
         starts = set(map(tuple, sols[0].start_states.table().points))
         assert starts == {(1.0, 0.0), (1.0, 1.0)}
-        want = finite_forward_trajectories(spec, include_start=True)
+        want = finite_forward_trajectories(spec, task="reach-check")
         cent = centralized_reachability(spec, task="reach-check")
         assert set(map(tuple, cent.trajectories.table().points)) == want
 
@@ -650,11 +652,10 @@ class TestFiniteNetwork:
 def _assert_routes_match_forward_search(spec: NetworkSpec, task: str):
     """Centralized and distributed routes both reproduce the forward-search
     oracle: the global trajectories, every refined window and its starts."""
-    want = finite_forward_trajectories(spec,
-                                       include_start=task == "reach-check")
+    want = finite_forward_trajectories(spec, task=task)
     cent = centralized_reachability(spec, task=task)
     assert set(map(tuple, cent.trajectories.table().points)) == want
-    idx = build_axis_index(spec)
+    idx = spec.index
     sols, trace = run_distributed_reachability(spec, task=task)
     assert trace.converged
     if not want:
@@ -823,7 +824,7 @@ class TestFiniteCouplingFilter:
     @pytest.mark.parametrize("seed", range(60))
     def test_kept_table_and_callable_calls_match_oracle(self, seed, task):
         spec = _coupled_finite_spec(seed)
-        idx = build_axis_index(spec)
+        idx = spec.index
         bare = dataclasses.replace(spec, couplings=None)
         for i in range(spec.n_agents):
             if not spec.couplings[i]:
@@ -854,7 +855,7 @@ class TestFiniteCouplingFilter:
             dynamics=(FiniteDynamics(frozenset(
                 ((v,), (), (0.0,)) for v in values)),),
             couplings=((row,),))
-        idx = build_axis_index(spec)
+        idx = spec.index
         bare = dataclasses.replace(spec, couplings=None)
         joined = local_system_solution(bare, idx, 0).table().points
         assert joined.tolist() == [[v, 0.0] for v in sorted(values)]
@@ -890,7 +891,7 @@ def _support_gap_vs_global(local, cent_traj, all_axes, rng, n_dirs=8):
 class TestAffineDistributedEqualsCentralized:
     def test_chain_instance(self):
         spec = chain_spec()
-        idx = build_axis_index(spec)
+        idx = spec.index
         sols, trace = run_distributed_reachability(spec)
         assert trace.converged
         cent = centralized_reachability(spec)
@@ -905,7 +906,7 @@ class TestAffineDistributedEqualsCentralized:
     @pytest.mark.parametrize("seed", range(6))
     def test_random_instances(self, seed):
         spec = random_affine_spec(seed)
-        idx = build_axis_index(spec)
+        idx = spec.index
         sols, trace = run_distributed_reachability(spec)
         assert trace.converged
         cent = centralized_reachability(spec)
@@ -949,6 +950,51 @@ class TestAffineDistributedEqualsCentralized:
 
 
 # ---------------------------------------------------------------------------
+# window listing
+# ---------------------------------------------------------------------------
+
+
+class TestWindowSets:
+    def test_listing_order_per_task(self):
+        part, start = box([-3, -4], [3, 4]), box([-1, -1], [1, 1])
+        spec = dataclasses.replace(chain_spec(horizon=2),
+                                   start_sets=(start, None),
+                                   start_partitions=(part, None))
+        idx = spec.index
+        steps, targets = spec.window_sets(0, "pre")
+        assert steps == [
+            (axes, s) for t in range(3) for j in (0, 1)
+            for axes, s in ((idx.own_state_axes(t, j), spec.state_sets[j]),
+                            (idx.own_input_axes(t, j), spec.input_sets[j]))]
+        assert targets == [(idx.nbhd_state_axes(0, 0), part),
+                           (idx.nbhd_state_axes(1, 0), part),
+                           (idx.nbhd_state_axes(2, 0), spec.goal_sets[0])]
+        assert spec.window_sets(0, "reach-check")[1] == \
+            [(idx.nbhd_state_axes(0, 0), start)] + targets
+        # agent 1 has neither a start set nor a partition: only its goal
+        for task in TASKS:
+            assert spec.window_sets(1, task)[1] == \
+                [(idx.nbhd_state_axes(2, 1), spec.goal_sets[1])]
+
+    @pytest.mark.parametrize("task", TASKS)
+    def test_start_partition_on_one_agent_only(self, task):
+        # agent 0 has a start partition, agent 1 none; both routes solve,
+        # and every node's starts are the centralized starts' shadow
+        spec = dataclasses.replace(
+            chain_spec(), start_sets=(box([-2, -2], [2, 2]), None),
+            start_partitions=(box([-3, -4.5], [3, 4.5]), None))
+        sols, trace = run_distributed_reachability(spec, task=task)
+        assert trace.converged
+        cent = centralized_reachability(spec, task=task)
+        for sol in sols:
+            want = project_set(cent.start_states, sol.start_axes)
+            assert set_equal(sol.start_states.poly(), want.poly())
+        # the partition binds: agent 0's starts reach x0 = 3, not beyond
+        assert lpsolve.support(sols[0].start_states.poly(), [1.0, 0.0]) \
+            == pytest.approx(2.0 if task == "reach-check" else 3.0)
+
+
+# ---------------------------------------------------------------------------
 # joined target sets
 # ---------------------------------------------------------------------------
 
@@ -956,7 +1002,7 @@ class TestAffineDistributedEqualsCentralized:
 class TestGoalAndStartJoins:
     def test_goal_join_equals_manual_embedding(self):
         spec = chain_spec()
-        idx = build_axis_index(spec)
+        idx = spec.index
         joined = goal_join(spec, idx)
         assert joined.axes == idx.global_state_axes(spec.horizon)
         manual = intersect(embed_columns(spec.goal_sets[0], 2, [0, 1]),
@@ -983,7 +1029,7 @@ class TestGoalAndStartJoins:
 
     def test_finite_goal_join_matches_brute(self):
         spec = finite_toy_spec()
-        idx = build_axis_index(spec)
+        idx = spec.index
         joined = goal_join(spec, idx)
         # both agents share the (x1, x2) axes at t = H, so the join is the
         # plain intersection of the two goal families
@@ -994,6 +1040,19 @@ class TestGoalAndStartJoins:
 # ---------------------------------------------------------------------------
 # guardrails
 # ---------------------------------------------------------------------------
+
+
+def _count_local_solves(monkeypatch) -> list:
+    """The agents whose local systems are solved from now on, in order."""
+    calls = []
+
+    def counting(spec, index, i, **kw):
+        calls.append(i)
+        return local_system_solution(spec, index, i, **kw)
+
+    monkeypatch.setattr("reachnet.reachability.local_system_solution",
+                        counting)
+    return calls
 
 
 class TestGuardrails:
@@ -1048,10 +1107,10 @@ class TestGuardrails:
         # the payload picks the backend, and a payload that matches neither
         # backend is refused when the spec is built
         spec = integrator_spec()
-        assert local_system_solution(spec, build_axis_index(spec), 0).backend \
+        assert local_system_solution(spec, spec.index, 0).backend \
             == "polytope"
         fin = finite_toy_spec()
-        assert local_system_solution(fin, build_axis_index(fin), 0).backend \
+        assert local_system_solution(fin, fin.index, 0).backend \
             == "finite"
         with pytest.raises(UnsupportedDynamics, match="str"):
             NetworkSpec(
@@ -1080,16 +1139,21 @@ class TestGuardrails:
                 dynamics=(chain.dynamics[0], "mystery"))
 
     @pytest.mark.parametrize("tol", [NAN, INF, -INF, 0.0, -1.0])
-    def test_tolerance_must_be_finite_and_positive(self, tol):
+    def test_tolerance_must_be_finite_and_positive(self, tol, monkeypatch):
+        calls = _count_local_solves(monkeypatch)
         with pytest.raises(ValidationError, match="tolerance"):
             run_distributed_reachability(chain_spec(), tolerance=tol)
+        assert calls == []  # refused before the first local solve
 
-    def test_max_rounds_propagates(self):
+    def test_max_rounds_propagates(self, monkeypatch):
         from reachnet.errors import MaxRoundsExceeded
+        calls = _count_local_solves(monkeypatch)
         spec = chain_spec()
         with pytest.raises(ValidationError, match="max_rounds"):
             run_distributed_reachability(spec, max_rounds=0)
+        assert calls == []  # refused before the first local solve
         with pytest.raises(MaxRoundsExceeded) as exc_info:
             run_distributed_reachability(spec, max_rounds=1)
+        assert calls == [0, 1]
         assert exc_info.value.rounds == 1
         assert exc_info.value.trace is not None
