@@ -286,10 +286,10 @@ class NetworkSpec:
         t = 0..H, step by step; then the targets on the stacked neighbourhood
         states: the start set at t = 0 (reach-check only, if the agent has
         one), the start partition for t < H (if it has one), the goal at H."""
-        index, H = self.index, self.horizon
+        index, H, members = self.index, self.horizon, self.members(i)
         steps = []
         for t in range(H + 1):
-            for j in self.members(i):
+            for j in members:
                 steps.append((index.own_state_axes(t, j), self.state_sets[j]))
                 if self.input_dims[j]:
                     steps.append((index.own_input_axes(t, j),
