@@ -30,6 +30,7 @@ from . import lpsolve
 from .axisset import AxisSet
 from .errors import (
     DimensionMismatch,
+    EmptySet,
     ShapeMismatch,
     UnboundedDisturbance,
     ValidationError,
@@ -83,10 +84,11 @@ class AffineAgent:
     """Affine dynamics of one agent:
 
     ``x_i(t+1) = sum_j A[j] x_j(t) + sum_j B[j] u_j(t) + K + E d(t)``,
-    with ``d(t)`` ranging over the bounded polytope ``disturbance_set``
-    (an unbounded one raises UnboundedDisturbance here).  Blocks for agents
-    outside the declared neighbour lists are implicitly zero and must not
-    appear in ``A``/``B``; their shapes are checked by the network spec.
+    with ``d(t)`` ranging over the nonempty, bounded polytope
+    ``disturbance_set`` (an empty one raises EmptySet here, an unbounded one
+    UnboundedDisturbance).  Blocks for agents outside the declared neighbour
+    lists are implicitly zero and must not appear in ``A``/``B``; their
+    shapes are checked by the network spec.
     """
 
     state_dim: int
@@ -127,6 +129,8 @@ class AffineAgent:
             if self.disturbance_set.dim != E.shape[1]:
                 raise DimensionMismatch(
                     "disturbance set dimension does not match the map")
+            if self.disturbance_set.is_empty():
+                raise EmptySet("disturbance set is empty")
             if not is_bounded(self.disturbance_set):
                 raise UnboundedDisturbance("disturbance set is unbounded")
         elif self.disturbance_set is not None:

@@ -129,6 +129,9 @@ class PointTable:
             arr = np.zeros((0, dim))
         if arr.ndim != 2:
             raise DimensionMismatch("point table must be a 2-d array")
+        if dim is not None and arr.shape[1] != dim:
+            raise DimensionMismatch(
+                f"point table rows have {arr.shape[1]} coordinates, expected {dim}")
         if not np.all(np.isfinite(arr)):
             raise DimensionMismatch("point coordinates must be finite")
         if arr.shape[0]:
@@ -138,6 +141,18 @@ class PointTable:
             arr = key[_starts_run(key)]
         self.points = arr
         self.points.setflags(write=False)
+
+    @classmethod
+    def _sorted(cls, rows: np.ndarray) -> "PointTable":
+        """A table of rows that are already quantized, free of ``-0.0`` and
+        distinct, such as a natural join of point tables (see
+        :func:`_natural_join`): one lexsort puts them in the canonical
+        order, and the rounding and dedupe of ``__init__`` would change
+        nothing."""
+        table = object.__new__(cls)
+        table.points = rows[np.lexsort(rows.T[::-1])]
+        table.points.setflags(write=False)
+        return table
 
     @property
     def dim(self) -> int:
@@ -275,23 +290,39 @@ def extrude(s: LabeledSet, target: AxisSet) -> LabeledSet:
     return LabeledSet(target, _poly.embed_columns(s.data, len(target), positions))
 
 
-def _natural_join(axes_a: AxisSet, ta: PointTable, axes_b: AxisSet, tb: PointTable):
-    """Sort-merge natural join of two point tables on their shared axes.
+def _natural_join(axes_a: AxisSet, a: np.ndarray, axes_b: AxisSet, b: np.ndarray):
+    """Natural join of two point-table row arrays on their shared axes.
 
-    The shared-key columns of both tables are coded as integers (equal keys,
-    equal codes), B's rows are sorted by code, and each A row is paired with
-    the run of B rows holding its code.  Without a shared axis every code is
-    the same, and the result is the cross product.
+    Returns the union axes and the joined rows, unsorted.  The inputs are
+    the rows of point tables or earlier outputs of this function, so they
+    are quantized, free of ``-0.0`` and distinct.  So is the output: it only
+    copies values, and each of its rows projects back onto exactly one row
+    of each side.
+
+    Without a shared axis the result is the cross product.  Otherwise the
+    shared-key columns of both sides are coded as integers (equal keys,
+    equal codes).  When one side's axes hold the other's, the join is a
+    semijoin: the larger side's rows whose code the smaller side holds.
+    Otherwise B's rows are sorted by code, and each A row is paired with
+    the run of B rows holding its code.
     """
     axes_u = axes_a | axes_b
     shared = axes_a & axes_b
-    a, b = ta.points, tb.points
+    if not shared:
+        out = np.empty((len(a) * len(b), len(axes_u)))
+        out[:, axes_u.positions_of(axes_a)] = np.repeat(a, len(b), axis=0)
+        out[:, axes_u.positions_of(axes_b)] = np.tile(b, (len(a), 1))
+        return axes_u, out
     keys = np.concatenate([a[:, axes_a.positions_of(shared)],
                            b[:, axes_b.positions_of(shared)]])
-    order = np.lexsort(keys.T[::-1]) if shared else np.arange(len(keys))
+    order = np.lexsort(keys.T[::-1])
     codes = np.empty(len(keys), dtype=np.intp)
     codes[order] = np.cumsum(_starts_run(keys[order]))
     code_a, code_b = codes[:len(a)], codes[len(a):]
+    if shared == axes_b:
+        return axes_a, a[np.isin(code_a, code_b)]
+    if shared == axes_a:
+        return axes_b, b[np.isin(code_b, code_a)]
     by_b = np.argsort(code_b)
     sorted_b = code_b[by_b]
     lo = np.searchsorted(sorted_b, code_a, side="left")
@@ -301,16 +332,19 @@ def _natural_join(axes_a: AxisSet, ta: PointTable, axes_b: AxisSet, tb: PointTab
     out = np.empty((len(at), len(axes_u)))
     out[:, axes_u.positions_of(axes_b)] = b[by_b[at]]
     out[:, axes_u.positions_of(axes_a)] = np.repeat(a, counts, axis=0)
-    return axes_u, PointTable(out, dim=len(axes_u))
+    return axes_u, out
 
 
 def join_extrusions(sets: Sequence[LabeledSet], target: AxisSet) -> LabeledSet:
     """Intersection of the cylinder extensions of ``sets`` inside ``target``.
 
     Finite backend: a relational natural join on shared coordinates; the
-    sets must jointly cover ``target`` (UncoveredAxes otherwise).  Polytope
-    backend: constraint rows are embedded and stacked, free coordinates are
-    allowed.
+    sets must jointly cover ``target`` (UncoveredAxes otherwise).  The
+    intermediate joins stay unsorted row arrays, and only the result is
+    put in canonical order, by :meth:`PointTable._sorted`: every input
+    table is quantized, free of ``-0.0`` and distinct, and every join keeps
+    it so (see :func:`_natural_join`).  Polytope backend: constraint rows
+    are embedded and stacked, free coordinates are allowed.
     """
     sets = list(sets)
     if not sets:
@@ -327,18 +361,18 @@ def join_extrusions(sets: Sequence[LabeledSet], target: AxisSet) -> LabeledSet:
             missing = target - covered
             raise UncoveredAxes(f"labels {missing} not covered by any set")
         if any(s.empty for s in sets):
-            return LabeledSet(target, PointTable(np.zeros((0, len(target)))))
-        axes_acc, table_acc = sets[0].axes, sets[0].table()
+            return empty_set(target)
+        axes_acc, rows = sets[0].axes, sets[0].table().points
         pending = sets[1:]
         while pending:
             # a set sharing no axis with the accumulated table would make a
             # cross product; join the first set that does share one instead
             k = next((k for k, s in enumerate(pending) if s.axes & axes_acc), 0)
             s = pending.pop(k)
-            axes_acc, table_acc = _natural_join(axes_acc, table_acc, s.axes, s.table())
-            if len(table_acc) == 0:
-                return LabeledSet(target, PointTable(np.zeros((0, len(target)))))
-        return LabeledSet(target, table_acc)
+            axes_acc, rows = _natural_join(axes_acc, rows, s.axes, s.table().points)
+            if len(rows) == 0:
+                return empty_set(target)
+        return LabeledSet(target, PointTable._sorted(rows))
     acc = _poly.HPolytope.universe(len(target))
     for s in sets:
         positions = target.positions_of(s.axes)

@@ -62,6 +62,7 @@ from .axisset import (
     sets_equal,
 )
 from .errors import (
+    EmptySet,
     MaxRoundsExceeded,
     ParseError,
     ReachnetError,
@@ -434,6 +435,8 @@ def _parse_network(doc) -> NetworkSpec:
             continue
         try:
             dynamics.append(AffineAgent(dims[k], idims[k], **dyn_payloads[k]))
+        except EmptySet as exc:  # only the disturbance set can be empty here
+            _fail(f"{where}.dynamics.disturbance_set", str(exc))
         except ReachnetError as exc:
             raise type(exc)(f"{where}.dynamics: {exc}") from exc
 

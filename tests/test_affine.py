@@ -28,6 +28,7 @@ from reachnet.affine import (
 from reachnet.axisset import project_set
 from reachnet.errors import (
     DimensionMismatch,
+    EmptySet,
     NonlinearConstraint,
     ShapeMismatch,
     UnboundedDisturbance,
@@ -462,6 +463,22 @@ class TestRobustMargin:
         with pytest.raises(UnboundedDisturbance):
             AffineAgent(1, 1, A={0: [[1.0]]}, B={0: [[1.0]]},
                         E=[[1.0, 0.0]], disturbance_set=cone)
+
+    # an empty disturbance set is refused before any boundedness probe, so
+    # the verdict does not depend on which probes its rows cover
+
+    @pytest.mark.parametrize("empty", [
+        HPolytope([[1.0], [-1.0]], [1.0, -2.0]),
+        HPolytope.from_box([2.0, 0.0], [1.0, 1.0]),
+        HPolytope([[1.0, 0.0], [-1.0, 0.0]], [1.0, -2.0]),
+        HPolytope([[1.0, 1.0], [-1.0, -1.0], [1.0, 0.0], [-1.0, 0.0],
+                   [0.0, 1.0], [0.0, -1.0]], [1.0, -2.0, 5.0, 5.0, 5.0, 5.0]),
+    ], ids=["empty-interval", "empty-box", "empty-box-free-coordinate",
+            "empty-non-box"])
+    def test_empty_disturbance_rejected(self, empty):
+        with pytest.raises(EmptySet, match="disturbance set is empty"):
+            AffineAgent(1, 1, A={0: [[1.0]]}, B={0: [[1.0]]},
+                        E=np.eye(1, empty.dim), disturbance_set=empty)
 
 
 # ---------------------------------------------------------------------------

@@ -258,9 +258,9 @@ def test_grid_inbox_join_never_forms_a_cross_product(monkeypatch):
         inbox.append(finite_set(labs, rng.integers(0, 3, size=(20, len(labs)))))
     target = AxisSet.union_of(s.axes for s in inbox)
 
-    index_order = (inbox[0].axes, inbox[0].table())
+    index_order = (inbox[0].axes, inbox[0].table().points)
     for s in inbox[1:]:
-        index_order = axisset._natural_join(*index_order, s.axes, s.table())
+        index_order = axisset._natural_join(*index_order, s.axes, s.table().points)
 
     shared = []
     natural_join = axisset._natural_join
@@ -273,7 +273,7 @@ def test_grid_inbox_join_never_forms_a_cross_product(monkeypatch):
     joined = join_extrusions(inbox, target)
     assert len(shared) == 4 and min(shared) >= 1
     assert index_order[0] == target
-    assert joined.table() == index_order[1]
+    assert joined.table() == PointTable(index_order[1])
 
 
 # ---- randomized join vs oracle ---------------------------------------------
@@ -333,25 +333,84 @@ def assert_join_matches_oracle(labeled):
     [([2, 4], [(0, 1), (1, 1)]), ([1, 2], [(5, 0), (6, 1), (7, 0)])],
     [([1, 2], [(-0.0, 1 + 1e-12), (0.0, 2)]),
      ([1, 3], [(0.0, 7), (1 - 1e-12, 8)]), ([2, 3], [(1, 7), (2, 8)])],
+    [([1, 2, 3], [(0, 1, 2), (0, 1, 3), (1, 1, 2), (2, 0, 0)]),
+     ([2, 3], [(1, 2), (0, 0), (5, 5)])],
+    [([2], [(1,), (0,), (4,)]),
+     ([1, 2, 3], [(0, 1, 2), (0, 1, 3), (1, 2, 2), (2, 0, 0)])],
+    [([1, 2], [(0, 0), (1, 0), (2, 1)]), ([2, 3], [(0, 5), (1, 6)]),
+     ([4], [(7,), (8,)])],
+    [([1, 2], [(0, 0), (1, 1)]), ([2, 3], [(5, 5)]), ([3, 4], [(5, 0)])],
+    [([1, 3], [(1, 1 + 1e-12), (-0.0, 2), (0.0, 1)])],
 ], ids=["many-to-many", "cross-product", "no-matching-key", "one-row-side",
         "shared-at-other-positions", "shared-first-in-a-last-in-b",
-        "equal-after-quantization"])
+        "equal-after-quantization", "semijoin-b-axes-in-a",
+        "semijoin-a-axes-in-b", "cross-product-after-keyed-join",
+        "empty-intermediate", "single-set"])
 def test_join_matches_oracle_byte_for_byte(labeled):
     assert_join_matches_oracle(
         [(labs, np.array(pts, dtype=float)) for labs, pts in labeled])
 
 
+def draw_tables(data, max_tables: int, max_rows: int):
+    """2 to ``max_tables`` (labels, rows) pairs over labels 1..5 with
+    near-equal values; a table may take a subset of an earlier table's
+    labels, so that the chain holds semijoins."""
+    labeled = []
+    for _ in range(data.draw(st.integers(2, max_tables))):
+        if labeled and data.draw(st.booleans()):
+            earlier = data.draw(st.sampled_from([labs for labs, _ in labeled]))
+            labs = sorted(data.draw(st.sets(st.sampled_from(earlier), min_size=1)))
+        else:
+            labs = sorted(data.draw(st.sets(st.integers(1, 5), min_size=1,
+                                            max_size=3)))
+        rows = data.draw(st.lists(
+            st.lists(st.sampled_from(NEAR_EQUAL), min_size=len(labs),
+                     max_size=len(labs)), min_size=1, max_size=max_rows))
+        labeled.append((labs, np.array(rows)))
+    return labeled
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_join_matches_oracle_byte_for_byte_random(data):
-    labeled = []
-    for _ in range(data.draw(st.integers(2, 3))):
-        labs = sorted(data.draw(st.sets(st.integers(1, 5), min_size=1, max_size=3)))
-        rows = data.draw(st.lists(
-            st.lists(st.sampled_from(NEAR_EQUAL), min_size=len(labs),
-                     max_size=len(labs)), min_size=1, max_size=6))
-        labeled.append((labs, np.array(rows)))
-    assert_join_matches_oracle(labeled)
+    assert_join_matches_oracle(draw_tables(data, max_tables=5, max_rows=5))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_sorted_constructor_matches_point_table_on_join_outputs(data):
+    sets = [finite_set(labs, rows) for labs, rows in draw_tables(data, 4, 6)]
+    axes, rows = sets[0].axes, sets[0].table().points
+    for s in sets[1:]:
+        axes, rows = axisset._natural_join(axes, rows, s.axes, s.table().points)
+    assert_same_bytes(PointTable._sorted(rows), PointTable(rows, dim=len(axes)).points)
+
+
+def test_join_sorts_once_and_builds_no_table_in_between(monkeypatch):
+    # a semijoin each way, a keyed join and a cross product, in that order
+    sets = [finite_set([1, 2], [(0, 0), (1, 0), (2, 1), (3, 1)]),
+            finite_set([1, 2, 3], [(0, 0, 5), (1, 0, 6), (2, 1, 7), (9, 9, 9)]),
+            finite_set([3], [(5,), (7,)]),
+            finite_set([3, 4], [(5, 1), (5, 2), (7, 3)]),
+            finite_set([5], [(8,), (9,)])]
+    target = AxisSet([1, 2, 3, 4, 5])
+    expected = join_extrusions(sets, target).table().points
+    inits, sorts = [], []
+    init, sorted_ = PointTable.__init__, PointTable._sorted.__func__
+
+    def counting_init(self, *args, **kwargs):
+        inits.append(args)
+        init(self, *args, **kwargs)
+
+    def counting_sorted(cls, rows):
+        sorts.append(rows.shape)
+        return sorted_(cls, rows)
+
+    monkeypatch.setattr(PointTable, "__init__", counting_init)
+    monkeypatch.setattr(PointTable, "_sorted", classmethod(counting_sorted))
+    joined = join_extrusions(sets, target)
+    assert sorts == [(6, 5)] and inits == []
+    assert_same_bytes(joined.table(), expected)
 
 
 @settings(max_examples=150, deadline=None)
@@ -414,6 +473,13 @@ def test_labeled_set_dimension_checks():
         finite_set([1, 2], [(1, 2, 3)])
     with pytest.raises(DimensionMismatch):
         polytope_set([1, 2], pl.HPolytope.from_box([0], [1]))
+
+
+def test_point_table_checks_its_width_against_dim():
+    with pytest.raises(DimensionMismatch, match="2 coordinates, expected 3"):
+        PointTable([[1.0, 2.0]], dim=3)
+    assert PointTable([[1.0, 2.0]], dim=2).dim == 2
+    assert PointTable([], dim=3).dim == 3
 
 
 def test_point_table_dedup_and_order():

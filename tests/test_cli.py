@@ -532,6 +532,20 @@ class TestExitCodes:
         err = json.loads((out / "error.json").read_text())
         assert err["error"] == "UnboundedDisturbance"
 
+    def test_empty_disturbance_exits_2(self, tmp_path):
+        doc = load_fixture_doc("integrator.json")
+        doc["agents"][0]["dynamics"]["E"] = [[1.0]]
+        doc["agents"][0]["dynamics"]["disturbance_set"] = \
+            {"polytope": "dim 1\nI 1.0 1.0\nI -1.0 -2.0\n"}
+        spec_path = write_doc(tmp_path, doc)
+        out = tmp_path / "out"
+        code = run_cli("run", "--mode", "distributed", "--task", "pre",
+                       "--spec", str(spec_path), "--out", str(out))
+        assert code == 2
+        err = json.loads((out / "error.json").read_text())
+        assert err["exit_code"] == 2
+        assert "agents[0].dynamics.disturbance_set" in err["message"]
+
     def test_failing_start_projection_exits_3_before_any_node_file(
             self, tmp_path, monkeypatch):
         # the shadows are projected when first read, so the failure surfaces
