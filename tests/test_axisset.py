@@ -351,10 +351,11 @@ def test_join_matches_oracle_byte_for_byte(labeled):
         [(labs, np.array(pts, dtype=float)) for labs, pts in labeled])
 
 
-def draw_tables(data, max_tables: int, max_rows: int):
-    """2 to ``max_tables`` (labels, rows) pairs over labels 1..5 with
-    near-equal values; a table may take a subset of an earlier table's
-    labels, so that the chain holds semijoins."""
+def draw_tables(data, max_tables: int, max_rows: int,
+                value=st.sampled_from(NEAR_EQUAL)):
+    """2 to ``max_tables`` (labels, rows) pairs over labels 1..5; a table
+    may take a subset of an earlier table's labels, so that the chain holds
+    semijoins."""
     labeled = []
     for _ in range(data.draw(st.integers(2, max_tables))):
         if labeled and data.draw(st.booleans()):
@@ -364,8 +365,8 @@ def draw_tables(data, max_tables: int, max_rows: int):
             labs = sorted(data.draw(st.sets(st.integers(1, 5), min_size=1,
                                             max_size=3)))
         rows = data.draw(st.lists(
-            st.lists(st.sampled_from(NEAR_EQUAL), min_size=len(labs),
-                     max_size=len(labs)), min_size=1, max_size=max_rows))
+            st.lists(value, min_size=len(labs), max_size=len(labs)),
+            min_size=1, max_size=max_rows))
         labeled.append((labs, np.array(rows)))
     return labeled
 
@@ -379,7 +380,9 @@ def test_join_matches_oracle_byte_for_byte_random(data):
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_sorted_constructor_matches_point_table_on_join_outputs(data):
-    sets = [finite_set(labs, rows) for labs, rows in draw_tables(data, 4, 6)]
+    value = st.one_of(st.sampled_from(NEAR_EQUAL),
+                      st.floats(-1e3, 1e3, allow_nan=False))
+    sets = [finite_set(labs, rows) for labs, rows in draw_tables(data, 4, 6, value)]
     axes, rows = sets[0].axes, sets[0].table().points
     for s in sets[1:]:
         axes, rows = axisset._natural_join(axes, rows, s.axes, s.table().points)
