@@ -62,7 +62,6 @@ from .axisset import (
     sets_equal,
 )
 from .errors import (
-    EmptySet,
     MaxRoundsExceeded,
     ParseError,
     ReachnetError,
@@ -364,6 +363,8 @@ def _parse_dynamics(obj, n_agents: int, where: str):
         dset = (None if "disturbance_set" not in obj
                 else _parse_polytope(obj["disturbance_set"],
                                      f"{where}.disturbance_set"))
+        if dset is not None and dset.is_empty():
+            _fail(f"{where}.disturbance_set", "disturbance set is empty")
         return "affine", dict(A=A, B=B, K=K, E=E, disturbance_set=dset)
     if kind == "finite":
         _check_keys(obj, where, ("type", "transitions"))
@@ -435,8 +436,6 @@ def _parse_network(doc) -> NetworkSpec:
             continue
         try:
             dynamics.append(AffineAgent(dims[k], idims[k], **dyn_payloads[k]))
-        except EmptySet as exc:  # only the disturbance set can be empty here
-            _fail(f"{where}.dynamics.disturbance_set", str(exc))
         except ReachnetError as exc:
             raise type(exc)(f"{where}.dynamics: {exc}") from exc
 

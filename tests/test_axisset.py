@@ -374,7 +374,7 @@ def draw_tables(data, max_tables: int, max_rows: int,
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_join_matches_oracle_byte_for_byte_random(data):
-    assert_join_matches_oracle(draw_tables(data, max_tables=5, max_rows=5))
+    assert_join_matches_oracle(draw_tables(data, max_tables=5, max_rows=6))
 
 
 @settings(max_examples=150, deadline=None)
