@@ -68,7 +68,7 @@ class UnboundedSet(ReachnetError):
     """Vertex enumeration was asked for an unbounded polytope."""
 
 
-class UnboundedDisturbance(ReachnetError):
+class UnboundedDisturbance(ValidationError):
     """A disturbance set is unbounded, so worst-case margins do not exist."""
 
 

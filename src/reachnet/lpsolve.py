@@ -16,6 +16,20 @@ long per call (2-3 ms against 0.4-0.6 ms on a 2-CPU x86-64 host), mostly on
 input conversion and option validation.  It is the only backend, so scipy
 must ship that module (``pyproject.toml`` states the floor).
 
+The binding is loaded from its own file, ``optimize/_highspy/_core`` plus
+one of ``importlib.machinery.EXTENSION_SUFFIXES`` under scipy's directory,
+and registered in ``sys.modules`` under its dotted name before it runs.  A
+plain import of that name would first run the ``__init__`` of
+``scipy.optimize``, which loads ``scipy.linalg``, ``scipy.special``,
+``scipy.fft`` and ``linprog``: on the host above that took about 0.4 s of a
+0.5 s ``import reachnet``, which takes about 0.1 s without it.  A module
+already in ``sys.modules`` (``scipy.optimize`` was imported first) is
+reused, since the extension must not be initialized twice, and a later
+``import scipy.optimize`` reuses the one loaded here.  The plain import
+runs only when no such file exists.  One trace of the shortcut stays: a
+``scipy.optimize._highspy`` imported afterwards lacks the ``_core``
+attribute, so reach the binding by ``from ... import``, not attribute.
+
 :class:`RowLps` serves redundancy pruning: a run of LPs over one matrix,
 each maximizing one row's normal over the other rows still kept.  They
 share one HiGHS model, built by the same helper as :func:`solve`'s.  A row
@@ -36,15 +50,51 @@ is MAXIMIZED, inequalities are ``A_ineq @ z <= b_ineq`` and equalities
 
 from __future__ import annotations
 
+import importlib
+import importlib.machinery
+import importlib.util
+import itertools
 import math
+import os
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
-from scipy.optimize._highspy._core import (
-    HighsLp, HighsModelStatus, HighsStatus, MatrixFormat, _Highs)
 
 from .errors import DimensionMismatch, EmptySet, NumericalFailure
+
+_HIGHS_MODULE = "scipy.optimize._highspy._core"
+
+
+def _load_highs():
+    """scipy's HiGHS binding, loaded so that no parent package's
+    ``__init__`` runs (see the module docstring)."""
+    module = sys.modules.get(_HIGHS_MODULE)
+    if module is not None:  # the extension must not be initialized twice
+        return module
+    scipy_spec = importlib.util.find_spec("scipy")  # finds, does not import
+    roots = (scipy_spec and scipy_spec.submodule_search_locations) or ()
+    for root, suffix in itertools.product(
+            roots, importlib.machinery.EXTENSION_SUFFIXES):
+        path = os.path.join(root, "optimize", "_highspy", "_core" + suffix)
+        if os.path.isfile(path):
+            spec = importlib.util.spec_from_file_location(_HIGHS_MODULE, path)
+            module = importlib.util.module_from_spec(spec)
+            sys.modules[_HIGHS_MODULE] = module
+            try:
+                spec.loader.exec_module(module)
+            except BaseException:
+                del sys.modules[_HIGHS_MODULE]
+                raise
+            return module
+    return importlib.import_module(_HIGHS_MODULE)
+
+
+_core = _load_highs()
+HighsLp, HighsModelStatus, HighsStatus, MatrixFormat, _Highs = (
+    _core.HighsLp, _core.HighsModelStatus, _core.HighsStatus,
+    _core.MatrixFormat, _core._Highs)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .polytope import HPolytope

@@ -519,7 +519,7 @@ class TestExitCodes:
                        "--out", str(out))
         assert code == 2
 
-    def test_unbounded_disturbance_exits_3(self, tmp_path):
+    def test_unbounded_disturbance_exits_2(self, tmp_path):
         doc = load_fixture_doc("integrator.json")
         doc["agents"][0]["dynamics"]["E"] = [[1.0]]
         doc["agents"][0]["dynamics"]["disturbance_set"] = \
@@ -528,7 +528,7 @@ class TestExitCodes:
         out = tmp_path / "out"
         code = run_cli("run", "--mode", "distributed", "--task", "pre",
                        "--spec", str(spec_path), "--out", str(out))
-        assert code == 3
+        assert code == 2
         err = json.loads((out / "error.json").read_text())
         assert err["error"] == "UnboundedDisturbance"
 

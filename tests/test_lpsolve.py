@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import json
 import math
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -231,3 +236,96 @@ def test_row_lps_pivot_cap_applies_to_each_lp(monkeypatch):
         points.append(res.point)
     moves = sum(not np.allclose(a, b) for a, b in zip(points, points[1:]))
     assert moves > cap  # each move from one optimal vertex to another pivots
+
+
+# ---- loading the HiGHS binding ----------------------------------------------
+#
+# Each check runs in a fresh interpreter, because this process has imported
+# scipy.optimize already (the linprog oracle).
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+#: max x + y over the unit box, solved through lpsolve; prints the JSON of
+#: the optimum, whether scipy.optimize got imported, and whether lpsolve
+#: drives the module registered under the binding's dotted name.
+_SOLVE_AND_REPORT = """
+from reachnet import lpsolve
+res = lpsolve.solve(lpsolve.LinearProgram(
+    [1.0, 1.0], A_ineq=[[1, 0], [0, 1], [-1, 0], [0, -1]], b_ineq=[1, 1, 0, 0]))
+core = sys.modules["scipy.optimize._highspy._core"]
+print(json.dumps({"value": res.value,
+                  "optimize_loaded": "scipy.optimize" in sys.modules,
+                  "registered": lpsolve._Highs is core._Highs}))
+"""
+
+
+def _run_fresh(code: str) -> dict:
+    """Run ``code`` in a new interpreter with ``src`` first on the path; it
+    prints one JSON object on its last line, which is returned."""
+    prelude = f"import json, sys\nsys.path.insert(0, {str(SRC)!r})\n"
+    proc = subprocess.run([sys.executable, "-c", prelude + textwrap.dedent(code)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_importing_reachnet_runs_no_scipy_package_init():
+    out = _run_fresh("""
+        import reachnet, reachnet.cli
+        print(json.dumps(sorted(m for m in sys.modules
+                                if m.startswith("scipy") and "._core" not in m)))
+    """)
+    # only the extension and the submodules it registers itself
+    assert out == []
+
+
+def test_binding_loaded_by_scipy_optimize_is_reused():
+    # CPython hands back the registered module even when asked to load the
+    # file again, so count the loads the loader asks for
+    out = _run_fresh("""
+        import importlib.util
+        import scipy.optimize
+        core = scipy.optimize._highspy._core
+        loads, load = [], importlib.util.spec_from_file_location
+        def counted(*args, **kwargs):
+            loads.append(args)
+            return load(*args, **kwargs)
+        importlib.util.spec_from_file_location = counted
+        from reachnet import lpsolve
+        print(json.dumps({"loads": len(loads),
+                          "same": lpsolve._Highs is core._Highs
+                                  and sys.modules[core.__name__] is core}))
+    """)
+    assert out == {"loads": 0, "same": True}
+
+
+def test_later_linprog_reuses_the_loaded_binding():
+    out = _run_fresh("""
+        from reachnet import lpsolve
+        core = sys.modules["scipy.optimize._highspy._core"]
+        from scipy.optimize import linprog
+        from scipy.optimize._highspy._core import _Highs
+        res = linprog([-1.0, -1.0], bounds=[(0, 1), (0, 2)], method="highs-ds")
+        print(json.dumps({"status": res.status, "value": -res.fun,
+                          "same": _Highs is lpsolve._Highs
+                                  and sys.modules[core.__name__] is core}))
+    """)
+    assert out == {"status": 0, "value": 3.0, "same": True}
+
+
+@pytest.mark.parametrize("hide, fallback", [
+    ("", False),
+    # a suffix list that finds no file
+    ("import importlib.machinery\n"
+     "importlib.machinery.EXTENSION_SUFFIXES = []\n", True),
+    # scipy's spec names a directory with no binding in it; the import
+    # system still finds scipy's modules through scipy.__path__
+    ("import copy, scipy\n"
+     "scipy.__spec__ = copy.copy(scipy.__spec__)\n"
+     "scipy.__spec__.submodule_search_locations = [{empty!r}]\n", True),
+], ids=["file", "no-suffix", "no-file"])
+def test_binding_loads_from_its_file_else_by_the_plain_import(
+        hide, fallback, tmp_path):
+    # only the plain import runs scipy.optimize's __init__
+    out = _run_fresh(hide.format(empty=str(tmp_path)) + _SOLVE_AND_REPORT)
+    assert out == {"value": 2.0, "optimize_loaded": fallback, "registered": True}
