@@ -34,6 +34,8 @@ from .errors import (
     ShapeMismatch,
     UnboundedDisturbance,
     ValidationError,
+    check_choice,
+    check_count,
 )
 from .polytope import HPolytope, is_bounded
 
@@ -56,9 +58,7 @@ class CouplingRow:
     relation: str = "<="
 
     def __post_init__(self):
-        if self.relation not in ("<=", "="):
-            raise ValidationError(
-                f"coupling relation must be '<=' or '=', got {self.relation!r}")
+        check_choice(self.relation, "coupling relation", ("<=", "="))
         object.__setattr__(self, "state_coefs",
                            {int(j): np.atleast_1d(np.asarray(v, dtype=float))
                             for j, v in dict(self.state_coefs).items()})
@@ -100,10 +100,8 @@ class AffineAgent:
     disturbance_set: HPolytope | None = None
 
     def __post_init__(self):
-        n = int(self.state_dim)
-        m = int(self.input_dim)
-        if n <= 0 or m < 0:
-            raise ValidationError("state_dim must be positive, input_dim nonneg")
+        n = check_count(self.state_dim, "state_dim", 1)
+        m = check_count(self.input_dim, "input_dim", 0)
         object.__setattr__(self, "state_dim", n)
         object.__setattr__(self, "input_dim", m)
         object.__setattr__(self, "A", {int(j): np.asarray(v, dtype=float)
@@ -336,9 +334,7 @@ def disturbance_map(spec, i: int, *,
     most recent disturbance does not yet show), while ``standard`` uses the
     one-step propagation ``tau <= t-1``.  Input coordinates stay zero.
     """
-    if disturbance_lag not in DISTURBANCE_LAGS:
-        raise ValidationError(
-            f"disturbance_lag must be one of {DISTURBANCE_LAGS}")
+    check_choice(disturbance_lag, "disturbance_lag", DISTURBANCE_LAGS)
     index, H = spec.index, spec.horizon
     cols = index.horizon_axes(i)
     A, E, offs, total_v = _global_blocks(spec)

@@ -66,11 +66,14 @@ from .errors import (
     ParseError,
     ReachnetError,
     ValidationError,
+    check_choice,
+    check_count,
 )
 from .fixpoint import (
     FixpointProblem,
     IterationTrace,
     centralized_projections,
+    check_limits,
     run_distributed,
 )
 from .lpsolve import support
@@ -110,7 +113,8 @@ _CSV_MAX_DIM = 3
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated knobs of one CLI run.
+    """Validated knobs of one CLI run: the limits by
+    :func:`~reachnet.fixpoint.check_limits`, the seed as a count.
 
     ``tolerance`` None means the problem's own: an axis problem's
     ``tolerance``, ``ABS_TOL`` for a network; :func:`run` resolves it.
@@ -125,27 +129,15 @@ class RunConfig:
     disturbance_lag: str = "paper"
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValidationError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.task not in TASKS:
-            raise ValidationError(f"task must be one of {TASKS}, got {self.task!r}")
-        if self.tolerance is not None and not (
-                float(self.tolerance) > 0.0 and np.isfinite(self.tolerance)):
-            raise ValidationError(
-                f"tolerance must be finite and > 0, got {self.tolerance}")
-        if self.max_rounds is not None and int(self.max_rounds) < 1:
-            raise ValidationError(
-                f"max_rounds must be >= 1, got {self.max_rounds}")
-        if int(self.seed) < 0:
-            raise ValidationError(f"seed must be >= 0, got {self.seed}")
-        if self.disturbance_lag not in DISTURBANCE_LAGS:
-            raise ValidationError(
-                f"disturbance_lag must be one of {DISTURBANCE_LAGS}, "
-                f"got {self.disturbance_lag!r}")
+        check_choice(self.mode, "mode", MODES)
+        check_choice(self.task, "task", TASKS)
+        tolerance = check_limits(ABS_TOL if self.tolerance is None
+                                 else self.tolerance, self.max_rounds)
+        check_choice(self.disturbance_lag, "disturbance_lag", DISTURBANCE_LAGS)
         object.__setattr__(self, "out_dir", Path(self.out_dir))
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", check_count(self.seed, "seed", 0))
         if self.tolerance is not None:
-            object.__setattr__(self, "tolerance", float(self.tolerance))
+            object.__setattr__(self, "tolerance", tolerance)
         if self.max_rounds is not None:
             object.__setattr__(self, "max_rounds", int(self.max_rounds))
 
@@ -337,11 +329,11 @@ def _parse_axis_problem(obj) -> FixpointProblem:
         except ReachnetError as exc:
             raise type(exc)(f"{nwhere}.set: {exc}") from exc
         axis_sets.append(axes)
-    tolerance = obj.get("tolerance", ABS_TOL)
-    if isinstance(tolerance, bool) or not isinstance(tolerance, (int, float)) \
-            or not (tolerance > 0 and np.isfinite(tolerance)):
-        _fail(f"{where}.tolerance", f"must be finite and > 0, got {tolerance!r}")
-    return FixpointProblem(axis_sets, sets, tolerance=float(tolerance))
+    try:
+        tolerance = check_limits(obj.get("tolerance", ABS_TOL))
+    except ValidationError as exc:
+        _fail(f"{where}.tolerance", str(exc))
+    return FixpointProblem(axis_sets, sets, tolerance=tolerance)
 
 
 def _parse_dynamics(obj, n_agents: int, where: str):
@@ -465,16 +457,13 @@ def _parse_network(doc) -> NetworkSpec:
         coupling_at[i].append(k)
 
     graph = graph_from_dynamics(dyn_nb, con_nb)
-    goal, start, start_part, goal_part, target_at = (
-        [None] * N for _ in range(5))
-    families = {"goal": goal, "start": start,
-                "start_partition": start_part, "goal_partition": goal_part}
+    families = {name: [None] * N for name in _TARGET_KEYS}
+    goal, target_at = families["goal_sets"], [None] * N
     for k, tgt in enumerate(_list_of(doc.get("targets", []), "targets",
                                      "target entries")):
         where = f"targets[{k}]"
         _check_keys(tgt, where, ("agent", "goal"),
-                    optional=("over", "start", "start_partition",
-                              "goal_partition"))
+                    optional=("over", *_TARGET_KEYS.values()))
         i = _agent_index(tgt, "agent", N, where)
         if goal[i] is not None:
             _fail(where, f"agent {i + 1} already has a targets entry")
@@ -484,10 +473,10 @@ def _parse_network(doc) -> NetworkSpec:
             _fail(f"{where}.over",
                   f"must be 'own' or 'neighborhood', got {over!r}")
         members = graph.neighborhood(i)
-        for key, family in families.items():
+        for name, key in _TARGET_KEYS.items():
             if key not in tgt:
                 continue
-            fwhere = f"{where}.{key}"
+            family, fwhere = families[name], f"{where}.{key}"
             family[i] = parse(tgt[key], fwhere)
             if over != "own":
                 continue
@@ -509,13 +498,10 @@ def _parse_network(doc) -> NetworkSpec:
             dyn_neighbors=tuple(dyn_nb), con_neighbors=tuple(con_nb),
             horizon=_int_field(doc, "horizon", "document"),
             state_sets=tuple(state_sets), input_sets=tuple(input_sets),
-            goal_sets=tuple(goal), dynamics=tuple(dynamics),
+            dynamics=tuple(dynamics),
             couplings=tuple(tuple(rows) for rows in couplings),
-            start_sets=None if all(s is None for s in start) else tuple(start),
-            start_partitions=(None if all(s is None for s in start_part)
-                              else tuple(start_part)),
-            goal_partitions=(None if all(s is None for s in goal_part)
-                             else tuple(goal_part)),
+            **{name: tuple(fam) if any(s is not None for s in fam) else None
+               for name, fam in families.items()},
         )
     except ReachnetError as exc:
         if not hasattr(exc, "field"):
@@ -524,11 +510,10 @@ def _parse_network(doc) -> NetworkSpec:
         raise type(exc)(f"{where}: {exc.detail}") from exc
 
 
-#: The problem-file key of each per-agent set of a NetworkSpec.
-_SET_KEYS = {"state_sets": "state_set", "input_sets": "input_set",
-             "goal_sets": "goal", "start_sets": "start",
-             "start_partitions": "start_partition",
-             "goal_partitions": "goal_partition"}
+#: The ``targets`` entry key of each per-agent target set of a NetworkSpec.
+_TARGET_KEYS = {"goal_sets": "goal", "start_sets": "start",
+                "start_partitions": "start_partition",
+                "goal_partitions": "goal_partition"}
 
 
 def _json_field(field: tuple, coupling_at, target_at) -> str:
@@ -537,10 +522,10 @@ def _json_field(field: tuple, coupling_at, target_at) -> str:
     name, i, *keys = field
     if name == "couplings":
         where = f"coupling[{coupling_at[i][keys.pop(0)]}]"
-    elif name in ("dynamics", "state_sets", "input_sets"):
-        where = f"agents[{i}].{_SET_KEYS.get(name, name)}"
-    else:
-        where = f"targets[{target_at[i]}].{_SET_KEYS[name]}"
+    elif name in _TARGET_KEYS:
+        where = f"targets[{target_at[i]}].{_TARGET_KEYS[name]}"
+    else:  # dynamics, state_sets or input_sets
+        where = f"agents[{i}].{name.replace('_sets', '_set')}"
     if keys:  # a block or coefficient vector keyed by 1-based agent id
         where += f".{keys[0]}[{keys[1] + 1}]"
     return where
@@ -636,10 +621,9 @@ def serialize(obj) -> dict:
 
     targets = []
     for i in range(obj.n_agents):
-        entry = {"agent": i + 1, "goal": _set_payload(obj.goal_sets[i])}
-        for key, fam in (("start", obj.start_sets),
-                         ("start_partition", obj.start_partitions),
-                         ("goal_partition", obj.goal_partitions)):
+        entry = {"agent": i + 1}
+        for name, key in _TARGET_KEYS.items():
+            fam = getattr(obj, name)
             if fam is not None and fam[i] is not None:
                 entry[key] = _set_payload(fam[i])
         targets.append(entry)
@@ -708,7 +692,11 @@ def _write_node_set(out: Path, stem: str, s: LabeledSet) -> None:
         writer.writerows([repr(float(x)) for x in row] for row in rows)
 
 
-def _write_error(out: Path, exc: Exception, code: int) -> None:
+def _write_error(out: Path, exc: ReachnetError) -> int:
+    """Write ``error.json`` for ``exc`` and return its exit code: 2 invalid
+    input, 4 round budget exhausted, 3 any other failure."""
+    code = (2 if isinstance(exc, ValidationError)
+            else 4 if isinstance(exc, MaxRoundsExceeded) else 3)
     try:
         out.mkdir(parents=True, exist_ok=True)
         _write_json(out / "error.json", {
@@ -720,6 +708,7 @@ def _write_error(out: Path, exc: Exception, code: int) -> None:
         # the error file is a convenience; stderr already carries the
         # message, so an unwritable output path must not mask it
         pass
+    return code
 
 
 # -- compare-mode gap measurement ----------------------------------------------
@@ -805,17 +794,10 @@ def run(config: RunConfig, problem) -> int:
             if config.task == "reach-check":
                 _check_start_sets(problem)
             trace = _run_network(config, problem, out)
-    except MaxRoundsExceeded as exc:
-        if exc.trace is not None:
-            _write_json(out / "trace.json", _trace_to_json(exc.trace))
-        _write_error(out, exc, 4)
-        return 4
-    except ValidationError as exc:
-        _write_error(out, exc, 2)
-        return 2
     except ReachnetError as exc:
-        _write_error(out, exc, 3)
-        return 3
+        if isinstance(exc, MaxRoundsExceeded) and exc.trace is not None:
+            _write_json(out / "trace.json", _trace_to_json(exc.trace))
+        return _write_error(out, exc)
     timing = {"total_seconds": time.perf_counter() - started}
     if trace is not None:
         timing["per_round_seconds"] = [rec.wall_time for rec in trace.records]
@@ -899,7 +881,7 @@ def _run_network(config: RunConfig, spec: NetworkSpec,
                  out: Path) -> IterationTrace | None:
     result = _config_header(config)
     trace = None
-    solutions = flags = None
+    solutions = flags = joined = None
     if config.mode in ("distributed", "compare"):
         solutions, trace = run_distributed_reachability(
             spec, task=config.task, disturbance_lag=config.disturbance_lag,
@@ -917,7 +899,8 @@ def _run_network(config: RunConfig, spec: NetworkSpec,
         result["convergence"] = _convergence_summary(trace)
         _write_json(out / "trace.json", _trace_to_json(trace))
         if config.task == "reach-check":
-            flags = _distributed_reach_flags(spec, solutions,
+            joined = start_join(spec)
+            flags = _distributed_reach_flags(joined, solutions,
                                              config.tolerance)
             result["per_node_reachable"] = flags
             result["reachable"] = all(flags)
@@ -935,40 +918,40 @@ def _run_network(config: RunConfig, spec: NetworkSpec,
                             central.admissible_controls)
             if config.task == "reach-check":
                 result["reachable"] = _centralized_reach_flag(
-                    spec, central, config.tolerance)
+                    start_join(spec), central, config.tolerance)
 
     _write_json(out / "result.json", result)
     if config.mode == "compare":
         _write_json(out / "report.json",
-                    _network_report(config, spec, solutions, trace,
-                                    central, flags))
+                    _network_report(config, solutions, trace, central,
+                                    flags, joined))
     return trace
 
 
-def _distributed_reach_flags(spec: NetworkSpec, solutions,
+def _distributed_reach_flags(joined: LabeledSet, solutions,
                              tolerance: float) -> list[bool]:
     """Per node: does every declared start state admit a trajectory?
 
     The computed start states are always contained in the declared joined
-    start restriction; the check is whether the containment is tight.
+    start restriction ``joined`` (:func:`start_join`); the check is whether
+    the containment is tight.
     """
-    joined = start_join(spec)
     return [bool(sets_equal(sol.start_states,
                             project_set(joined, sol.start_states.axes),
                             tolerance))
             for sol in solutions]
 
 
-def _centralized_reach_flag(spec: NetworkSpec, central,
+def _centralized_reach_flag(joined: LabeledSet, central,
                             tolerance: float) -> bool:
-    joined = start_join(spec)
     return bool(sets_equal(central.start_states, joined, tolerance))
 
 
-def _network_report(config: RunConfig, spec: NetworkSpec, solutions,
-                    trace: IterationTrace, central, flags) -> dict:
+def _network_report(config: RunConfig, solutions, trace: IterationTrace,
+                    central, flags, joined) -> dict:
     """Compare-mode agreement report; ``flags`` are the distributed
-    per-node reach-check verdicts (None for the pre task)."""
+    per-node reach-check verdicts and ``joined`` the start join they
+    checked against (both None for the pre task)."""
     rng = np.random.default_rng(config.seed)
     per_node = []
     for sol in solutions:
@@ -984,7 +967,7 @@ def _network_report(config: RunConfig, spec: NetworkSpec, solutions,
     if config.task == "reach-check":
         extra["reachable_distributed"] = all(flags)
         extra["reachable_centralized"] = _centralized_reach_flag(
-            spec, central, config.tolerance)
+            joined, central, config.tolerance)
     return _build_report(config, per_node, trace, extra)
 
 
@@ -1037,14 +1020,9 @@ def main(argv=None) -> int:
                 f"cannot create output directory {config.out_dir}: "
                 f"{exc}") from exc
         problem = load_spec(args.spec)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        _write_error(Path(args.out), exc, 2)
-        return 2
     except ReachnetError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        _write_error(Path(args.out), exc, 3)
-        return 3
+        return _write_error(Path(args.out), exc)
     code = run(config, problem)
     if code == 0:
         print(f"wrote results to {config.out_dir}")

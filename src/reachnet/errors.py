@@ -2,10 +2,13 @@
 
 Every error raised on purpose derives from :class:`ReachnetError` so callers
 (and the CLI exit-code mapping) can tell deliberate rejections apart from
-plain bugs.
+plain bugs.  Every module checks counts and named options with the two
+functions at the end.
 """
 
 from __future__ import annotations
+
+import operator
 
 
 class ReachnetError(Exception):
@@ -104,3 +107,21 @@ class MaxRoundsExceeded(ReachnetError):
         super().__init__(f"no global convergence after {rounds} rounds")
         self.rounds = rounds
         self.trace = trace
+
+
+def check_count(value, what: str, least: int) -> int:
+    """``value`` as an int if it is an integer, numpy's included, of at
+    least ``least``; else ValidationError, also for a bool or a float."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        count = None
+    if count is None or isinstance(value, bool) or count < least:
+        raise ValidationError(f"{what} must be an integer >= {least}, got {value!r}")
+    return count
+
+
+def check_choice(value, what: str, choices: tuple[str, ...]) -> None:
+    """ValidationError unless ``value`` is one of the names in ``choices``."""
+    if not (isinstance(value, str) and value in choices):
+        raise ValidationError(f"{what} must be one of {choices}, got {value!r}")

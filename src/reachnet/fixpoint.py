@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from numbers import Real
 from typing import Mapping, Optional, Sequence
 
 from .axisset import (
@@ -27,21 +28,22 @@ from .axisset import (
     project_set,
     sets_equal,
 )
-from .errors import MaxRoundsExceeded, ValidationError
+from .errors import MaxRoundsExceeded, ValidationError, check_count
 from .netgraph import exchange, graph_from_axis_overlap
 from .polytope import ABS_TOL
 
 
 def check_limits(tolerance: float, max_rounds: Optional[int] = None) -> float:
-    """Check that ``tolerance`` is finite and > 0 and that ``max_rounds``,
-    unless None, is >= 1 (else ValidationError); return the tolerance."""
-    tolerance = float(tolerance)
-    if not 0.0 < tolerance < float("inf"):
+    """Check that ``tolerance`` is a real number, finite and > 0, and that
+    ``max_rounds``, unless None, is an integer >= 1 (else ValidationError;
+    a bool is neither); return the tolerance as a float."""
+    if isinstance(tolerance, bool) or not isinstance(tolerance, Real) \
+            or not 0.0 < float(tolerance) < float("inf"):
         raise ValidationError(
-            f"tolerance must be finite and > 0, got {tolerance}")
-    if max_rounds is not None and max_rounds < 1:
-        raise ValidationError("max_rounds must be at least 1")
-    return tolerance
+            f"tolerance must be a finite real number > 0, got {tolerance!r}")
+    if max_rounds is not None:
+        check_count(max_rounds, "max_rounds", 1)
+    return float(tolerance)
 
 
 @dataclass(frozen=True)

@@ -494,7 +494,7 @@ def _certify_irredundant(G, g, F, f, tol: float, centre=None):
     return certified, c, L, lead
 
 
-def prune(p: HPolytope, tol: float = ABS_TOL, merge_equalities: bool = False) -> HPolytope:
+def prune(p: HPolytope, merge_equalities: bool = False) -> HPolytope:
     """Minimal representation: drop inequality rows implied by the rest.
 
     With ``merge_equalities`` opposite inequality pairs that pin a hyperplane
@@ -502,10 +502,10 @@ def prune(p: HPolytope, tol: float = ABS_TOL, merge_equalities: bool = False) ->
 
     Rows are visited in order; row i is dropped when maximizing its normal
     over the rows still kept (without i) and the equalities gives at most
-    ``g_i + tol``.  Rows that ray shooting certifies (see
+    ``g_i + ABS_TOL``.  Rows that ray shooting certifies (see
     :func:`_certify_irredundant`) skip that LP.  A certified row has a
     witness x that satisfies every other row and the equalities and exceeds
-    ``g_i`` by more than ``tol`` plus :data:`CERTIFY_MARGIN`; the rows kept
+    ``g_i`` by more than ``ABS_TOL`` plus :data:`CERTIFY_MARGIN`; the rows kept
     at its turn are a subset of the others, so its LP maximizes over a
     superset containing x and would keep it too.  The margin absorbs the LP
     solver's rounding, so the result is the same system, row for row, as
@@ -518,9 +518,9 @@ def prune(p: HPolytope, tol: float = ABS_TOL, merge_equalities: bool = False) ->
     :func:`_settles`.  To keep row i, the optimum must be a witness as above,
     for the rows in force, so the cold LP keeps the row too.  To drop it,
     the duals ``y >= 0`` and ``w`` must give ``y G + w F = G_i`` up to a
-    residual r within ``tol``; then the cold LP's maximum is at most
+    residual r within ``ABS_TOL``; then the cold LP's maximum is at most
     ``y g + w f + |r|_1 s`` plus its rounding, with s = ``max(1, |x|)`` at
-    the warm optimum x.  That bound must lie below ``g_i + tol`` by
+    the warm optimum x.  That bound must lie below ``g_i + ABS_TOL`` by
     :data:`CERTIFY_MARGIN` times s, the same margin as for a witness, so a
     drop near the threshold (a weakly redundant row, whose maximum is
     ``g_i``) is left to the cold LP.  Any other outcome (no optimum, a
@@ -530,10 +530,10 @@ def prune(p: HPolytope, tol: float = ABS_TOL, merge_equalities: bool = False) ->
     equalities; the certificates fail there, so the cold LP decides.
 
     The centre of the ray shooting also settles emptiness: when it is found
-    (a ball of radius above ``tol`` plus the margin fits inside the set), it
+    (a ball of radius above ``ABS_TOL`` plus the margin fits inside the set), it
     is a point of the set, so ``p`` is recorded as nonempty and its
     emptiness LP is not solved.  After merging the centre proves nothing
-    about ``p``: a merged pair may lie up to ``tol`` apart the wrong way,
+    about ``p``: a merged pair may lie up to ``ABS_TOL`` apart the wrong way,
     which leaves ``p`` empty and its merged form not.  Whenever no centre
     proves it, the emptiness LP decides, as before.
 
@@ -558,7 +558,7 @@ def prune(p: HPolytope, tol: float = ABS_TOL, merge_equalities: bool = False) ->
                 continue
             opposite = np.all(np.abs(G + G[i]) <= 1e-10, axis=1) & ~used
             opposite[i] = False
-            hit = np.nonzero(opposite & (np.abs(g + g[i]) <= tol))[0]
+            hit = np.nonzero(opposite & (np.abs(g + g[i]) <= ABS_TOL))[0]
             if hit.size:
                 used[i] = used[hit[0]] = True
                 eq_rows.append(G[i])
@@ -568,7 +568,7 @@ def prune(p: HPolytope, tol: float = ABS_TOL, merge_equalities: bool = False) ->
             F = np.vstack([F, np.array(eq_rows)])
             f = np.hstack([f, np.array(eq_rhs)])
             merged = True
-    certified, centre, L, lead = _certify_irredundant(G, g, F, f, tol, centre)
+    certified, centre, L, lead = _certify_irredundant(G, g, F, f, ABS_TOL, centre)
     if centre is not None and not merged:
         p._empty_cache = False
     elif p.is_empty():
@@ -577,9 +577,9 @@ def prune(p: HPolytope, tol: float = ABS_TOL, merge_equalities: bool = False) ->
         lps = lpsolve.RowLps(G, g, F, f)
         for i in np.flatnonzero(~certified):
             res = lps.warm(i)
-            if res is None or not _settles(res, i, lps, L, lead, tol):
+            if res is None or not _settles(res, i, lps, L, lead, ABS_TOL):
                 res = lps.cold(i)
-            if res.status == lpsolve.OPTIMAL and res.value <= g[i] + tol:
+            if res.status == lpsolve.OPTIMAL and res.value <= g[i] + ABS_TOL:
                 lps.drop(i)
             # unbounded or (numerically) infeasible: keep the row
         G, g = G[lps.kept], g[lps.kept]
@@ -740,12 +740,12 @@ def _affine_basis(F: np.ndarray, f: np.ndarray, dim: int):
     return z0, basis
 
 
-def vertices(p: HPolytope, tol: float = VERTEX_TOL) -> np.ndarray:
+def vertices(p: HPolytope) -> np.ndarray:
     """All vertices of a bounded nonempty polytope, one per row.
 
     Basic-solution enumeration on the equality-reduced system; intended for
     the low dimensions this package works in (reduced dimension <= 8).
-    Duplicates from degenerate corners are clustered within ``tol``.
+    Duplicates from degenerate corners are clustered within ``VERTEX_TOL``.
     """
     q = prune(p, merge_equalities=True)
     if p.is_empty():  # settled by prune, by its centre or its emptiness LP
@@ -779,7 +779,7 @@ def vertices(p: HPolytope, tol: float = VERTEX_TOL) -> np.ndarray:
     for y in found:
         z = z0 + basis @ y
         for existing in pts:
-            if np.linalg.norm(existing - z) <= tol:
+            if np.linalg.norm(existing - z) <= VERTEX_TOL:
                 break
         else:
             pts.append(z)

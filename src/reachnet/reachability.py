@@ -22,6 +22,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from functools import cached_property
+from numbers import Real
 
 import numpy as np
 
@@ -44,6 +45,8 @@ from .errors import (
     ShapeMismatch,
     UnsupportedDynamics,
     ValidationError,
+    check_choice,
+    check_count,
 )
 from .fixpoint import FixpointProblem, IterationTrace, check_limits, run_distributed
 from .netgraph import graph_from_dynamics
@@ -134,9 +137,12 @@ class NetworkSpec:
     as per-agent alphabets.
 
     A spec that constructs is solvable: every structural check runs here,
-    once, and the local-system builders trust it.  Besides list lengths and
-    neighbour indices, it checks that:
+    once, and the local-system builders trust it.  Besides list lengths, it
+    checks that:
 
+    * dimensions, the horizon and neighbour indices are integers, numpy's
+      included, never a bool or a float (ValidationError), and indices
+      name an agent (IndexOutOfRange);
     * each dynamics payload is an ``AffineAgent`` or ``FiniteDynamics``
       (UnsupportedDynamics), all of one kind (ValidationError);
     * affine A/B blocks have the declared shapes and finite entries
@@ -182,33 +188,30 @@ class NetworkSpec:
 
     def __post_init__(self):
         set_attr = object.__setattr__
-        dims = tuple(int(d) for d in self.state_dims)
-        idims = tuple(int(d) for d in self.input_dims)
+        dims = tuple(check_count(d, f"state_dims[{i}]", 1)
+                     for i, d in enumerate(self.state_dims))
+        idims = tuple(check_count(d, f"input_dims[{i}]", 0)
+                      for i, d in enumerate(self.input_dims))
         N = len(dims)
         if N < 1:
             raise ValidationError("at least one agent is required")
         if len(idims) != N:
             raise ValidationError("state_dims and input_dims lengths differ")
-        if any(d < 1 for d in dims):
-            raise ValidationError("state dimensions must be positive")
-        if any(d < 0 for d in idims):
-            raise ValidationError("input dimensions must be nonnegative")
         set_attr(self, "state_dims", dims)
         set_attr(self, "input_dims", idims)
-        if int(self.horizon) < 0:
-            raise ValidationError(f"horizon must be >= 0, got {self.horizon}")
-        set_attr(self, "horizon", int(self.horizon))
+        set_attr(self, "horizon", check_count(self.horizon, "horizon", 0))
 
         def norm_nb(lists, what):
             if len(lists) != N:
                 raise ValidationError(f"{what} must list all {N} agents")
             out = []
             for i, lst in enumerate(lists):
-                for j in lst:
-                    if not 0 <= int(j) < N:
+                for j in lst:  # range first: out of range is IndexOutOfRange
+                    if isinstance(j, Real) and not 0 <= j < N:
                         raise IndexOutOfRange(
                             f"{what}[{i}] references unknown agent {j}")
-                out.append(tuple(sorted({int(j) for j in lst} - {i})))
+                out.append(tuple(sorted(
+                    {check_count(j, f"{what}[{i}] entry", 0) for j in lst} - {i})))
             return tuple(out)
 
         set_attr(self, "dyn_neighbors", norm_nb(self.dyn_neighbors,
@@ -577,12 +580,8 @@ def local_system_solution(spec: NetworkSpec, index: AxisIndex, i: int, *,
     """
     if index != spec.index:
         raise ValidationError("index must be the spec's own axis index")
-    if task not in TASKS:
-        raise ValidationError(f"task must be one of {TASKS}, got {task!r}")
-    if disturbance_lag not in _affine.DISTURBANCE_LAGS:
-        raise ValidationError(
-            f"disturbance_lag must be one of {_affine.DISTURBANCE_LAGS}, "
-            f"got {disturbance_lag!r}")
+    check_choice(task, "task", TASKS)
+    check_choice(disturbance_lag, "disturbance_lag", _affine.DISTURBANCE_LAGS)
     if spec.backend == "finite":
         return _finite_local_solution(spec, i, task)
     system = _affine.assemble_robust_system(
@@ -710,8 +709,7 @@ def centralized_reachability(
     coordinates.  No shadow is projected here; a caller that never reads
     one pays only for the join.
     """
-    if task not in TASKS:
-        raise ValidationError(f"task must be one of {TASKS}, got {task!r}")
+    check_choice(task, "task", TASKS)
     index = spec.index
     width = (spec.horizon + 1) * index.step_width
     if width > DEFAULT_DIMENSION_CAP:

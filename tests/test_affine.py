@@ -176,6 +176,18 @@ class TestAffineAgentValidation:
             AffineAgent(1, 1, A={0: [[1.0]]}, E=[[1.0, 0.5]],
                         disturbance_set=box(-1, 1))
 
+    @pytest.mark.parametrize("dims", [(1.5, 1), (1, 1.0), (True, 1),
+                                      ("1", 1), (0, 1), (1, -1)])
+    def test_dims_must_be_integers_in_range(self, dims):
+        # int() used to truncate: AffineAgent(1.5, 1) had state_dim 1
+        with pytest.raises(ValidationError, match="_dim"):
+            AffineAgent(*dims, A={0: [[1.0]]})
+
+    def test_numpy_integer_dims_accepted(self):
+        ag = AffineAgent(np.int64(2), np.int32(0), A={0: np.eye(2)})
+        assert (ag.state_dim, ag.input_dim) == (2, 0)
+        assert type(ag.state_dim) is int and type(ag.input_dim) is int
+
     def test_zero_map_counts_as_no_disturbance(self):
         ag = AffineAgent(1, 1, A={0: [[1.0]]}, E=[[0.0]],
                          disturbance_set=box(-1, 1))

@@ -471,6 +471,16 @@ def test_polytope_project_extrude_round_trip(seed):
     assert sets_equal(back, s, tol=1e-8)
 
 
+def test_set_includes_polytopes():
+    big = polytope_set([1, 2], pl.HPolytope.from_box([0, 0], [2, 2]))
+    small = polytope_set([1, 2], pl.HPolytope.from_box([0.5, 0.5], [1, 1]))
+    wider = polytope_set([1, 2], pl.HPolytope.from_box([0, 0], [2.001, 2]))
+    assert set_includes(big, small) and not set_includes(small, big)
+    # the tolerance reaches the polytope test: 1e-3 outside is inside at 1e-2
+    assert not set_includes(big, wider)
+    assert set_includes(big, wider, tol=1e-2)
+
+
 def test_labeled_set_dimension_checks():
     with pytest.raises(DimensionMismatch):
         finite_set([1, 2], [(1, 2, 3)])

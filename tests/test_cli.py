@@ -13,12 +13,14 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from reachnet.affine import CouplingRow
-from reachnet.axisset import AxisSet, project_set
+from reachnet.axisset import AxisSet, polytope_set, project_set
 from reachnet.cli import (
     RunConfig,
+    _compare_sets,
     load_spec,
     main,
     parse_document,
@@ -28,7 +30,7 @@ from reachnet.cli import (
 from reachnet.errors import NumericalFailure, ParseError, ValidationError
 from reachnet.fixpoint import FixpointProblem
 from reachnet.polytope import HPolytope, from_text, set_equal
-from reachnet.reachability import NetworkSpec
+from reachnet.reachability import NetworkSpec, start_join
 
 from .test_reachability import box, finite_toy_spec, integrator_spec
 
@@ -233,6 +235,14 @@ class TestRunConfig:
         assert cfg.disturbance_lag == "paper"
         assert isinstance(cfg.out_dir, Path)
 
+    def test_numpy_integers_accepted(self):
+        cfg = RunConfig("compare", "pre", "/tmp/x", tolerance=np.float32(0.5),
+                        max_rounds=np.int64(3), seed=np.int64(7))
+        assert (cfg.tolerance, cfg.max_rounds, cfg.seed) == (0.5, 3, 7)
+        assert all(type(v) is t for v, t in ((cfg.tolerance, float),
+                                              (cfg.max_rounds, int),
+                                              (cfg.seed, int)))
+
     @pytest.mark.parametrize("kw", [
         {"mode": "both"},
         {"task": "forward"},
@@ -242,6 +252,12 @@ class TestRunConfig:
         {"disturbance_lag": "delayed"},
         {"tolerance": float("inf")},
         {"seed": -1},
+        {"tolerance": True},
+        {"tolerance": "1e-9"},
+        {"max_rounds": 2.7},
+        {"max_rounds": True},
+        {"seed": 1.7},
+        {"seed": "1"},
     ])
     def test_invalid_settings(self, kw):
         base = dict(mode="compare", task="pre", out_dir="/tmp/x")
@@ -278,6 +294,52 @@ class TestEndToEnd:
         assert not any(trace["rounds"][-1]["changed"])
         for i in range(1, 6):
             assert (out / f"node_{i:02d}_fixpoint.json").exists()
+
+    @pytest.mark.parametrize("fixture, suffix", [
+        ("five_node_points.json", ".json"),
+        ("five_node_polytopes.json", ".poly"),
+    ])
+    def test_centralized_fixpoint_writes_node_files(self, tmp_path, fixture,
+                                                    suffix):
+        out = tmp_path / "out"
+        code = run_cli("run", "--mode", "centralized", "--task",
+                       "fixpoint-only", "--spec", str(FIXTURES / fixture),
+                       "--out", str(out))
+        assert code == 0
+        assert sorted(p.name for p in out.glob(f"node_*_fixpoint{suffix}")) \
+            == [f"node_{i:02d}_fixpoint{suffix}" for i in range(1, 6)]
+        nodes = json.loads((out / "result.json").read_text())["nodes"]
+        assert [node.pop("node") for node in nodes] == [1, 2, 3, 4, 5]
+        for i, node in enumerate(nodes, start=1):
+            text = (out / f"node_{i:02d}_fixpoint{suffix}").read_text()
+            if suffix == ".json":
+                assert json.loads(text) == node
+            else:
+                assert text == node["polytope"]
+
+    def test_compare_with_empty_polytopes(self, tmp_path):
+        # node 1's box misses node 4's range of axis 1, so the join and
+        # every set of both routes are empty, and empty equals empty
+        doc = load_fixture_doc("five_node_polytopes.json")
+        doc["axis_problem"]["nodes"][0]["set"] = {"box": [[10, 11], [10, 11]]}
+        out = tmp_path / "out"
+        code = run_cli("run", "--mode", "compare", "--task", "fixpoint-only",
+                       "--spec", str(write_doc(tmp_path, doc)),
+                       "--out", str(out))
+        assert code == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["exact_match"] is True
+        assert report["max_support_gap"] == 0.0
+        assert all(rec["exact_match"] is True and rec["max_support_gap"] == 0.0
+                   for rec in report["per_node"])
+
+    def test_compare_empty_against_nonempty_is_a_mismatch(self):
+        empty = polytope_set([1], HPolytope.empty(1))
+        full = polytope_set([1], HPolytope.from_box([0.0], [1.0]))
+        rng = np.random.default_rng(0)
+        for dist, cent in ((empty, full), (full, empty)):
+            assert _compare_sets(dist, cent, 1e-9, rng) \
+                == {"exact_match": False, "max_support_gap": None}
 
     def test_five_node_polytopes_compare(self, tmp_path):
         out = tmp_path / "out"
@@ -423,6 +485,21 @@ class TestEndToEnd:
         report = json.loads((tmp_path / "compare" / "report.json").read_text())
         assert report["reachable_distributed"] is verdict
         assert report["reachable_centralized"] is verdict
+
+    def test_reach_check_builds_the_start_join_once(self, tmp_path,
+                                                    monkeypatch):
+        calls = []
+        monkeypatch.setattr("reachnet.cli.start_join",
+                            lambda spec: calls.append(spec) or start_join(spec))
+        doc = load_fixture_doc("integrator.json")
+        doc["targets"][0]["start"] = {"box": [[-1.8, 1.8]]}
+        spec_path = write_doc(tmp_path, doc)
+        for mode in ("centralized", "distributed", "compare"):
+            calls.clear()
+            code = run_cli("run", "--mode", mode, "--task", "reach-check",
+                           "--spec", str(spec_path), "--out",
+                           str(tmp_path / mode))
+            assert code == 0 and len(calls) == 1, mode
 
     @pytest.mark.parametrize("tol_args,tolerance,rounds", [
         ((), 10.0, 1),

@@ -106,13 +106,20 @@ class TestProblemAndCentralized:
             FixpointProblem([], [])
 
     @pytest.mark.parametrize("tol", [float("nan"), float("inf"),
-                                     -float("inf"), 0.0, -1.0])
+                                     -float("inf"), 0.0, -1.0,
+                                     True, "1e-9", None, [1e-9]])
     def test_tolerance_must_be_finite_and_positive(self, tol):
         # a NaN tolerance used to make every set compare equal, so round 0
         # passed for the fixed point
         s = finite_set(AxisSet((1,)), [[1.0]])
         with pytest.raises(ValidationError, match="tolerance"):
             FixpointProblem([s.axes], [s], tol)
+
+    def test_real_tolerances_become_floats(self):
+        s = finite_set(AxisSet((1,)), [[1.0]])
+        for tol in (1, np.float32(0.5), np.int64(2)):
+            got = FixpointProblem([s.axes], [s], tol).tolerance
+            assert type(got) is float and got == float(tol)
 
     def test_centralized_join_golden(self):
         joined = centralized_join(five_node_problem())
@@ -262,6 +269,11 @@ class TestDistributedEdgeCases:
     def test_max_rounds_must_be_positive(self):
         with pytest.raises(ValidationError, match="max_rounds"):
             run_distributed(five_node_problem(), max_rounds=0)
+
+    @pytest.mark.parametrize("rounds", [2.5, True, "3", np.float64(3.0)])
+    def test_max_rounds_must_be_an_integer(self, rounds):
+        with pytest.raises(ValidationError, match="max_rounds"):
+            run_distributed(five_node_problem(), max_rounds=rounds)
 
     def test_max_rounds_exceeded_partial_trace(self):
         with pytest.raises(MaxRoundsExceeded) as exc_info:

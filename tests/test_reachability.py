@@ -331,6 +331,30 @@ class TestNetworkSpecValidation:
                 input_sets=(box(-1, 1),), goal_sets=(box(-1, 1),),
                 dynamics=(AffineAgent(1, 1, A={0: [[1.0]]}),))
 
+    @pytest.mark.parametrize("field, value", [
+        ("horizon", 1.5), ("horizon", True), ("horizon", "1"),
+        ("state_dims", (1.5, 1)), ("input_dims", (1, 1.0)),
+        ("dyn_neighbors", ((1.5,), ())), ("con_neighbors", ((1.0,), ())),
+    ])
+    def test_counts_must_be_integers(self, field, value):
+        # int() used to truncate: horizon 1.5 solved horizon 1
+        with pytest.raises(ValidationError, match=field[:-1]):
+            dataclasses.replace(chain_spec(), **{field: value})
+
+    def test_truncated_neighbour_out_of_range_stays_index_error(self):
+        with pytest.raises(IndexOutOfRange):
+            dataclasses.replace(chain_spec(), con_neighbors=((2.5,), ()))
+
+    def test_numpy_integer_counts_accepted(self):
+        spec = dataclasses.replace(
+            integrator_spec(), state_dims=(np.int64(1),),
+            input_dims=(np.int32(1),), horizon=np.int64(2),
+            dyn_neighbors=((np.int64(0),),))
+        assert (spec.state_dims, spec.input_dims, spec.horizon,
+                spec.dyn_neighbors) == ((1,), (1,), 2, ((),))
+        assert all(type(v) is int for v in (*spec.state_dims,
+                                             *spec.input_dims, spec.horizon))
+
     def test_goal_dimension_checked_against_neighborhood(self):
         with pytest.raises(DimensionMismatch):
             chain = chain_spec()
@@ -1138,12 +1162,26 @@ class TestGuardrails:
                 goal_sets=chain.goal_sets,
                 dynamics=(chain.dynamics[0], "mystery"))
 
-    @pytest.mark.parametrize("tol", [NAN, INF, -INF, 0.0, -1.0])
+    @pytest.mark.parametrize("tol", [NAN, INF, -INF, 0.0, -1.0,
+                                     True, "1e-9", None])
     def test_tolerance_must_be_finite_and_positive(self, tol, monkeypatch):
         calls = _count_local_solves(monkeypatch)
         with pytest.raises(ValidationError, match="tolerance"):
             run_distributed_reachability(chain_spec(), tolerance=tol)
         assert calls == []  # refused before the first local solve
+
+    @pytest.mark.parametrize("rounds", [2.5, 3.0, True, "3"])
+    def test_max_rounds_must_be_an_integer(self, rounds, monkeypatch):
+        # 2.5 used to fail in range() after every local solve
+        calls = _count_local_solves(monkeypatch)
+        with pytest.raises(ValidationError, match="max_rounds"):
+            run_distributed_reachability(chain_spec(), max_rounds=rounds)
+        assert calls == []  # refused before the first local solve
+
+    def test_numpy_integer_max_rounds_accepted(self):
+        _, trace = run_distributed_reachability(chain_spec(),
+                                                max_rounds=np.int64(10))
+        assert trace.converged
 
     def test_max_rounds_propagates(self, monkeypatch):
         from reachnet.errors import MaxRoundsExceeded
