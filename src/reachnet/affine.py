@@ -59,12 +59,11 @@ class CouplingRow:
 
     def __post_init__(self):
         check_choice(self.relation, "coupling relation", ("<=", "="))
-        object.__setattr__(self, "state_coefs",
-                           {int(j): np.atleast_1d(np.asarray(v, dtype=float))
-                            for j, v in dict(self.state_coefs).items()})
-        object.__setattr__(self, "input_coefs",
-                           {int(j): np.atleast_1d(np.asarray(v, dtype=float))
-                            for j, v in dict(self.input_coefs).items()})
+        for name in ("state_coefs", "input_coefs"):
+            object.__setattr__(self, name, {
+                check_count(j, f"{name} key", 0):
+                    np.atleast_1d(np.asarray(v, dtype=float))
+                for j, v in dict(getattr(self, name)).items()})
         for coefs in (self.state_coefs, self.input_coefs):
             for j, v in coefs.items():
                 if not np.all(np.isfinite(v)):
@@ -104,10 +103,10 @@ class AffineAgent:
         m = check_count(self.input_dim, "input_dim", 0)
         object.__setattr__(self, "state_dim", n)
         object.__setattr__(self, "input_dim", m)
-        object.__setattr__(self, "A", {int(j): np.asarray(v, dtype=float)
-                                       for j, v in dict(self.A).items()})
-        object.__setattr__(self, "B", {int(j): np.asarray(v, dtype=float)
-                                       for j, v in dict(self.B).items()})
+        for name in ("A", "B"):
+            object.__setattr__(self, name, {
+                check_count(j, f"{name} key", 0): np.asarray(v, dtype=float)
+                for j, v in dict(getattr(self, name)).items()})
         K = np.zeros(n) if self.K is None else np.atleast_1d(
             np.asarray(self.K, dtype=float))
         if K.shape != (n,):

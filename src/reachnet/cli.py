@@ -89,6 +89,7 @@ from .polytope import (
 )
 from .reachability import (
     FiniteDynamics,
+    LocalSolution,
     NetworkSpec,
     centralized_reachability,
     run_distributed_reachability,
@@ -558,7 +559,8 @@ def serialize(obj) -> dict:
 
     ``parse_document(serialize(x))`` reconstructs an equivalent problem and
     ``serialize`` is idempotent across that round trip, which is what the
-    round-trip tests pin down.
+    round-trip tests pin down.  Anything without a file form, a callable
+    coupling row included, raises ValidationError.
     """
     if isinstance(obj, FixpointProblem):
         return {"axis_problem": {
@@ -608,7 +610,11 @@ def serialize(obj) -> dict:
 
     coupling = []
     for i in range(obj.n_agents):
-        for row in obj.couplings[i]:
+        for r, row in enumerate(obj.couplings[i]):
+            if not isinstance(row, CouplingRow):
+                raise ValidationError(
+                    f"cannot serialize agent {i + 1}'s coupling row {r + 1}, "
+                    f"a {type(row).__name__}: only a CouplingRow has a file form")
             coupling.append({
                 "agent": i + 1,
                 "state_coefs": {str(j + 1): row.state_coefs[j].tolist()
@@ -887,21 +893,15 @@ def _run_network(config: RunConfig, spec: NetworkSpec,
             spec, task=config.task, disturbance_lag=config.disturbance_lag,
             max_rounds=config.max_rounds, tolerance=config.tolerance)
         # read every shadow first: a failing projection writes no node file
-        result["nodes"] = [
-            {"node": sol.node + 1,
-             "start_states": _labeled_to_json(sol.start_states),
-             "admissible_controls": _labeled_to_json(sol.admissible_controls)}
-            for sol in solutions]
+        result["nodes"] = [{"node": sol.node + 1, **_shadows_to_json(sol)}
+                           for sol in solutions]
         for sol in solutions:
-            stem = f"node_{sol.node + 1:02d}"
-            _write_node_set(out, stem + "_start", sol.start_states)
-            _write_node_set(out, stem + "_controls", sol.admissible_controls)
+            _write_shadows(out, f"node_{sol.node + 1:02d}", sol)
         result["convergence"] = _convergence_summary(trace)
         _write_json(out / "trace.json", _trace_to_json(trace))
         if config.task == "reach-check":
             joined = start_join(spec)
-            flags = _distributed_reach_flags(joined, solutions,
-                                             config.tolerance)
+            flags = _reach_flags(joined, solutions, config.tolerance)
             result["per_node_reachable"] = flags
             result["reachable"] = all(flags)
 
@@ -910,15 +910,11 @@ def _run_network(config: RunConfig, spec: NetworkSpec,
         central = centralized_reachability(
             spec, task=config.task, disturbance_lag=config.disturbance_lag)
         if config.mode == "centralized":
-            result["start_states"] = _labeled_to_json(central.start_states)
-            result["admissible_controls"] = _labeled_to_json(
-                central.admissible_controls)
-            _write_node_set(out, "global_start", central.start_states)
-            _write_node_set(out, "global_controls",
-                            central.admissible_controls)
+            result.update(_shadows_to_json(central))
+            _write_shadows(out, "global", central)
             if config.task == "reach-check":
-                result["reachable"] = _centralized_reach_flag(
-                    start_join(spec), central, config.tolerance)
+                result["reachable"] = _reach_flags(
+                    start_join(spec), [central], config.tolerance)[0]
 
     _write_json(out / "result.json", result)
     if config.mode == "compare":
@@ -928,9 +924,19 @@ def _run_network(config: RunConfig, spec: NetworkSpec,
     return trace
 
 
-def _distributed_reach_flags(joined: LabeledSet, solutions,
-                             tolerance: float) -> list[bool]:
-    """Per node: does every declared start state admit a trajectory?
+def _shadows_to_json(sol: LocalSolution) -> dict:
+    return {"start_states": _labeled_to_json(sol.start_states),
+            "admissible_controls": _labeled_to_json(sol.admissible_controls)}
+
+
+def _write_shadows(out: Path, stem: str, sol: LocalSolution) -> None:
+    _write_node_set(out, stem + "_start", sol.start_states)
+    _write_node_set(out, stem + "_controls", sol.admissible_controls)
+
+
+def _reach_flags(joined: LabeledSet, solutions: list[LocalSolution],
+                 tolerance: float) -> list[bool]:
+    """Per solution: does every declared start state admit a trajectory?
 
     The computed start states are always contained in the declared joined
     start restriction ``joined`` (:func:`start_join`); the check is whether
@@ -940,11 +946,6 @@ def _distributed_reach_flags(joined: LabeledSet, solutions,
                             project_set(joined, sol.start_states.axes),
                             tolerance))
             for sol in solutions]
-
-
-def _centralized_reach_flag(joined: LabeledSet, central,
-                            tolerance: float) -> bool:
-    return bool(sets_equal(central.start_states, joined, tolerance))
 
 
 def _network_report(config: RunConfig, solutions, trace: IterationTrace,
@@ -966,8 +967,8 @@ def _network_report(config: RunConfig, solutions, trace: IterationTrace,
     extra = {}
     if config.task == "reach-check":
         extra["reachable_distributed"] = all(flags)
-        extra["reachable_centralized"] = _centralized_reach_flag(
-            joined, central, config.tolerance)
+        extra["reachable_centralized"] = _reach_flags(
+            joined, [central], config.tolerance)[0]
     return _build_report(config, per_node, trace, extra)
 
 

@@ -664,15 +664,10 @@ def eliminate(p: HPolytope, positions: Sequence[int]) -> HPolytope:
                     w = G[:, col] / c
                     G = G - np.outer(w, pivot_row)
                     g = g - w * pivot_rhs
-                if F.shape[0] > 1:
-                    mask = np.ones(F.shape[0], dtype=bool)
-                    mask[r] = False
-                    Fr, fr = F[mask], f[mask]
-                    w = Fr[:, col] / c
-                    F = Fr - np.outer(w, pivot_row)
-                    f = fr - w * pivot_rhs
-                else:
-                    F, f = F[:0], f[:0]
+                Fr, fr = np.delete(F, r, axis=0), np.delete(f, r)
+                w = Fr[:, col] / c
+                F = Fr - np.outer(w, pivot_row)
+                f = fr - w * pivot_rhs
                 pivoted = True
         if not pivoted and G.shape[0]:
             coef = G[:, col]

@@ -48,7 +48,13 @@ from .errors import (
     check_choice,
     check_count,
 )
-from .fixpoint import FixpointProblem, IterationTrace, check_limits, run_distributed
+from .fixpoint import (
+    FixpointProblem,
+    IterationTrace,
+    centralized_join,
+    check_limits,
+    run_distributed,
+)
 from .netgraph import graph_from_dynamics
 from .polytope import ABS_TOL, HPolytope, includes
 
@@ -499,21 +505,12 @@ class AxisIndex:
         return AxisSet.union_of(self.own_input_axes(t, j)
                                 for j in self.members[i])
 
-    def nbhd_axes(self, t: int, i: int) -> AxisSet:
-        return self.nbhd_state_axes(t, i) | self.nbhd_input_axes(t, i)
-
     # -- whole-horizon windows ---------------------------------------------------
 
-    def horizon_state_axes(self, i: int) -> AxisSet:
-        return AxisSet.union_of(self.nbhd_state_axes(t, i)
-                                for t in range(self.horizon + 1))
-
-    def horizon_input_axes(self, i: int) -> AxisSet:
-        return AxisSet.union_of(self.nbhd_input_axes(t, i)
-                                for t in range(self.horizon + 1))
-
     def horizon_axes(self, i: int) -> AxisSet:
-        return self.horizon_state_axes(i) | self.horizon_input_axes(i)
+        return AxisSet.union_of(
+            self.nbhd_state_axes(t, i) | self.nbhd_input_axes(t, i)
+            for t in range(self.horizon + 1))
 
     # -- global views -------------------------------------------------------------
 
@@ -538,18 +535,20 @@ class AxisIndex:
 
 @dataclass(frozen=True)
 class LocalSolution:
-    """Per-agent outcome of the distributed computation.
+    """One window's outcome, for both routes.
 
-    ``trajectories``: locally admissible trajectory set before the exchange;
-    ``refined_trajectories``: the same window after the fixed point, i.e. the
-    projection of the global trajectory set.  Its two shadows are projected
+    ``trajectories``: the window's locally admissible trajectory set before
+    the exchange; ``refined_trajectories``: the same window after the fixed
+    point, i.e. the projection of the global trajectory set.  The
+    centralized answer is the one-window case: ``node`` is None and both
+    fields hold the global trajectory set.  The two shadows are projected
     when first read and then cached: ``start_states`` on ``start_axes``, the
-    step-0 neighbourhood states (the backward-reachable starts), and
-    ``admissible_controls`` on ``control_axes``, starts joined with the input
-    sequence that realizes them.
+    window's step-0 states (the backward-reachable starts), and
+    ``admissible_controls`` on ``control_axes``, starts joined with the
+    window's inputs that realize them.
     """
 
-    node: int
+    node: int | None
     trajectories: LabeledSet
     refined_trajectories: LabeledSet
     start_axes: AxisSet
@@ -632,6 +631,31 @@ def _finite_local_solution(spec: NetworkSpec, i: int, task: str) -> LabeledSet:
 # -- distributed orchestration ---------------------------------------------------
 
 
+def _recast(spec: NetworkSpec, task: str, disturbance_lag: str,
+            tolerance: float = ABS_TOL) -> FixpointProblem:
+    """The network problem as a FixpointProblem, the paper's exact recast:
+    one node per agent, over the agent's whole-horizon window, starting
+    from its local trajectory set.  Its fixed point is the projections of
+    the join of those sets, the global trajectory set."""
+    index = spec.index
+    return FixpointProblem(
+        [index.horizon_axes(i) for i in range(spec.n_agents)],
+        [local_system_solution(spec, index, i, task=task,
+                               disturbance_lag=disturbance_lag)
+         for i in range(spec.n_agents)], tolerance)
+
+
+def _solutions(index: AxisIndex, windows) -> list[LocalSolution]:
+    """The solution of each ``(node, trajectories, refined)`` window.  One
+    rule gives every window's shadow axes: its step-0 states, and those
+    plus its inputs."""
+    starts = index.global_state_axes(0)
+    controls = starts | index.global_input_axes
+    return [LocalSolution(node, trajectories, refined, refined.axes & starts,
+                          refined.axes & controls)
+            for node, trajectories, refined in windows]
+
+
 def run_distributed_reachability(
         spec: NetworkSpec, *, task: str = "pre",
         disturbance_lag: str = "paper", max_rounds: int | None = None,
@@ -654,55 +678,29 @@ def run_distributed_reachability(
     and no node or result file.
     """
     tolerance = check_limits(tolerance, max_rounds)
-    index = spec.index
-    locals_ = [local_system_solution(spec, index, i, task=task,
-                                     disturbance_lag=disturbance_lag)
-               for i in range(spec.n_agents)]
-    for i, s in enumerate(locals_):
+    problem = _recast(spec, task, disturbance_lag, tolerance)
+    for i, s in enumerate(problem.initial_sets):
         if s.empty:
             logger.warning(
                 "agent %d: local trajectory system is empty; the global "
                 "trajectory set (and every extracted set) will be empty", i)
-    problem = FixpointProblem([index.horizon_axes(i)
-                               for i in range(spec.n_agents)],
-                              locals_, tolerance)
     finals, trace = run_distributed(problem, max_rounds=max_rounds)
-    starts = [index.nbhd_state_axes(0, i) for i in range(spec.n_agents)]
-    return [LocalSolution(i, locals_[i], finals[i], axes,
-                          axes | index.horizon_input_axes(i))
-            for i, axes in enumerate(starts)], trace
+    return _solutions(spec.index, zip(range(spec.n_agents),
+                                      problem.initial_sets, finals)), trace
 
 
 # -- centralized route ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CentralizedSolution:
-    """Monolithic counterpart: the global trajectory set.  Its shadows on the
-    step-0 states (``start_states``) and on states-plus-inputs
-    (``admissible_controls``) are projected when first read and then
-    cached."""
-
-    trajectories: LabeledSet
-    start_axes: AxisSet
-    control_axes: AxisSet
-
-    @cached_property
-    def start_states(self) -> LabeledSet:
-        return project_set(self.trajectories, self.start_axes)
-
-    @cached_property
-    def admissible_controls(self) -> LabeledSet:
-        return project_set(self.trajectories, self.control_axes)
-
-
 def centralized_reachability(
         spec: NetworkSpec, *, task: str = "pre",
-        disturbance_lag: str = "paper") -> CentralizedSolution:
+        disturbance_lag: str = "paper") -> LocalSolution:
     """The global trajectory set over all coordinates at once (for
     cross-checks): the join of every agent's local system, which by the
     paper's equivalence is exactly the monolithic solution.  Each agent's
-    dynamics payload picks its backend.
+    dynamics payload picks its backend.  The answer is the one-window
+    solution of the distributed route's recast: ``node`` is None and both
+    trajectory fields hold the global set.
 
     Refuses, with DimensionCapExceeded and before any local system is
     solved, once the trajectory vector grows beyond DEFAULT_DIMENSION_CAP
@@ -715,13 +713,8 @@ def centralized_reachability(
     if width > DEFAULT_DIMENSION_CAP:
         raise DimensionCapExceeded(f"monolithic system has {width} "
                                    f"coordinates (cap {DEFAULT_DIMENSION_CAP})")
-    trajectories = join_extrusions(
-        [local_system_solution(spec, index, i, task=task,
-                               disturbance_lag=disturbance_lag)
-         for i in range(spec.n_agents)], index.all_axes)
-    start_axes = index.global_state_axes(0)
-    return CentralizedSolution(trajectories, start_axes,
-                               start_axes | index.global_input_axes)
+    joined = centralized_join(_recast(spec, task, disturbance_lag))
+    return _solutions(index, [(None, joined, joined)])[0]
 
 
 def start_join(spec: NetworkSpec) -> LabeledSet | None:

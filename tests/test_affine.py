@@ -157,6 +157,20 @@ class TestCouplingRow:
         with pytest.raises(ValidationError):
             CouplingRow({0: [1.0]}, {}, float("nan"))
 
+    @pytest.mark.parametrize("key", [1.9, True, "x"])
+    @pytest.mark.parametrize("family", ["state", "input"])
+    def test_agent_keys_must_be_integers(self, key, family):
+        # int() used to truncate 1.9 to agent 1 and raise a bare ValueError
+        # on "x"
+        coefs = ({key: [1.0]}, {}) if family == "state" else ({}, {key: [1.0]})
+        with pytest.raises(ValidationError, match=f"{family}_coefs key"):
+            CouplingRow(*coefs, 0.0)
+
+    def test_numpy_integer_agent_keys_accepted(self):
+        row = CouplingRow({np.int64(1): [1.0]}, {np.int32(0): [2.0]}, 0.0)
+        assert row.participants() == {0, 1}
+        assert all(type(j) is int for j in row.participants())
+
 
 class TestAffineAgentValidation:
     def test_bad_offset_shape(self):
@@ -182,6 +196,22 @@ class TestAffineAgentValidation:
         # int() used to truncate: AffineAgent(1.5, 1) had state_dim 1
         with pytest.raises(ValidationError, match="_dim"):
             AffineAgent(*dims, A={0: [[1.0]]})
+
+    @pytest.mark.parametrize("block", ["A", "B"])
+    @pytest.mark.parametrize("key", [0.7, True, "x", -1])
+    def test_agent_keys_must_be_integers(self, block, key):
+        # int() used to store A={0.7: ...} as agent 0 and B={True: ...} as
+        # agent 1, and to raise a bare ValueError on "x"
+        blocks = {"A": {0: [[1.0]]}, "B": {0: [[1.0]]}}
+        blocks[block] = {key: [[1.0]]}
+        with pytest.raises(ValidationError, match=f"{block} key"):
+            AffineAgent(1, 1, **blocks)
+
+    def test_numpy_integer_agent_keys_accepted(self):
+        ag = AffineAgent(1, 1, A={np.int64(0): [[1.0]], np.int32(1): [[0.5]]},
+                         B={np.int16(0): [[1.0]]})
+        assert list(ag.A) == [0, 1] and list(ag.B) == [0]
+        assert all(type(j) is int for j in [*ag.A, *ag.B])
 
     def test_numpy_integer_dims_accepted(self):
         ag = AffineAgent(np.int64(2), np.int32(0), A={0: np.eye(2)})

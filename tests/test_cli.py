@@ -85,6 +85,16 @@ class TestLoadSpec:
         again = load_spec(path)
         assert serialize(again) == serialize(spec)
 
+    def test_callable_coupling_row_is_refused(self, tmp_path):
+        # it used to end in a bare AttributeError on row.state_coefs
+        spec = dataclasses.replace(finite_toy_spec(),
+                                   couplings=((), (lambda xs, us: True,)))
+        with pytest.raises(ValidationError,
+                           match="agent 2's coupling row 1, a function"):
+            serialize(spec)
+        with pytest.raises(ValidationError, match="agent 2's coupling row 1"):
+            save_spec(spec, tmp_path / "saved.json")
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ParseError, match="cannot read"):
             load_spec(tmp_path / "absent.json")

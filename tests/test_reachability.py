@@ -20,6 +20,7 @@ from reachnet.affine import AffineAgent, CouplingRow
 from reachnet.axisset import (
     AxisSet,
     finite_set,
+    join_extrusions,
     project_set,
     sets_equal,
 )
@@ -45,6 +46,7 @@ from reachnet.reachability import (
     TASKS,
     AxisIndex,
     FiniteDynamics,
+    LocalSolution,
     NetworkSpec,
     centralized_reachability,
     local_system_solution,
@@ -282,7 +284,8 @@ class TestAxisIndex:
                 [idx.own_state_axes(t, j) for j in range(n)])
         for i in range(n):
             assert idx.horizon_axes(i) == AxisSet.union_of(
-                [idx.nbhd_axes(t, i) for t in range(horizon + 1)])
+                [idx.own_state_axes(t, j) | idx.own_input_axes(t, j)
+                 for t in range(horizon + 1) for j in members[i]])
 
     def test_out_of_range_queries(self):
         idx = AxisIndex((1,), (1,), 1, ((0,),))
@@ -1126,6 +1129,31 @@ class TestGuardrails:
                 assert len(calls) == before + 1
                 assert _set_bytes(shadow) == _set_bytes(
                     project_set(source, axes))
+
+    @pytest.mark.parametrize("make", [chain_spec, finite_toy_spec],
+                             ids=["affine", "finite"])
+    def test_centralized_answer_is_the_one_window_solution(self, make):
+        # both routes build one recast; the centralized answer is the
+        # solution of its single global window, with the same shadow rule
+        spec = make()
+        idx = spec.index
+        sols, _ = run_distributed_reachability(spec)
+        cent = centralized_reachability(spec)
+        assert type(cent) is LocalSolution
+        assert cent.node is None
+        assert cent.refined_trajectories is cent.trajectories
+        want = join_extrusions([s.trajectories for s in sols], idx.all_axes)
+        assert _set_bytes(cent.trajectories) == _set_bytes(want)
+        inputs = AxisSet.union_of(idx.own_input_axes(t, j)
+                                  for t in range(spec.horizon + 1)
+                                  for j in range(spec.n_agents))
+        assert cent.start_axes == idx.global_state_axes(0)
+        assert cent.control_axes == cent.start_axes | inputs
+        for sol in sols:
+            assert sol.start_axes == idx.nbhd_state_axes(0, sol.node)
+            assert sol.control_axes == sol.start_axes | AxisSet.union_of(
+                idx.own_input_axes(t, j) for t in range(spec.horizon + 1)
+                for j in idx.members[sol.node])
 
     def test_backend_mismatch_raises(self):
         # the payload picks the backend, and a payload that matches neither
