@@ -7,10 +7,11 @@ elimination substitute variables instead of combining rows.
 
 Coordinate elimination is Fourier-Motzkin on the inequality rows (equality
 rows are used as pivots first), one coordinate at a time from the highest
-column down, with duplicate/dominated-row filtering and redundancy pruning
-after every step to keep the row count from exploding.  Only the rows a step
-creates are normalized; rows that come out of a set already are taken as
-they are.
+column down, with duplicate/dominated-row filtering after every step.  It
+prunes redundant rows once, after the last step, and before that only when
+the rows have doubled since the last prune, to keep the row count from
+exploding.  Only the rows a step creates are normalized; rows that come out
+of a set already are taken as they are.
 
 Pruning (:func:`prune`) asks one LP per row whether the row is implied by
 the rows kept so far.  Most rows are not, so before those LPs it shoots rays
@@ -21,10 +22,6 @@ next one satisfies every other row and the equalities, and lies beyond the
 first row by more than the tolerance: that point is a witness, and the row
 skips its LP.  The same centre LP settles emptiness: a ball of positive
 radius inside the set is a point of it, so the emptiness LP is left out.
-A projection of that point lies in the projection of the set, so
-:func:`eliminate` hands each column's centre, minus the eliminated
-coordinate, to the next column's prune, which checks it in numpy against
-the same bound and solves the centre LP only when the check fails.
 The LPs that remain run warm on one HiGHS model (:class:`lpsolve.RowLps`);
 a warm optimum decides only with a certificate for its verdict (the same
 witness test for a needed row, a dual bound for a redundant one), and any
@@ -72,16 +69,20 @@ ELIMINATION_ROW_CAP = 20_000
 #: Vertex enumeration / hull recovery cluster radius.
 VERTEX_TOL = 1e-7
 
-#: Relative margin, on top of ``tol``, by which a ray-shooting witness must
-#: violate the row it certifies (scaled by the witness's largest coordinate);
-#: it keeps the LP solver's rounding from ever deciding otherwise.
+#: Relative margin, on top of :data:`ABS_TOL`, by which a ray-shooting
+#: witness must violate the row it certifies (scaled by the witness's largest
+#: coordinate); it keeps the LP solver's rounding from ever deciding otherwise.
 CERTIFY_MARGIN = 1e-7
 
 #: Seeded random rays shot per inequality row, besides one along each normal.
 _RAYS_PER_ROW = 4
 
 #: Entries of the rows-by-rays hit-distance matrix evaluated at once.
-_RAY_CHUNK = 1 << 16
+_RAY_CHUNK = 1 << 12
+
+#: :func:`eliminate` prunes before its last column only once the inequality
+#: rows exceed this many times the count left by the last prune.
+_PRUNE_GROWTH = 2
 
 _MAX_VERTEX_DIM = 8
 _MAX_VERTEX_COMBOS = 400_000
@@ -150,7 +151,7 @@ class HPolytope:
     """
 
     __slots__ = ("A_ineq", "b_ineq", "A_eq", "b_eq", "dim", "trivially_empty",
-                 "_empty_cache", "_centre")
+                 "_empty_cache")
 
     def __init__(self, A_ineq=None, b_ineq=None, A_eq=None, b_eq=None,
                  dim: int | None = None):
@@ -181,23 +182,19 @@ class HPolytope:
         self.dim = int(dim)
         self.trivially_empty = bool(bad1 or bad2)
         self._empty_cache = True if self.trivially_empty else None
-        self._centre = None
         for arr in (self.A_ineq, self.b_ineq, self.A_eq, self.b_eq):
             arr.setflags(write=False)
 
     @classmethod
-    def _normalized(cls, A_ineq, b_ineq, A_eq, b_eq, dim: int,
-                    centre: np.ndarray | None = None) -> "HPolytope":
+    def _normalized(cls, A_ineq, b_ineq, A_eq, b_eq, dim: int) -> "HPolytope":
         """A set from rows that came out of an HPolytope: unit-norm,
         sign-canonical, deduped and none all-zero, so they are taken as
-        they are.  ``centre`` is a point that may lie deep inside the set;
-        :func:`prune` checks it before it uses it."""
+        they are."""
         p = object.__new__(cls)
         p.A_ineq, p.b_ineq, p.A_eq, p.b_eq = A_ineq, b_ineq, A_eq, b_eq
         p.dim = int(dim)
         p.trivially_empty = False
         p._empty_cache = None
-        p._centre = centre
         for arr in (A_ineq, b_ineq, A_eq, b_eq):
             arr.setflags(write=False)
         return p
@@ -369,35 +366,30 @@ def _equality_gap(F, f, L, lead, x) -> np.ndarray:
                       np.abs(miss - L @ y).max(axis=0))
 
 
-def _witnesses(G, g, F, f, L, lead, x, first, tol: float) -> np.ndarray:
+def _witnesses(G, g, F, f, L, lead, x, first) -> np.ndarray:
     """Per point ``x[k]`` (a row of ``x``): whether it proves row
     ``first[k]`` of ``G z <= g`` irredundant.  It must satisfy every other
-    row within ``tol``, lie within ``tol`` of ``F z = f`` (see
+    row within :data:`ABS_TOL`, lie within it of ``F z = f`` (see
     :func:`_equality_gap`; ``L`` and ``lead`` come from :func:`_gram_schmidt`)
-    and exceed row ``first[k]`` by more than ``tol`` plus
+    and exceed row ``first[k]`` by more than it plus
     :data:`CERTIFY_MARGIN`."""
     cols = np.arange(x.shape[0])
     resid = G @ x.T - g[:, None]
     excess = resid[first, cols]
     resid[first, cols] = -np.inf
-    ok = ((resid.max(axis=0) <= tol)
-          & (excess > tol + CERTIFY_MARGIN * np.maximum(1.0, np.abs(x).max(axis=1))))
+    ok = ((resid.max(axis=0) <= ABS_TOL)
+          & (excess > ABS_TOL + CERTIFY_MARGIN * np.maximum(1.0, np.abs(x).max(axis=1))))
     if F.shape[0]:
-        ok &= _equality_gap(F, f, L, lead, x) <= tol
+        ok &= _equality_gap(F, f, L, lead, x) <= ABS_TOL
     return ok
 
 
-def _radius_floor(c: np.ndarray, tol: float) -> float:
-    """The ball radius a centre c must exceed to count as inside the set:
-    ``tol`` plus :data:`CERTIFY_MARGIN` scaled by c's largest coordinate."""
-    return tol + CERTIFY_MARGIN * max(1.0, np.abs(c).max(initial=0.0))
-
-
-def _chebyshev_centre(G, g, F, f, norms, tol: float):
+def _chebyshev_centre(G, g, F, f, norms):
     """The centre LP: the centre of the largest ball inside ``G z <= g``
     within its affine hull ``F z = f`` (``norms`` are the rows' lengths in
     that hull), or None when it fails or its radius does not exceed
-    :func:`_radius_floor`."""
+    :data:`ABS_TOL` plus :data:`CERTIFY_MARGIN` scaled by the centre's
+    largest coordinate."""
     dim = G.shape[1]
     # the cap keeps the LP bounded when the set is unbounded
     radius_row = np.eye(1, dim + 1, dim)
@@ -412,37 +404,24 @@ def _chebyshev_centre(G, g, F, f, norms, tol: float):
     if res.status != lpsolve.OPTIMAL:
         return None
     c = res.point[:dim]
-    if res.point[dim] <= _radius_floor(c, tol):
+    if res.point[dim] <= ABS_TOL + CERTIFY_MARGIN * max(1.0, np.abs(c).max(initial=0.0)):
         return None  # no interior: implicit equalities, or empty
     return c
 
 
-def _deep_inside(G, g, F, f, L, lead, norms, c, tol: float) -> bool:
-    """Whether c meets the bound :func:`_chebyshev_centre` puts on its
-    centre: the ball around c that fits by the rows of nonzero ``norms``
-    has a radius above :func:`_radius_floor`, the other rows hold, and c
-    lies within ``tol`` of ``F z = f`` (see :func:`_equality_gap`)."""
-    slack = g - G @ c
-    live = norms > 0.0
-    radius = (slack[live] / norms[live]).min(initial=math.inf)
-    return bool(radius > _radius_floor(c, tol) and np.all(slack[~live] >= 0.0)
-                and (not F.shape[0] or _equality_gap(F, f, L, lead, c[None])[0] <= tol))
-
-
-def _certify_irredundant(G, g, F, f, tol: float, centre=None):
+def _certify_irredundant(G, g, F, f):
     """Mask of the rows of ``G z <= g`` that ray shooting proves irredundant,
     the point inside the set the rays start from (None if there is none),
     and the factors ``L`` and ``lead`` of ``F`` (see :func:`_gram_schmidt`).
 
-    The rays start from ``centre`` when it passes :func:`_deep_inside`;
-    otherwise one Chebyshev-centre LP gives the point c, at the centre of
-    the largest ball within the set's affine hull ``F z = f``
+    One Chebyshev-centre LP gives the point c the rays start from, at the
+    centre of the largest ball within the set's affine hull ``F z = f``
     (:func:`_chebyshev_centre`).  A ray from c, in the null space of ``F``,
     first crosses the hyperplane of some row i and next that of another
     row; the point x at that second crossing satisfies every row but i, and
     ``F x = f``.  Row i is certified when x, checked explicitly by
-    :func:`_witnesses`, does so within ``tol`` and exceeds row i by more
-    than ``tol`` plus :data:`CERTIFY_MARGIN`.
+    :func:`_witnesses`, does so within :data:`ABS_TOL` and exceeds row i by
+    more than that plus :data:`CERTIFY_MARGIN`.
 
     A point is returned only when its ball's radius exceeds that same
     bound; it then satisfies every row with room to spare, so the set is
@@ -457,11 +436,9 @@ def _certify_irredundant(G, g, F, f, tol: float, centre=None):
     if Q.shape[0] == dim:
         return certified, None, L, lead  # a single point
     norms = np.linalg.norm(G - (G @ Q.T) @ Q, axis=1)
-    c = centre
-    if c is None or not _deep_inside(G, g, F, f, L, lead, norms, c, tol):
-        c = _chebyshev_centre(G, g, F, f, norms, tol)
-        if c is None:
-            return certified, None, L, lead
+    c = _chebyshev_centre(G, g, F, f, norms)
+    if c is None:
+        return certified, None, L, lead
     slack = g - G @ c
     live = norms > ZERO_COEF_TOL
     rng = np.random.default_rng(0)  # a fixed seed keeps LP counts repeatable
@@ -487,7 +464,7 @@ def _certify_irredundant(G, g, F, f, tol: float, centre=None):
         # with no second crossing every point past the first is a witness
         t = np.where(np.isfinite(d2), d2, 2.0 * d1)
         x = c + np.where(hit, t, 0.0)[:, None] * rays
-        ok = hit & _witnesses(G, g, F, f, L, lead, x, first, tol)
+        ok = hit & _witnesses(G, g, F, f, L, lead, x, first)
         certified[first[ok]] = True
         if certified.all():
             break
@@ -537,18 +514,12 @@ def prune(p: HPolytope, merge_equalities: bool = False) -> HPolytope:
     which leaves ``p`` empty and its merged form not.  Whenever no centre
     proves it, the emptiness LP decides, as before.
 
-    A set built inside :func:`eliminate` carries a point that may serve as
-    the centre; it is used only when it meets the centre LP's bound (see
-    :func:`_deep_inside`), and never with ``merge_equalities``.  Any point
-    inside the set certifies soundly, so the kept rows do not depend on
-    which centre the rays start from.  Without a merge the result's rows
-    are a subset of ``p``'s, so they are not normalized again, and the
-    result carries the centre used.
+    Without a merge the result's rows are a subset of ``p``'s, so they are
+    not normalized again.
     """
     if p._empty_cache:
         return HPolytope.empty(p.dim)
     G, g, F, f = p.A_ineq, p.b_ineq, p.A_eq, p.b_eq
-    centre = None if merge_equalities else p._centre
     merged = False
     if merge_equalities and G.shape[0]:
         used = np.zeros(G.shape[0], dtype=bool)
@@ -568,7 +539,7 @@ def prune(p: HPolytope, merge_equalities: bool = False) -> HPolytope:
             F = np.vstack([F, np.array(eq_rows)])
             f = np.hstack([f, np.array(eq_rhs)])
             merged = True
-    certified, centre, L, lead = _certify_irredundant(G, g, F, f, ABS_TOL, centre)
+    certified, centre, L, lead = _certify_irredundant(G, g, F, f)
     if centre is not None and not merged:
         p._empty_cache = False
     elif p.is_empty():
@@ -577,7 +548,7 @@ def prune(p: HPolytope, merge_equalities: bool = False) -> HPolytope:
         lps = lpsolve.RowLps(G, g, F, f)
         for i in np.flatnonzero(~certified):
             res = lps.warm(i)
-            if res is None or not _settles(res, i, lps, L, lead, ABS_TOL):
+            if res is None or not _settles(res, i, lps, L, lead):
                 res = lps.cold(i)
             if res.status == lpsolve.OPTIMAL and res.value <= g[i] + ABS_TOL:
                 lps.drop(i)
@@ -585,25 +556,24 @@ def prune(p: HPolytope, merge_equalities: bool = False) -> HPolytope:
         G, g = G[lps.kept], g[lps.kept]
     if merged:  # the merged rows are not sign-canonical or deduped yet
         return HPolytope(G, g, F, f, dim=p.dim)
-    return HPolytope._normalized(G, g, F, f, p.dim, centre)
+    return HPolytope._normalized(G, g, F, f, p.dim)
 
 
-def _settles(res: lpsolve.LpResult, i: int, lps: lpsolve.RowLps, L, lead,
-             tol: float) -> bool:
+def _settles(res: lpsolve.LpResult, i: int, lps: lpsolve.RowLps, L, lead) -> bool:
     """Whether the warm optimum ``res`` of row i's redundancy LP carries a
     certificate for its verdict (see :func:`prune`)."""
     G, g, F, f = lps.G, lps.g, lps.F, lps.f
-    if res.value > g[i] + tol:  # kept: the optimum must be a witness
+    if res.value > g[i] + ABS_TOL:  # kept: the optimum must be a witness
         pos = np.count_nonzero(lps.kept[:i])
         return bool(_witnesses(G[lps.kept], g[lps.kept], F, f, L, lead,
-                               res.point[None], [pos], tol)[0])
+                               res.point[None], [pos])[0])
     rows = lps.others(i)  # dropped: the duals must bound row i
     y, w = res.ineq_duals, res.eq_duals
     miss = np.abs(G[i] - y @ G[rows] - w @ F)
     scale = max(1.0, np.abs(res.point).max(initial=0.0))
     bound = y @ g[rows] + w @ f + miss.sum() * scale
-    return bool(y.min(initial=0.0) >= 0.0 and miss.max(initial=0.0) <= tol
-                and bound <= g[i] + tol - CERTIFY_MARGIN * scale)
+    return bool(y.min(initial=0.0) >= 0.0 and miss.max(initial=0.0) <= ABS_TOL
+                and bound <= g[i] + ABS_TOL - CERTIFY_MARGIN * scale)
 
 
 def _filter_dominated(G: np.ndarray, g: np.ndarray):
@@ -632,16 +602,17 @@ def eliminate(p: HPolytope, positions: Sequence[int]) -> HPolytope:
     column down.  Equality rows are used as substitution pivots when they
     involve the coordinate; otherwise Fourier-Motzkin combines the sign
     classes of the inequality rows.  After each coordinate the system is
-    deduplicated and LP-pruned; a Fourier-Motzkin step that would produce
-    more than :data:`ELIMINATION_ROW_CAP` rows raises EliminationBlowup.  A
-    projection of a nonempty set is nonempty, so the result records that and
-    its emptiness check solves no LP.
+    deduplicated; it is LP-pruned after the last coordinate, and before that
+    only when its inequality rows exceed :data:`_PRUNE_GROWTH` times the
+    count left by the last prune (at first, the input's count).  Either way
+    a system of at most one row more than its columns is not pruned.  A
+    Fourier-Motzkin step that would produce more than
+    :data:`ELIMINATION_ROW_CAP` rows raises EliminationBlowup.  A projection
+    of a nonempty set is nonempty, so the result records that and its
+    emptiness check solves no LP.
 
     Only each step's new rows are normalized; the prune input and output and
-    the result are built from rows that are normalized already.  The centre
-    of one column's prune, with the next eliminated coordinate deleted, goes
-    to the next column's prune as a candidate centre (see :func:`prune`), so
-    a run of columns usually solves one centre LP, not one per column.
+    the result are built from rows that are normalized already.
     """
     positions = sorted(set(int(c) for c in positions), reverse=True)
     if not positions:
@@ -652,7 +623,7 @@ def eliminate(p: HPolytope, positions: Sequence[int]) -> HPolytope:
     if p.is_empty():
         return HPolytope.empty(remaining_dim)
     G, g, F, f = p.A_ineq, p.b_ineq, p.A_eq, p.b_eq
-    centre = None  # a point of the current set, from the last prune
+    limit = _PRUNE_GROWTH * G.shape[0]
     for col in positions:
         pivoted = False
         if F.shape[0]:
@@ -690,19 +661,18 @@ def eliminate(p: HPolytope, positions: Sequence[int]) -> HPolytope:
                 G, g = G[zero], g[zero]
         G = np.delete(G, col, axis=1)
         F = np.delete(F, col, axis=1)
-        if centre is not None:
-            centre = np.delete(centre, col)
         step = HPolytope(G, g, F, f, dim=G.shape[1])
         if step.trivially_empty:
             return HPolytope.empty(remaining_dim)
         G, g = _filter_dominated(step.A_ineq, step.b_ineq)
         F, f = step.A_eq, step.b_eq
-        if G.shape[0] > G.shape[1] + 1:
-            pruned = prune(HPolytope._normalized(G, g, F, f, G.shape[1], centre))
+        last = col == positions[-1]
+        if G.shape[0] > G.shape[1] + 1 and (last or G.shape[0] > limit):
+            pruned = prune(HPolytope._normalized(G, g, F, f, G.shape[1]))
             if pruned.trivially_empty:
                 return HPolytope.empty(remaining_dim)
             G, g, F, f = pruned.A_ineq, pruned.b_ineq, pruned.A_eq, pruned.b_eq
-            centre = pruned._centre
+            limit = _PRUNE_GROWTH * G.shape[0]
     out = HPolytope._normalized(G, g, F, f, remaining_dim)
     out._empty_cache = False  # the projection of a nonempty set
     return out

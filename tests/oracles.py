@@ -6,6 +6,9 @@ by raw scipy LPs, joins by exhaustive pair checks.  The exceptions are
 :func:`lp_only_prune` and :func:`lp_only_includes`, frozen copies of the
 package's LP-per-row pruning and LP-per-face inclusion loops, kept to show
 that the certificates in front of those LPs change no answer,
+:func:`per_column_eliminate`, the package's elimination loop as it was when
+it pruned after every column, kept to show that pruning once per projection
+gives the same set,
 :func:`unique_rows` and :func:`loop_filter_dominated`, the row dedupes the
 package used before its lexsort kernels, :func:`row_by_row_coupling_filter`,
 the finite backend's coupling-row scan from before it multiplied the table
@@ -24,6 +27,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from reachnet import lpsolve
+from reachnet import polytope as pl
 from reachnet.affine import CouplingRow
 from reachnet.axisset import (
     QUANT_DECIMALS,
@@ -31,7 +35,7 @@ from reachnet.axisset import (
     join_extrusions,
     polytope_set,
 )
-from reachnet.errors import EmptySet, NumericalFailure
+from reachnet.errors import EliminationBlowup, EmptySet, NumericalFailure
 from reachnet.polytope import ABS_TOL, HPolytope
 
 
@@ -559,6 +563,66 @@ def lp_only_prune(p, tol: float = 1e-9, merge_equalities: bool = False):
             active.remove(i)
         # unbounded or (numerically) infeasible: keep the row
     return HPolytope(G[active], g[active], F, f, dim=p.dim)
+
+
+def per_column_eliminate(p, positions):
+    """``polytope.eliminate`` as it was before it pruned once per projection:
+    the same steps from the highest column down, each pruned as soon as it
+    leaves more rows than one beyond its columns."""
+    positions = sorted(set(int(c) for c in positions), reverse=True)
+    if not positions:
+        return p
+    remaining_dim = p.dim - len(positions)
+    if p.is_empty():
+        return HPolytope.empty(remaining_dim)
+    G, g, F, f = p.A_ineq, p.b_ineq, p.A_eq, p.b_eq
+    for col in positions:
+        pivoted = False
+        if F.shape[0]:
+            coefs = np.abs(F[:, col])
+            r = int(np.argmax(coefs))
+            if coefs[r] > pl.ZERO_COEF_TOL:
+                pivot_row, pivot_rhs, c = F[r], f[r], F[r, col]
+                if G.shape[0]:
+                    w = G[:, col] / c
+                    G = G - np.outer(w, pivot_row)
+                    g = g - w * pivot_rhs
+                Fr, fr = np.delete(F, r, axis=0), np.delete(f, r)
+                w = Fr[:, col] / c
+                F = Fr - np.outer(w, pivot_row)
+                f = fr - w * pivot_rhs
+                pivoted = True
+        if not pivoted and G.shape[0]:
+            coef = G[:, col]
+            pos = np.nonzero(coef > pl.ZERO_COEF_TOL)[0]
+            neg = np.nonzero(coef < -pl.ZERO_COEF_TOL)[0]
+            zero = np.nonzero(np.abs(coef) <= pl.ZERO_COEF_TOL)[0]
+            n_new = zero.size + pos.size * neg.size
+            if n_new > pl.ELIMINATION_ROW_CAP:
+                raise EliminationBlowup(int(n_new), pl.ELIMINATION_ROW_CAP)
+            if pos.size and neg.size:
+                cp = coef[pos][:, None, None]
+                cn = coef[neg][None, :, None]
+                combo = (-cn) * G[pos][:, None, :] + cp * G[neg][None, :, :]
+                combo_rhs = (-coef[neg])[None, :] * g[pos][:, None] \
+                    + coef[pos][:, None] * g[neg][None, :]
+                G = np.vstack([G[zero], combo.reshape(-1, G.shape[1])])
+                g = np.hstack([g[zero], combo_rhs.reshape(-1)])
+            else:
+                G, g = G[zero], g[zero]
+        G = np.delete(G, col, axis=1)
+        F = np.delete(F, col, axis=1)
+        step = HPolytope(G, g, F, f, dim=G.shape[1])
+        if step.trivially_empty:
+            return HPolytope.empty(remaining_dim)
+        G, g = pl._filter_dominated(step.A_ineq, step.b_ineq)
+        F, f = step.A_eq, step.b_eq
+        if G.shape[0] > G.shape[1] + 1:
+            pruned = pl.prune(HPolytope._normalized(G, g, F, f, G.shape[1]))
+            if pruned.trivially_empty:
+                return HPolytope.empty(remaining_dim)
+            G, g, F, f = pruned.A_ineq, pruned.b_ineq, pruned.A_eq, pruned.b_eq
+    return HPolytope._normalized(G, g, F, f, remaining_dim)
 
 
 def lp_only_includes(p, q, tol: float = 1e-9) -> bool:

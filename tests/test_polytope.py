@@ -25,6 +25,7 @@ from .oracles import (
     loop_filter_dominated,
     lp_only_includes,
     lp_only_prune,
+    per_column_eliminate,
     unique_rows,
 )
 
@@ -398,8 +399,7 @@ def test_prune_matches_lp_only_loop_near_dependent_equalities(merge):
 
 
 def certified_rows(p):
-    certified, *_ = pl._certify_irredundant(
-        p.A_ineq, p.b_ineq, p.A_eq, p.b_eq, pl.ABS_TOL)
+    certified, *_ = pl._certify_irredundant(p.A_ineq, p.b_ineq, p.A_eq, p.b_eq)
     return np.flatnonzero(certified)
 
 
@@ -524,7 +524,7 @@ def test_prune_after_merging_still_solves_its_emptiness_lp(emptiness_checks):
     assert same_system(got, lp_only_prune(p, merge_equalities=True))
 
 
-# ---- elimination: the centre carried from column to column -------------------
+# ---- elimination: one prune per projection -----------------------------------
 
 
 def is_centre_lp(lp):
@@ -535,16 +535,26 @@ def is_centre_lp(lp):
             and np.array_equal(lp.A_ineq[-1], radius))
 
 
-def eliminated(p, batches):
-    """``eliminate`` applied for each batch of columns in turn: the system
-    it leaves, or the type of the error it raised."""
+def eliminated(p, batches, eliminate=pl.eliminate):
+    """``eliminate`` applied for each batch of columns in turn: the set it
+    leaves, or the type of the error it raised."""
     try:
         for cols in batches:
-            p = pl.eliminate(p, cols)
+            p = eliminate(p, cols)
     except (EliminationBlowup, NumericalFailure) as exc:
         return type(exc)
-    return (p.dim, p.trivially_empty,
-            *(getattr(p, name).tobytes() for name in ("A_ineq", "b_ineq", "A_eq", "b_eq")))
+    return p
+
+
+def same_outcome(a, b):
+    """Two outcomes of :func:`eliminated` agree as sets: the same error
+    type, or the same dimension and emptiness verdict and, when nonempty,
+    equal sets at ``ABS_TOL`` (no LP when the rows are the same)."""
+    if isinstance(a, type) or isinstance(b, type):
+        return a is b
+    if a.dim != b.dim or a.is_empty() != b.is_empty():
+        return False
+    return a.is_empty() or same_system(a, b) or pl.set_equal(a, b)
 
 
 def random_body_case(rng):
@@ -558,54 +568,63 @@ ELIMINATE_CASES = (cube_case, near_parallel_case, pinned_case, random_body_case)
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.sampled_from(ELIMINATE_CASES), st.integers(0, 2**32 - 1), st.data())
 def test_eliminate_matches_one_column_at_a_time(make, seed, data):
-    # each one-column call starts without a carried centre and solves its
-    # own centre LP; the verdicts, and so the rows, must not change
+    # one call prunes once per projection, one-column calls and the oracle
+    # after every column: the rows may round differently, the set may not
     p = make(np.random.default_rng(seed))
     assume(p.dim >= 2)
     cols = data.draw(st.lists(st.integers(0, p.dim - 1), min_size=2,
                               max_size=p.dim, unique=True))
     one_call = eliminated(p, [cols])
-    assert one_call == eliminated(p, [[c] for c in sorted(cols, reverse=True)]), \
-        (make.__name__, seed, cols)
+    by_column = eliminated(p, [[c] for c in sorted(cols, reverse=True)])
+    oracle = eliminated(p, [cols], per_column_eliminate)
+    where = (make.__name__, seed, cols)
+    assert same_outcome(one_call, by_column), where
+    assert same_outcome(one_call, oracle), where
+    if not isinstance(oracle, type):  # the same schedule, so the same rows
+        assert same_system(by_column, oracle), where
 
 
-def test_eliminating_several_columns_solves_one_centre_lp(lp_calls, monkeypatch):
-    # the centre of the first column's prune, minus each eliminated
-    # coordinate, stays deep inside every later projection
-    prunes = []
-    prune = pl.prune
-    monkeypatch.setattr(pl, "prune", lambda p, *a, **k: prunes.append(p) or prune(p, *a, **k))
+def test_eliminate_prunes_once_rows_double_and_after_the_last_column(
+        lp_calls, monkeypatch):
+    # every step's rows, and each prune with the centre LPs it solved
+    steps, prunes = [], []
+    filter_dominated, prune = pl._filter_dominated, pl.prune
+
+    def counted_filter(G, g):
+        out = filter_dominated(G, g)
+        steps.append((out[0].shape[0], G.shape[1]))
+        return out
+
+    def counted_prune(p, *args, **kwargs):
+        before = len(lp_calls)
+        out = prune(p, *args, **kwargs)
+        prunes.append((p.A_ineq.shape[0], out.A_ineq.shape[0],
+                       sum(map(is_centre_lp, lp_calls[before:]))))
+        return out
+
+    monkeypatch.setattr(pl, "_filter_dominated", counted_filter)
+    monkeypatch.setattr(pl, "prune", counted_prune)
     rng = np.random.default_rng(7)
     p = pl.HPolytope(*rotated_cube(rng, 5, 1.0, rng.normal(size=5)))
     out = pl.eliminate(p, [4, 3, 2])
-    assert len(prunes) == 3
-    assert sum(map(is_centre_lp, lp_calls)) == 1
+    expect, limit = [], 2 * p.A_ineq.shape[0]
+    for k, (rows, cols) in enumerate(steps):
+        if rows > cols + 1 and (k == len(steps) - 1 or rows > limit):
+            expect.append(rows)
+            limit = 2 * prunes[len(expect) - 1][1]
+    assert len(steps) == 3
+    assert [rows for rows, _, _ in prunes] == expect
+    assert 0 < len(prunes) < len(steps)  # the rule skips a prune here
+    assert all(centre_lps == 1 for _, _, centre_lps in prunes)
     assert out.dim == 2 and out.is_empty() is False
 
 
-def test_prune_checks_a_carried_centre_before_using_it(lp_calls):
-    # a centre on a facet, within 1e-10, fits no ball above the floor
-    rng = np.random.default_rng(3)
-    p = pl.HPolytope(*rotated_cube(rng, 4, 1.0, np.zeros(4)))
-    expect = lp_only_prune(p)
-    on_facet = p.A_ineq[0] * (p.b_ineq[0] - 1e-10)
-    for centre, centre_lps in ((np.zeros(4), 0), (on_facet, 1), (np.full(4, 5.0), 1)):
-        q = pl.HPolytope._normalized(p.A_ineq, p.b_ineq, p.A_eq, p.b_eq, p.dim, centre)
-        lp_calls.clear()
-        assert same_system(pl.prune(q), expect)
-        assert sum(map(is_centre_lp, lp_calls)) == centre_lps, centre
-
-
-def test_prune_after_merging_takes_no_carried_centre(lp_calls):
-    # x <= 0 and x >= 5e-10 merge into x = 0; the origin would pass the
-    # check on the merged set, but the centre LP decides
+def test_prune_after_merging_matches_lp_only_loop():
+    # x <= 0 and x >= 5e-10 lie within tol, so they merge into x = 0
     p = pl.HPolytope([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0], [1.0, 1.0]],
                      [0.0, -5e-10, 1.0, 1.0, 3.0])
-    q = pl.HPolytope._normalized(p.A_ineq, p.b_ineq, p.A_eq, p.b_eq, p.dim,
-                                 np.zeros(2))
-    got = pl.prune(q, merge_equalities=True)
-    assert sum(map(is_centre_lp, lp_calls)) == 1
-    assert same_system(got, lp_only_prune(p, merge_equalities=True))
+    assert same_system(pl.prune(p, merge_equalities=True),
+                       lp_only_prune(p, merge_equalities=True))
 
 
 # ---- inclusion: row-match bounds against the LP-only loop ---------------------
