@@ -584,6 +584,22 @@ def test_eliminate_matches_one_column_at_a_time(make, seed, data):
         assert same_system(by_column, oracle), where
 
 
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.sampled_from(ELIMINATE_CASES), st.integers(0, 2**32 - 1), st.data())
+def test_eliminate_leaves_no_redundant_row(make, seed, data):
+    # the prunes skipped before the last column leave nothing behind: the
+    # LP-only loop drops no row of the result
+    p = make(np.random.default_rng(seed))
+    assume(p.dim >= 2)
+    cols = data.draw(st.lists(st.integers(0, p.dim - 1), min_size=1,
+                              max_size=p.dim - 1, unique=True))
+    out = eliminated(p, [cols])
+    assume(not isinstance(out, type) and not out.is_empty())
+    assume(out.A_ineq.shape[0] > out.dim + 1)  # smaller systems are not pruned
+    assert lp_only_prune(out).A_ineq.shape[0] == out.A_ineq.shape[0], \
+        (make.__name__, seed, cols)
+
+
 def test_eliminate_prunes_once_rows_double_and_after_the_last_column(
         lp_calls, monkeypatch):
     # every step's rows, and each prune with the centre LPs it solved
