@@ -343,8 +343,10 @@ def join_extrusions(sets: Sequence[LabeledSet], target: AxisSet) -> LabeledSet:
     intermediate joins stay unsorted row arrays, and only the result is
     put in canonical order, by :meth:`PointTable._sorted`: every input
     table is quantized, free of ``-0.0`` and distinct, and every join keeps
-    it so (see :func:`_natural_join`).  Polytope backend: constraint rows
-    are embedded and stacked, free coordinates are allowed.
+    it so (see :func:`_natural_join`).  Polytope backend: the constraint
+    rows are embedded in ``target``'s columns and stacked in input order
+    into one set, built once (:func:`reachnet.polytope.intersect`); free
+    coordinates are allowed.
     """
     sets = list(sets)
     if not sets:
@@ -373,11 +375,9 @@ def join_extrusions(sets: Sequence[LabeledSet], target: AxisSet) -> LabeledSet:
             if len(rows) == 0:
                 return empty_set(target)
         return LabeledSet(target, PointTable._sorted(rows))
-    acc = _poly.HPolytope.universe(len(target))
-    for s in sets:
-        positions = target.positions_of(s.axes)
-        acc = _poly.intersect(acc, _poly.embed_columns(s.poly(), len(target), positions))
-    return LabeledSet(target, acc)
+    return LabeledSet(target, _poly.intersect(*(
+        _poly.embed_columns(s.poly(), len(target), target.positions_of(s.axes))
+        for s in sets)))
 
 
 def sets_equal(a: LabeledSet, b: LabeledSet, tol: float = ABS_TOL) -> bool:

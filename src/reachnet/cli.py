@@ -68,6 +68,7 @@ from .errors import (
     ValidationError,
     check_choice,
     check_count,
+    check_numbers,
 )
 from .fixpoint import (
     FixpointProblem,
@@ -174,12 +175,16 @@ def _array(value, where: str, ndim: int) -> np.ndarray:
                    else ("matrix", "a nested list of rows"))
     try:
         arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         _fail(where, f"not a numeric {kind}")
     if arr.ndim != ndim:
         _fail(where, f"expected {shape}, got shape {arr.shape}")
     if np.isnan(arr).any():
         _fail(where, f"null or NaN in a numeric {kind}")
+    try:  # numpy reads "0.5" and true as numbers; the file must not
+        check_numbers(value, kind)
+    except ValidationError as exc:
+        _fail(where, str(exc))
     return arr
 
 

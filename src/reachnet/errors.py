@@ -2,8 +2,8 @@
 
 Every error raised on purpose derives from :class:`ReachnetError` so callers
 (and the CLI exit-code mapping) can tell deliberate rejections apart from
-plain bugs.  Every module checks counts and named options with the two
-functions at the end.
+plain bugs.  Every module checks counts, numbers and named options with
+the three functions at the end.
 """
 
 from __future__ import annotations
@@ -119,6 +119,21 @@ def check_count(value, what: str, least: int) -> int:
     if count is None or isinstance(value, bool) or count < least:
         raise ValidationError(f"{what} must be an integer >= {least}, got {value!r}")
     return count
+
+
+def check_numbers(value, what: str) -> None:
+    """ValidationError unless every leaf of ``value``, a number or lists of
+    them nested to any depth, is an int or a float (numpy's floats count);
+    a bool, a string or None is refused, even where numpy reads it as a
+    number."""
+    leaves = [value]
+    while leaves:
+        leaf = leaves.pop()
+        if isinstance(leaf, (list, tuple)):
+            leaves.extend(reversed(leaf))
+        elif isinstance(leaf, bool) or not isinstance(leaf, (int, float)):
+            raise ValidationError(
+                f"{what} entries must be int or float numbers, got {leaf!r}")
 
 
 def check_choice(value, what: str, choices: tuple[str, ...]) -> None:

@@ -116,19 +116,26 @@ def centralized_projections(problem: FixpointProblem) -> list[LabeledSet]:
     return [project_set(joined, b) for b in problem.axis_sets]
 
 
-def local_update(node: int, received: Mapping[int, LabeledSet]) -> LabeledSet:
+def local_update(node: int, received: Mapping[int, LabeledSet],
+                 joins: Optional[dict] = None) -> LabeledSet:
     """One node's update: join the received sets, project to its own labels.
 
     ``received`` must contain the node's own set; the join target is the
-    union of the received sets' labels.
+    union of the received sets' labels.  ``joins`` maps a sorted sender
+    tuple to the sets it joined and their join; a join is reused only when
+    ``received`` holds the very same set objects, so nodes that receive the
+    same sets share one join, and any other entry is rebuilt and replaced.
     """
     if node not in received:
         raise ValidationError("a node always receives its own set")
-    own_axes = received[node].axes
-    ordered = [received[j] for j in sorted(received)]
-    target = AxisSet.union_of(s.axes for s in ordered)
-    joined = join_extrusions(ordered, target)
-    return project_set(joined, own_axes)
+    senders = tuple(sorted(received))
+    ordered = tuple(received[j] for j in senders)
+    joins = {} if joins is None else joins
+    hit = joins.get(senders)
+    if hit is None or any(a is not b for a, b in zip(hit[0], ordered)):
+        hit = joins[senders] = ordered, join_extrusions(
+            ordered, AxisSet.union_of(s.axes for s in ordered))
+    return project_set(hit[1], received[node].axes)
 
 
 def run_distributed(
@@ -141,11 +148,17 @@ def run_distributed(
     argument needs.  Round 0 exchanges the axis labels; in every later round
     each node receives its neighbours' sets from the end of the previous
     round, so information travels one hop per round.  Each node then
-    updates and checks its set, in node order.  The run stops after the
-    first round in which no set changed.  Returns the fixed-point sets
-    (equal to the centralized projections) and the full trace.  Raises
-    MaxRoundsExceeded (partial trace attached) if the budget, defaulting to
-    10 * n_nodes, runs out first.
+    updates and checks its set, in node order.  Within a round, nodes with
+    the same senders receive the same sets, so they share one join (a memo
+    keyed by the sorted sender tuple, fresh every round, that reuses a join
+    only for the very same sets); each node still projects it in its own
+    :func:`local_update`.  A projection that proves the join nonempty marks
+    it so (see :func:`reachnet.polytope.eliminate`), and then a later node
+    whose projection is the join itself checks it with no emptiness LP.
+    The run stops after the first round in which no set changed.
+    Returns the fixed-point sets (equal to the centralized projections) and
+    the full trace.  Raises MaxRoundsExceeded (partial trace attached) if
+    the budget, defaulting to 10 * n_nodes, runs out first.
     """
     check_limits(problem.tolerance, max_rounds)
     if max_rounds is None:
@@ -166,9 +179,9 @@ def run_distributed(
         t0 = time.perf_counter()
         inboxes, sent = exchange(graph, states)
         trace.messages_sent += sent
-        new_states, changed = [], []
+        new_states, changed, joins = [], [], {}
         for i in range(problem.n_nodes):
-            new = local_update(i, inboxes[i])
+            new = local_update(i, inboxes[i], joins)
             changed.append(not sets_equal(new, states[i], tol))
             new_states.append(new)
         states = new_states

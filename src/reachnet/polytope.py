@@ -28,8 +28,11 @@ witness test for a needed row, a dual bound for a redundant one), and any
 other LP is solved cold as before.  Both certificates keep a margin from
 the threshold, so where the solver's rounding could tip a verdict the cold
 LP decides, as it did alone.
-A projection of a nonempty set is nonempty, so :func:`eliminate` records
-that on its result.
+An exact projection is nonempty exactly when its input is.  So
+:func:`eliminate` solves no emptiness LP of its own when one of its prunes
+has found a projection nonempty and no step dropped, within tolerance, a
+row whose normal cancelled to zero; it records on both its input and its
+result that they are nonempty.
 
 Inclusion (:func:`includes`) asks one support LP per face of the outer set,
 but a face whose normal is also a row normal of the inner set is capped by
@@ -249,15 +252,19 @@ class HPolytope:
 # -- set operations -------------------------------------------------------
 
 
-def intersect(p: HPolytope, q: HPolytope) -> HPolytope:
-    """Row-stacked intersection (no pruning; use :func:`prune` if needed)."""
-    if p.dim != q.dim:
+def intersect(p: HPolytope, *more: HPolytope) -> HPolytope:
+    """Row-stacked intersection of one or more sets, built once (no pruning;
+    use :func:`prune` if needed).  Their rows are normalized already, and
+    the build's dedupe keeps the first copy of each row in input order, so
+    the result is the same, byte for byte, as intersecting two at a time."""
+    sets = (p, *more)
+    if any(q.dim != p.dim for q in more):
         raise DimensionMismatch("intersection of different dimensions")
-    if p.trivially_empty or q.trivially_empty:
+    if any(q.trivially_empty for q in sets):
         return HPolytope.empty(p.dim)
     return HPolytope(
-        np.vstack([p.A_ineq, q.A_ineq]), np.hstack([p.b_ineq, q.b_ineq]),
-        np.vstack([p.A_eq, q.A_eq]), np.hstack([p.b_eq, q.b_eq]),
+        np.vstack([q.A_ineq for q in sets]), np.hstack([q.b_ineq for q in sets]),
+        np.vstack([q.A_eq for q in sets]), np.hstack([q.b_eq for q in sets]),
         dim=p.dim,
     )
 
@@ -607,9 +614,20 @@ def eliminate(p: HPolytope, positions: Sequence[int]) -> HPolytope:
     count left by the last prune (at first, the input's count).  Either way
     a system of at most one row more than its columns is not pruned.  A
     Fourier-Motzkin step that would produce more than
-    :data:`ELIMINATION_ROW_CAP` rows raises EliminationBlowup.  A projection
-    of a nonempty set is nonempty, so the result records that and its
-    emptiness check solves no LP.
+    :data:`ELIMINATION_ROW_CAP` rows raises EliminationBlowup, unless the
+    input is empty.
+
+    Emptiness costs no LP of its own when a prune runs: a prune that returns
+    rows has found its system nonempty, by a centre or by its emptiness LP,
+    and an exact projection is nonempty exactly when its input is.  The
+    steps are exact unless one drops a row whose normal cancelled to zero
+    while its right-hand side is negative (the build takes such a row as
+    met when it fails by at most :data:`ABS_TOL`, and a step's small
+    coefficients can shrink a large gap below that).  Otherwise (no prune,
+    such a dropped row, or a blowup before any prune proved it) the input's
+    emptiness LP decides, and an empty input gives ``HPolytope.empty``.  A
+    nonempty input and its result both record that they are nonempty, so
+    their emptiness checks solve no LP.
 
     Only each step's new rows are normalized; the prune input and output and
     the result are built from rows that are normalized already.
@@ -620,10 +638,12 @@ def eliminate(p: HPolytope, positions: Sequence[int]) -> HPolytope:
     if any(c < 0 or c >= p.dim for c in positions):
         raise DimensionMismatch("elimination position out of range")
     remaining_dim = p.dim - len(positions)
-    if p.is_empty():
+    if p._empty_cache:
         return HPolytope.empty(remaining_dim)
     G, g, F, f = p.A_ineq, p.b_ineq, p.A_eq, p.b_eq
     limit = _PRUNE_GROWTH * G.shape[0]
+    proved = False  # whether a prune has found a projection nonempty
+    exact = True  # whether no step dropped a zero row that fails exactly
     for col in positions:
         pivoted = False
         if F.shape[0]:
@@ -647,6 +667,8 @@ def eliminate(p: HPolytope, positions: Sequence[int]) -> HPolytope:
             zero = np.nonzero(np.abs(coef) <= ZERO_COEF_TOL)[0]
             n_new = zero.size + pos.size * neg.size
             if n_new > ELIMINATION_ROW_CAP:
+                if not (proved and exact) and p.is_empty():
+                    return HPolytope.empty(remaining_dim)
                 raise EliminationBlowup(int(n_new), ELIMINATION_ROW_CAP)
             if pos.size and neg.size:
                 cp = coef[pos][:, None, None]
@@ -661,6 +683,11 @@ def eliminate(p: HPolytope, positions: Sequence[int]) -> HPolytope:
                 G, g = G[zero], g[zero]
         G = np.delete(G, col, axis=1)
         F = np.delete(F, col, axis=1)
+        # a row whose normal cancelled is dropped as met when it fails by at
+        # most ABS_TOL, which a step's tiny coefficients can shrink any gap to
+        exact = exact and not (
+            np.any(g[np.linalg.norm(G, axis=1) <= ZERO_COEF_TOL] < 0)
+            or np.any(f[np.linalg.norm(F, axis=1) <= ZERO_COEF_TOL] != 0))
         step = HPolytope(G, g, F, f, dim=G.shape[1])
         if step.trivially_empty:
             return HPolytope.empty(remaining_dim)
@@ -673,8 +700,12 @@ def eliminate(p: HPolytope, positions: Sequence[int]) -> HPolytope:
                 return HPolytope.empty(remaining_dim)
             G, g, F, f = pruned.A_ineq, pruned.b_ineq, pruned.A_eq, pruned.b_eq
             limit = _PRUNE_GROWTH * G.shape[0]
+            proved = True
+    if not (proved and exact) and p.is_empty():
+        return HPolytope.empty(remaining_dim)
+    p._empty_cache = False
     out = HPolytope._normalized(G, g, F, f, remaining_dim)
-    out._empty_cache = False  # the projection of a nonempty set
+    out._empty_cache = False
     return out
 
 
@@ -811,7 +842,8 @@ def embed_columns(p: HPolytope, dim: int, positions: Sequence[int]) -> HPolytope
     """Place p's coordinates at ``positions`` of a ``dim``-dimensional space.
 
     The new coordinates are unconstrained; this is the cylinder extension in
-    plain column form.
+    plain column form.  Zero-padding keeps p's rows normalized, so they are
+    taken as they are.
     """
     positions = list(positions)
     if len(positions) != p.dim:
@@ -824,7 +856,7 @@ def embed_columns(p: HPolytope, dim: int, positions: Sequence[int]) -> HPolytope
     G[:, positions] = p.A_ineq
     F = np.zeros((p.A_eq.shape[0], dim))
     F[:, positions] = p.A_eq
-    return HPolytope(G, p.b_ineq, F, p.b_eq, dim=dim)
+    return HPolytope._normalized(G, p.b_ineq, F, p.b_eq, dim)
 
 
 # -- text serialization -----------------------------------------------------

@@ -12,7 +12,9 @@ gives the same set,
 :func:`unique_rows` and :func:`loop_filter_dominated`, the row dedupes the
 package used before its lexsort kernels, :func:`row_by_row_coupling_filter`,
 the finite backend's coupling-row scan from before it multiplied the table
-by the affine row vectors, and two small helpers built on
+by the affine row vectors, :func:`per_node_fixpoint`, the synchronous
+round loop as it was before nodes with the same senders shared one join,
+and two small helpers built on
 the package that tests compare against hand-built answers:
 :func:`support_point` and :func:`goal_join`.  :func:`linprog_solve`
 solves an ``lpsolve.LinearProgram`` through ``scipy.optimize.linprog``, the
@@ -31,9 +33,12 @@ from reachnet import polytope as pl
 from reachnet.affine import CouplingRow
 from reachnet.axisset import (
     QUANT_DECIMALS,
+    AxisSet,
     finite_set,
     join_extrusions,
     polytope_set,
+    project_set,
+    sets_equal,
 )
 from reachnet.errors import EliminationBlowup, EmptySet, NumericalFailure
 from reachnet.polytope import ABS_TOL, HPolytope
@@ -673,3 +678,29 @@ def loop_filter_dominated(G, g):
             last_key = k
     keep = sorted(keep)
     return G[keep], g[keep]
+
+
+def per_node_fixpoint(problem, max_rounds: int | None = None) -> list:
+    """``fixpoint.run_distributed`` as a plain loop with no shared join:
+    each round every node joins the sets of the nodes whose axes overlap
+    its own (and its own set), in node order, and projects the join onto
+    its axes.  Returns ``(sets, changed)`` per round, round 0 first, up to
+    and including the first round that changed nothing."""
+    axes = problem.axis_sets
+    n = len(axes)
+    inbox = [[j for j in range(n) if j == i or axes[i] & axes[j]] for i in range(n)]
+    states = tuple(problem.initial_sets)
+    rounds = [(states, (True,) * n)]
+    for _ in range(max_rounds or 10 * n):
+        new = []
+        for i in range(n):
+            sets = [states[j] for j in inbox[i]]
+            joined = join_extrusions(sets, AxisSet.union_of(s.axes for s in sets))
+            new.append(project_set(joined, axes[i]))
+        changed = tuple(not sets_equal(a, b, problem.tolerance)
+                        for a, b in zip(new, states))
+        states = tuple(new)
+        rounds.append((states, changed))
+        if not any(changed):
+            return rounds
+    raise AssertionError(f"no fixed point in {max_rounds or 10 * n} rounds")

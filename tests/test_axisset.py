@@ -237,6 +237,57 @@ def test_join_polytope_allows_free_axes():
     assert np.isinf(lpsolve.support(out.poly(), [0.0, 1.0]))
 
 
+def _join_one_at_a_time(sets, target):
+    """The polytope join as it was: normalize each zero-padded set again,
+    and intersect one at a time."""
+    acc, dim = pl.HPolytope.universe(len(target)), len(target)
+    for s in sets:
+        p, cols = s.poly(), target.positions_of(s.axes)
+        G, F = np.zeros((len(p.A_ineq), dim)), np.zeros((len(p.A_eq), dim))
+        G[:, cols], F[:, cols] = p.A_ineq, p.A_eq
+        placed = pl.HPolytope(G, p.b_ineq, F, p.b_eq, dim=dim)
+        acc = pl.HPolytope(np.vstack([acc.A_ineq, placed.A_ineq]),
+                           np.hstack([acc.b_ineq, placed.b_ineq]),
+                           np.vstack([acc.A_eq, placed.A_eq]),
+                           np.hstack([acc.b_eq, placed.b_eq]), dim=dim)
+    return acc
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_polytope_join_has_the_bytes_of_one_set_at_a_time(seed):
+    # overlapping windows with equality rows and rows repeated across sets
+    rng = np.random.default_rng(seed)
+    windows = [(1, 2, 3), (2, 3, 4), (1, 4), (3,)]
+    shared = rng.normal(size=(2, 3))
+    sets = []
+    for labs in windows:
+        d = len(labs)
+        A = np.vstack([rng.normal(size=(3, d)), np.eye(d), -np.eye(d),
+                       shared[:, :d]])
+        F = rng.normal(size=(int(rng.integers(0, 2)), d))
+        b = np.hstack([rng.uniform(1.0, 2.0, size=3), np.full(2 * d, 1.5),
+                       rng.uniform(1.0, 2.0, size=2)])  # box rows repeat
+        sets.append(polytope_set(labs, pl.HPolytope(
+            A, b, F, rng.normal(size=len(F)), dim=d)))
+    target = AxisSet([1, 2, 3, 4])
+    got, want = join_extrusions(sets, target).poly(), _join_one_at_a_time(sets, target)
+    assert got.A_ineq.shape[0] < sum(s.poly().A_ineq.shape[0] for s in sets)
+    for attr in ("A_ineq", "b_ineq", "A_eq", "b_eq"):
+        assert getattr(got, attr).tobytes() == getattr(want, attr).tobytes(), attr
+        assert getattr(got, attr).shape == getattr(want, attr).shape, attr
+    assert not got.trivially_empty
+
+
+def test_polytope_join_with_a_trivially_empty_input_is_empty():
+    box = polytope_set([1], pl.HPolytope.from_box([0], [1]))
+    clash = polytope_set([2], pl.HPolytope([[0.0]], [-1.0]))
+    out = join_extrusions([box, clash], AxisSet([1, 2])).poly()
+    empty = pl.HPolytope.empty(2)
+    assert out.trivially_empty and out.dim == 2
+    assert np.array_equal(out.A_ineq, empty.A_ineq)
+    assert np.array_equal(out.b_ineq, empty.b_ineq)
+
+
 def test_join_disjoint_tables_is_product():
     a = finite_set([1], [(0,), (1,)])
     b = finite_set([2], [(5,)])

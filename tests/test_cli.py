@@ -11,6 +11,7 @@ import copy
 import dataclasses
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ from reachnet.affine import CouplingRow
 from reachnet.axisset import AxisSet, polytope_set, project_set
 from reachnet.cli import (
     RunConfig,
+    _array,
     _compare_sets,
     load_spec,
     main,
@@ -720,6 +722,52 @@ class TestExitCodes:
         assert code == 2
         err = json.loads((out / "error.json").read_text())
         assert (err["error"], err["message"]) == ("ParseError", message)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc["agents"][0]["state_set"]["box"][0].__setitem__(0, "-1"),
+         "agents[0].state_set: matrix entries must be int or float numbers, "
+         "got '-1'"),
+        (lambda doc: doc["agents"][0]["dynamics"]["A"]["1"][0].__setitem__(0, True),
+         "agents[0].dynamics.A[1]: matrix entries must be int or float numbers, "
+         "got True"),
+        (lambda doc: doc["agents"][0]["dynamics"]["A"]["2"][0].__setitem__(0, "0.5"),
+         "agents[0].dynamics.A[2]: matrix entries must be int or float numbers, "
+         "got '0.5'"),
+    ], ids=["box-bound-string", "dynamics-bool", "dynamics-string"])
+    def test_numbers_as_strings_or_bools_exit_2_naming_the_field(
+            self, tmp_path, edit, message):
+        # numpy would read each of these as a number
+        doc = load_fixture_doc("two_agent_affine.json")
+        edit(doc)
+        out = tmp_path / "out"
+        code = run_cli("run", "--mode", "distributed", "--task", "pre",
+                       "--spec", str(write_doc(tmp_path, doc)), "--out", str(out))
+        assert code == 2
+        err = json.loads((out / "error.json").read_text())
+        assert (err["error"], err["message"]) == ("ParseError", message)
+
+    @pytest.mark.parametrize("leaf", ["1", False], ids=["string", "bool"])
+    def test_points_payload_refuses_a_string_or_bool(self, tmp_path, leaf):
+        doc = serialize(finite_toy_spec())
+        doc["targets"][1]["goal"]["points"][3][0] = leaf
+        out = tmp_path / "out"
+        code = run_cli("run", "--mode", "distributed", "--task", "pre",
+                       "--spec", str(write_doc(tmp_path, doc)), "--out", str(out))
+        assert code == 2
+        err = json.loads((out / "error.json").read_text())
+        assert (err["error"], err["message"]) == (
+            "ParseError", "targets[1].goal: matrix entries must be int or float "
+                          f"numbers, got {leaf!r}")
+
+    @pytest.mark.parametrize("value, ndim, message", [
+        (["0.5", True, 2], 1, "vector entries must be int or float numbers, got '0.5'"),
+        ([[1.0, None]], 2, "null or NaN in a numeric matrix"),
+        ([10 ** 400], 1, "not a numeric vector"),
+    ], ids=["string-and-bool", "null", "beyond-float"])
+    def test_array_refuses_what_is_not_a_number(self, value, ndim, message):
+        with pytest.raises(ParseError, match=re.escape(f"x: {message}")):
+            _array(value, "x", ndim)
+        assert _array([1, 2.5], "x", 1).tolist() == [1.0, 2.5]
 
     @pytest.mark.parametrize("edit, message", [
         (lambda doc: doc["targets"][1]["goal"]["points"][0]

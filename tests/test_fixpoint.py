@@ -12,16 +12,22 @@ an independent lifted-LP support oracle cross-checks them.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from reachnet import fixpoint
+from reachnet.affine import AffineAgent, CouplingRow
 from reachnet.axisset import (
     AxisSet,
+    PointTable,
     empty_set,
     finite_set,
     polytope_set,
     sets_equal,
 )
+from reachnet.cli import load_spec
 from reachnet.errors import MaxRoundsExceeded, ValidationError
 from reachnet.fixpoint import (
     FixpointProblem,
@@ -30,9 +36,10 @@ from reachnet.fixpoint import (
     local_update,
     run_distributed,
 )
-from reachnet.polytope import from_vertices, vertices
+from reachnet.polytope import HPolytope, from_vertices, vertices
+from reachnet.reachability import NetworkSpec, local_system_solution
 
-from .oracles import brute_join, hausdorff, lifted_support
+from .oracles import brute_join, hausdorff, lifted_support, per_node_fixpoint
 from .test_axisset import AXES_5, JOIN_5, PROJ_5, as_tuple_set, five_node_sets
 
 # ---------------------------------------------------------------------------
@@ -180,6 +187,23 @@ class TestLocalUpdate:
         s = finite_set(AxisSet((1,)), [[0.0]])
         with pytest.raises(ValidationError):
             local_update(1, {0: s})
+
+    def test_memo_reuses_a_join_only_for_the_very_same_sets(self, monkeypatch):
+        sets = five_node_sets()
+        round1 = [finite_set(b, sorted(pts)) for b, pts in zip(AXES_5, ROUND_1)]
+        built = []
+        join = fixpoint.join_extrusions
+        monkeypatch.setattr(fixpoint, "join_extrusions",
+                            lambda s, target: built.append(target) or join(s, target))
+        joins = {}
+        first = local_update(3, {j: sets[j] for j in (1, 3, 4)}, joins)
+        assert as_tuple_set(first) == ROUND_1[3]
+        local_update(3, {j: sets[j] for j in (1, 3, 4)}, joins)
+        assert len(built) == 1
+        # the same senders with other sets: a kept memo must not answer
+        second = local_update(3, {j: round1[j] for j in (1, 3, 4)}, joins)
+        assert as_tuple_set(second) == ROUND_2[3]
+        assert len(built) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -410,3 +434,106 @@ class TestPolytopeExample:
         from reachnet.polytope import to_text
         for a, b in zip(final, final2):
             assert to_text(a.poly()) == to_text(b.poly())
+
+
+# ---------------------------------------------------------------------------
+# shared joins: one join per distinct sender tuple per round
+# ---------------------------------------------------------------------------
+
+
+def affine_chain_spec(n: int, skips=()) -> NetworkSpec:
+    """Scalar agents ``x_i(t+1) = 0.9 x_i + 0.4 x_{i-1} + u_i`` over one
+    step, each capped jointly with the agent before it and each steering
+    its neighbourhood's states into a box; every ``(i, j)`` in ``skips``
+    also lets agent i read agent j's state."""
+    reads = [{i - 1} if i else set() for i in range(n)]
+    for i, j in skips:
+        reads[i].add(j)
+    talks = [{i} | reads[i] | {k for k in range(n) if i in reads[k]}
+             for i in range(n)]
+    return NetworkSpec(
+        state_dims=(1,) * n, input_dims=(1,) * n,
+        dyn_neighbors=tuple(tuple(sorted(r)) for r in reads),
+        con_neighbors=tuple((i - 1,) if i else () for i in range(n)),
+        horizon=1,
+        state_sets=(HPolytope.from_box([-5.0], [5.0]),) * n,
+        input_sets=(HPolytope.from_box([-1.0], [1.0]),) * n,
+        goal_sets=tuple(HPolytope.from_box([-2.0] * len(m), [2.0] * len(m))
+                        for m in talks),
+        dynamics=tuple(
+            AffineAgent(1, 1, A={i: [[0.9]], **{j: [[0.4]] for j in reads[i]}},
+                        B={i: [[1.0]]}) for i in range(n)),
+        couplings=tuple(
+            (CouplingRow({i - 1: [0.5], i: [1.0]}, {}, -3.5),) if i else ()
+            for i in range(n)))
+
+
+def network_problem(spec: NetworkSpec) -> FixpointProblem:
+    """A network's fixpoint problem: each agent's window and local system."""
+    index = spec.index
+    return FixpointProblem(
+        [index.horizon_axes(i) for i in range(spec.n_agents)],
+        [local_system_solution(spec, index, i) for i in range(spec.n_agents)])
+
+
+def _bytes(s):
+    """A set's axes and the exact bytes of its arrays."""
+    d = s.data
+    arrays = (d.points,) if isinstance(d, PointTable) else (
+        d.A_ineq, d.b_ineq, d.A_eq, d.b_eq, np.array(d.trivially_empty))
+    return s.axes, [(a.shape, a.tobytes()) for a in arrays]
+
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+#: Problems whose nodes receive the same sets, or not: in the five-node
+#: point example nodes 1 and 3 receive the same sets, in the polytope one
+#: no two nodes do, both nodes of ``two_agent_affine`` do, and on the chain
+#: with a skip link nodes 1 and 2 do, as do nodes 3 and 4, but not node 5.
+SAME_AS_PER_NODE_LOOP = {
+    "five_node_points": lambda: load_spec(FIXTURES / "five_node_points.json"),
+    "five_node_polytopes": lambda: load_spec(FIXTURES / "five_node_polytopes.json"),
+    "integrator": lambda: network_problem(load_spec(FIXTURES / "integrator.json")),
+    "two_agent_affine":
+        lambda: network_problem(load_spec(FIXTURES / "two_agent_affine.json")),
+    "five_agent_chain_with_a_skip":
+        lambda: network_problem(affine_chain_spec(5, [(2, 0)])),
+}
+
+
+@pytest.mark.parametrize("name", list(SAME_AS_PER_NODE_LOOP))
+def test_run_distributed_matches_a_per_node_loop_byte_for_byte(name):
+    make = SAME_AS_PER_NODE_LOOP[name]
+    final, trace = run_distributed(make())
+    want = per_node_fixpoint(make())  # a fresh problem: no shared caches
+    assert trace.converged
+    assert trace.rounds_executed == len(want) - 1
+    assert trace.fixed_point_round == len(want) - 2
+    assert len(trace.records) == len(want)
+    for rec, (sets, changed) in zip(trace.records, want):
+        assert rec.changed == changed
+        assert [_bytes(s) for s in rec.sets] == [_bytes(s) for s in sets]
+    assert [_bytes(s) for s in final] == [_bytes(s) for s in want[-1][0]]
+
+
+@pytest.mark.parametrize("make, distinct", [
+    (lambda: network_problem(affine_chain_spec(3)), 1),
+    (lambda: network_problem(affine_chain_spec(5, [(2, 0)])), 3),
+    (five_node_problem, 4),
+    (poly_problem, 5),
+    (lambda: network_problem(affine_chain_spec(5)), 5),
+], ids=["three_agent_chain", "five_agent_chain_with_a_skip", "five_node_points",
+        "five_node_polytopes", "five_agent_chain"])
+def test_one_join_per_distinct_sender_tuple_per_round(monkeypatch, make, distinct):
+    problem = make()
+    joins, updates = [], []
+    join, update = fixpoint.join_extrusions, fixpoint.local_update
+    monkeypatch.setattr(fixpoint, "join_extrusions",
+                        lambda sets, target: joins.append(target) or join(sets, target))
+    monkeypatch.setattr(fixpoint, "local_update",
+                        lambda i, *args: updates.append(i) or update(i, *args))
+    _, trace = run_distributed(problem)
+    rounds = trace.rounds_executed
+    assert rounds > 1  # so a memo kept from round to round would show
+    assert updates == list(range(problem.n_nodes)) * rounds
+    assert len(joins) == distinct * rounds

@@ -190,10 +190,11 @@ def test_eliminate_uses_equality_pivots():
 
 
 def test_eliminate_records_that_its_projection_is_nonempty(emptiness_checks):
+    # the final prune's centre proves the projection nonempty, and with it
+    # the input: neither takes an emptiness LP, now or later
     box = pl.HPolytope.from_box([-1.0, 0.0, 2.0], [1.0, 5.0, 2.5])
     out = pl.eliminate(box, [1])
-    emptiness_checks.clear()  # eliminate asks about its input
-    assert out.is_empty() is False
+    assert out.is_empty() is False and box.is_empty() is False
     assert emptiness_checks == []
 
 
@@ -201,6 +202,63 @@ def test_eliminate_of_empty_is_empty():
     empty = pl.HPolytope.empty(3)
     out = pl.eliminate(empty, [2, 1])
     assert out.is_empty() and out.dim == 1
+
+
+#: x <= -1 and x >= 1 over (x, y, z): empty, yet no row is all zero.
+_CLASH = ([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]], [-1.0, -1.0])
+
+
+def _clash_with(rows, rhs):
+    return pl.HPolytope(_CLASH[0] + rows, _CLASH[1] + rhs)
+
+
+def _same_as_empty(p, dim):
+    want = pl.HPolytope.empty(dim)
+    return (p.trivially_empty and p.dim == dim
+            and all(np.array_equal(getattr(p, a), getattr(want, a))
+                    for a in ("A_ineq", "b_ineq", "A_eq", "b_eq")))
+
+
+def test_eliminate_of_empty_input_without_a_prune_asks_its_input(emptiness_checks):
+    # two rows are left over two columns, too few to prune
+    p = _clash_with([[0.0, 0.0, 1.0]], [1.0])
+    assert _same_as_empty(pl.eliminate(p, [2]), 2)
+    assert emptiness_checks == [p]
+
+
+def test_eliminate_of_empty_input_with_a_final_prune(emptiness_checks):
+    # five rows over two columns: the prune finds no centre, and its own
+    # emptiness LP, on the projection, decides
+    p = _clash_with([[0.0, 1.0, 0.0], [0.0, -1.0, 0.0], [1.0, 1.0, 0.0],
+                     [0.0, 0.0, 1.0]], [1.0, 1.0, 5.0, 1.0])
+    assert _same_as_empty(pl.eliminate(p, [2]), 2)
+    assert len(emptiness_checks) == 1 and emptiness_checks[0] is not p
+
+
+def test_eliminate_of_empty_input_that_blows_up(monkeypatch, emptiness_checks):
+    # eliminating z would make 2 + 2 * 2 rows; the input's emptiness LP runs
+    # before the blowup is raised, and an empty input gives the empty set
+    monkeypatch.setattr(pl, "ELIMINATION_ROW_CAP", 5)
+    z_rows = [[0.0, 1.0, 1.0], [0.0, -1.0, 1.0], [0.0, 1.0, -1.0], [0.0, -1.0, -1.0]]
+    p = _clash_with(z_rows, [1.0] * 4)
+    assert _same_as_empty(pl.eliminate(p, [2]), 2)
+    assert emptiness_checks == [p]
+    nonempty = pl.HPolytope([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]] + z_rows,
+                            [1.0, 1.0] + [1.0] * 4)
+    with pytest.raises(EliminationBlowup):
+        pl.eliminate(nonempty, [2])
+    assert emptiness_checks == [p, nonempty]
+
+
+def test_eliminate_of_empty_input_whose_gap_cancels_below_tolerance(emptiness_checks):
+    # y <= -1e-8 x and y >= 0.05 - 1e-8 x clash by 0.05, but eliminating x
+    # leaves the zero row 0 <= -5e-10, which the build takes as met; the
+    # final prune's centre then proves only the projection nonempty
+    p = pl.HPolytope([[1e-8, 1.0, 0.0], [-1e-8, -1.0, 0.0], [0.0, 1.0, 0.0],
+                      [0.0, -1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, -1.0]],
+                     [0.0, -0.05, 1.0, 1.0, 1.0, 1.0])
+    assert _same_as_empty(pl.eliminate(p, [0]), 2)
+    assert emptiness_checks == [p] and p.is_empty()
 
 
 def test_eliminate_unbounded_cylinder_recovers_base():
