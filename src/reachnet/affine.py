@@ -29,6 +29,7 @@ import numpy as np
 from . import lpsolve
 from .axisset import AxisSet
 from .errors import (
+    MAX_COORDINATES,
     DimensionMismatch,
     EmptySet,
     ShapeMismatch,
@@ -99,8 +100,8 @@ class AffineAgent:
     disturbance_set: HPolytope | None = None
 
     def __post_init__(self):
-        n = check_count(self.state_dim, "state_dim", 1)
-        m = check_count(self.input_dim, "input_dim", 0)
+        n = check_count(self.state_dim, "state_dim", 1, MAX_COORDINATES)
+        m = check_count(self.input_dim, "input_dim", 0, MAX_COORDINATES)
         object.__setattr__(self, "state_dim", n)
         object.__setattr__(self, "input_dim", m)
         for name in ("A", "B"):
@@ -114,8 +115,6 @@ class AffineAgent:
         object.__setattr__(self, "K", K)
         if self.E is not None:
             E = np.asarray(self.E, dtype=float)
-            if E.ndim == 1:
-                E = E.reshape(n, -1) if E.size % n == 0 else E
             if E.ndim != 2 or E.shape[0] != n:
                 raise ShapeMismatch(
                     f"disturbance map E: expected {n} rows, got shape {E.shape}")

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -203,7 +202,7 @@ class LabeledSet:
     def backend(self) -> str:
         return FINITE if isinstance(self.data, PointTable) else POLYTOPE
 
-    @cached_property
+    @property
     def empty(self) -> bool:
         if isinstance(self.data, PointTable):
             return len(self.data) == 0

@@ -170,9 +170,9 @@ def _int_field(obj: dict, key: str, where: str) -> int:
 
 
 def _array(value, where: str, ndim: int) -> np.ndarray:
-    """A numeric vector (``ndim`` 1) or matrix (``ndim`` 2) field."""
-    kind, shape = (("vector", "a flat list of numbers") if ndim == 1
-                   else ("matrix", "a nested list of rows"))
+    """A numeric scalar (``ndim`` 0), vector (1) or matrix (2) field."""
+    kind, shape = (("scalar", "a number"), ("vector", "a flat list of numbers"),
+                   ("matrix", "a nested list of rows"))[ndim]
     try:
         arr = np.asarray(value, dtype=float)
     except (TypeError, ValueError, OverflowError):
@@ -452,11 +452,9 @@ def _parse_network(doc) -> NetworkSpec:
         ic = {j: _array(v, f"{where}.input_coefs[{j + 1}]", 1)
               for j, v in _id_keyed(row.get("input_coefs", {}), N,
                                     f"{where}.input_coefs").items()}
-        offset = row.get("offset", 0.0)
-        if isinstance(offset, bool) or not isinstance(offset, (int, float)):
-            _fail(f"{where}.offset", f"must be a number, got {offset!r}")
+        offset = float(_array(row.get("offset", 0.0), f"{where}.offset", 0))
         try:
-            couplings[i].append(CouplingRow(sc, ic, float(offset),
+            couplings[i].append(CouplingRow(sc, ic, offset,
                                             row.get("relation", "<=")))
         except ReachnetError as exc:
             raise type(exc)(f"{where}: {exc}") from exc

@@ -8,6 +8,7 @@ the three functions at the end.
 
 from __future__ import annotations
 
+import math
 import operator
 
 
@@ -109,23 +110,30 @@ class MaxRoundsExceeded(ReachnetError):
         self.trace = trace
 
 
-def check_count(value, what: str, least: int) -> int:
-    """``value`` as an int if it is an integer, numpy's included, of at
-    least ``least``; else ValidationError, also for a bool or a float."""
+#: Caps on a problem's size and on its finite numbers, checked before
+#: anything is sized or computed from them: 2**40 coordinates would exhaust
+#: memory, and 1e308 overflows once squared or rounded to 12 decimals.
+MAX_COORDINATES, MAX_MAGNITUDE = 1 << 20, 1e150
+
+
+def check_count(value, what: str, least: int, most: float = math.inf) -> int:
+    """``value`` as an int if it is an integer, numpy's included, from
+    ``least`` to ``most``; else ValidationError, also for a bool or a float."""
     try:
         count = operator.index(value)
     except TypeError:
         count = None
-    if count is None or isinstance(value, bool) or count < least:
-        raise ValidationError(f"{what} must be an integer >= {least}, got {value!r}")
+    if count is None or isinstance(value, bool) or not least <= count <= most:
+        bound = f">= {least}" if most == math.inf else f"in {least}..{most}"
+        raise ValidationError(f"{what} must be an integer {bound}, got {value!r}")
     return count
 
 
 def check_numbers(value, what: str) -> None:
     """ValidationError unless every leaf of ``value``, a number or lists of
-    them nested to any depth, is an int or a float (numpy's floats count);
-    a bool, a string or None is refused, even where numpy reads it as a
-    number."""
+    them nested to any depth, is an int or a float (numpy's floats count),
+    infinite or at most ``MAX_MAGNITUDE`` in size; a bool, a string or None
+    is refused, even where numpy reads it as a number."""
     leaves = [value]
     while leaves:
         leaf = leaves.pop()
@@ -134,6 +142,9 @@ def check_numbers(value, what: str) -> None:
         elif isinstance(leaf, bool) or not isinstance(leaf, (int, float)):
             raise ValidationError(
                 f"{what} entries must be int or float numbers, got {leaf!r}")
+        elif MAX_MAGNITUDE < abs(leaf) < math.inf:
+            raise ValidationError(f"{what} entries must be at most "
+                                  f"{MAX_MAGNITUDE:g} in size, got {leaf!r}")
 
 
 def check_choice(value, what: str, choices: tuple[str, ...]) -> None:

@@ -38,6 +38,7 @@ from .axisset import (
     project_set,
 )
 from .errors import (
+    MAX_COORDINATES,
     DimensionCapExceeded,
     DimensionMismatch,
     IndexOutOfRange,
@@ -147,8 +148,9 @@ class NetworkSpec:
     checks that:
 
     * dimensions, the horizon and neighbour indices are integers, numpy's
-      included, never a bool or a float (ValidationError), and indices
-      name an agent (IndexOutOfRange);
+      included, never a bool or a float (ValidationError), indices name
+      an agent (IndexOutOfRange), and the trajectory vector has at most
+      ``MAX_COORDINATES`` coordinates (ValidationError);
     * each dynamics payload is an ``AffineAgent`` or ``FiniteDynamics``
       (UnsupportedDynamics), all of one kind (ValidationError);
     * affine A/B blocks have the declared shapes and finite entries
@@ -206,6 +208,10 @@ class NetworkSpec:
         set_attr(self, "state_dims", dims)
         set_attr(self, "input_dims", idims)
         set_attr(self, "horizon", check_count(self.horizon, "horizon", 0))
+        width = (self.horizon + 1) * (sum(dims) + sum(idims))
+        if width > MAX_COORDINATES:
+            raise ValidationError(f"horizon {self.horizon} gives {width} "
+                                  f"trajectory coordinates, over {MAX_COORDINATES}")
 
         def norm_nb(lists, what):
             if len(lists) != N:
@@ -542,10 +548,10 @@ class LocalSolution:
     point, i.e. the projection of the global trajectory set.  The
     centralized answer is the one-window case: ``node`` is None and both
     fields hold the global trajectory set.  The two shadows are projected
-    when first read and then cached: ``start_states`` on ``start_axes``, the
-    window's step-0 states (the backward-reachable starts), and
-    ``admissible_controls`` on ``control_axes``, starts joined with the
-    window's inputs that realize them.
+    when first read and then cached, along one chain: ``admissible_controls``
+    on ``control_axes``, starts joined with their realizing inputs, and
+    ``start_states``, those controls on ``start_axes``, the window's step-0
+    states (the backward-reachable starts).
     """
 
     node: int | None
@@ -556,7 +562,7 @@ class LocalSolution:
 
     @cached_property
     def start_states(self) -> LabeledSet:
-        return project_set(self.refined_trajectories, self.start_axes)
+        return project_set(self.admissible_controls, self.start_axes)
 
     @cached_property
     def admissible_controls(self) -> LabeledSet:

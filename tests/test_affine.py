@@ -190,8 +190,23 @@ class TestAffineAgentValidation:
             AffineAgent(1, 1, A={0: [[1.0]]}, E=[[1.0, 0.5]],
                         disturbance_set=box(-1, 1))
 
+    def test_flat_map_is_not_a_column_for_two_states(self):
+        # a flat E used to become the (2, 1) column [[1], [2]]
+        with pytest.raises(ShapeMismatch, match=r"E: expected 2 rows, got "
+                                                 r"shape \(2,\)"):
+            AffineAgent(2, 1, A={0: np.eye(2)}, E=[1.0, 2.0],
+                        disturbance_set=box(-1, 1))
+
+    def test_flat_map_is_not_a_row_for_one_state(self):
+        # a flat E used to become the (1, 2) row [[1, 2]]
+        with pytest.raises(ShapeMismatch, match=r"E: expected 1 rows, got "
+                                                 r"shape \(2,\)"):
+            AffineAgent(1, 1, A={0: [[1.0]]}, E=[1.0, 2.0],
+                        disturbance_set=box([-1, -1], [1, 1]))
+
     @pytest.mark.parametrize("dims", [(1.5, 1), (1, 1.0), (True, 1),
-                                      ("1", 1), (0, 1), (1, -1)])
+                                      ("1", 1), (0, 1), (1, -1),
+                                      (2 ** 40, 1), (1, 2 ** 40)])
     def test_dims_must_be_integers_in_range(self, dims):
         # int() used to truncate: AffineAgent(1.5, 1) had state_dim 1
         with pytest.raises(ValidationError, match="_dim"):

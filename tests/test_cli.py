@@ -9,27 +9,40 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import functools
 import json
 import math
+import operator
 import re
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reachnet.affine import CouplingRow
 from reachnet.axisset import AxisSet, polytope_set, project_set
 from reachnet.cli import (
+    MODES,
+    TASKS,
     RunConfig,
     _array,
     _compare_sets,
     load_spec,
     main,
     parse_document,
+    run,
     save_spec,
     serialize,
 )
-from reachnet.errors import NumericalFailure, ParseError, ValidationError
+from reachnet.errors import (
+    NumericalFailure,
+    ParseError,
+    ReachnetError,
+    ValidationError,
+)
 from reachnet.fixpoint import FixpointProblem
 from reachnet.polytope import HPolytope, from_text, set_equal
 from reachnet.reachability import NetworkSpec, start_join
@@ -763,7 +776,9 @@ class TestExitCodes:
         (["0.5", True, 2], 1, "vector entries must be int or float numbers, got '0.5'"),
         ([[1.0, None]], 2, "null or NaN in a numeric matrix"),
         ([10 ** 400], 1, "not a numeric vector"),
-    ], ids=["string-and-bool", "null", "beyond-float"])
+        ([[1.0, -1e308]], 2,
+         "matrix entries must be at most 1e+150 in size, got -1e+308"),
+    ], ids=["string-and-bool", "null", "beyond-float", "beyond-magnitude"])
     def test_array_refuses_what_is_not_a_number(self, value, ndim, message):
         with pytest.raises(ParseError, match=re.escape(f"x: {message}")):
             _array(value, "x", ndim)
@@ -804,6 +819,68 @@ class TestExitCodes:
     def test_missing_arguments_use_argparse_exit(self):
         with pytest.raises(SystemExit):
             main(["run", "--mode", "distributed"])
+
+
+#: What a mutant puts in place of one field: each kind of JSON value, edge
+#: numbers, and numbers spelled as strings.
+MUTANT_VALUES = (None, True, False, 0, -1, 1.5, 2 ** 40, math.nan, math.inf,
+                 -math.inf, 1e308, "x", "1", [], {}, [[1.0, 2.0], [3.0]])
+
+
+def _leaves(node, path=()):
+    """The path of every number, string, bool and null in a JSON document."""
+    if not isinstance(node, (dict, list)):
+        yield path
+        return
+    for key, val in (node.items() if isinstance(node, dict)
+                     else enumerate(node)):
+        yield from _leaves(val, path + (key,))
+
+
+def _entry(path) -> str:
+    """The file location that a refusal of the field at ``path`` must name:
+    the path up to its first list item (``agents[0]``,
+    ``axis_problem.nodes[3]``), or its top-level key (``horizon``)."""
+    where = ""
+    for key in path:
+        if isinstance(key, int):
+            return f"{where}[{key}]"
+        where += f".{key}" if where else key
+    return path[0]
+
+
+MUTANT_FIELDS = [(name, path) for name in (*NETWORK_FIXTURES, *AXIS_FIXTURES)
+                 for path in _leaves(load_fixture_doc(name))]
+
+
+class TestMutants:
+    @settings(deadline=None, derandomize=True, max_examples=600)
+    @given(field=st.sampled_from(MUTANT_FIELDS),
+           value=st.sampled_from(MUTANT_VALUES),
+           mode=st.sampled_from(MODES), task=st.sampled_from(TASKS))
+    def test_one_field_mutant_is_refused_by_name_or_runs_to_an_exit_code(
+            self, field, value, mode, task):
+        name, path = field
+        doc = load_fixture_doc(name)
+        *parents, key = path
+        holder = functools.reduce(operator.getitem, parents, doc)
+        old, holder[key] = holder[key], value
+        try:
+            problem = parse_document(doc)
+        except ReachnetError as exc:
+            assert _entry(path) in str(exc)
+            return
+        number = isinstance(old, (int, float)) and not isinstance(old, bool)
+        assert not (number and isinstance(value, (str, bool))), \
+            "a string or a bool was read as a number"
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp)
+            code = run(RunConfig(mode=mode, task=task, out_dir=out), problem)
+            if code:
+                error = json.loads((out / "error.json").read_text())
+                assert error["exit_code"] == code
+            else:
+                assert not (out / "error.json").exists()
 
 
 class TestDeterminism:

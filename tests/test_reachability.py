@@ -25,6 +25,7 @@ from reachnet.axisset import (
     sets_equal,
 )
 from reachnet.errors import (
+    MAX_COORDINATES,
     DimensionCapExceeded,
     DimensionMismatch,
     IndexOutOfRange,
@@ -324,6 +325,20 @@ class TestNetworkSpecValidation:
     def test_horizon_must_be_nonnegative(self):
         with pytest.raises(ValidationError, match="horizon"):
             integrator_spec(horizon=-1)
+
+    @pytest.mark.parametrize("field, value", [
+        ("horizon", 2 ** 40), ("state_dims", (2 ** 40, 1)),
+        ("input_dims", (1, 2 ** 40)), ("horizon", MAX_COORDINATES // 4)])
+    def test_trajectory_vector_is_refused_past_the_coordinate_limit(
+            self, field, value):
+        # numbering 2**40 coordinates used to exhaust memory, not fail
+        with pytest.raises(ValidationError, match=r"trajectory coordinates, "
+                                                  rf"over {MAX_COORDINATES}"):
+            dataclasses.replace(chain_spec(), **{field: value})
+        # 2 agents of one state and one input: 4 coordinates per step
+        assert dataclasses.replace(
+            chain_spec(), horizon=MAX_COORDINATES // 4 - 1).horizon == \
+            MAX_COORDINATES // 4 - 1
 
     def test_neighbor_out_of_range(self):
         with pytest.raises(IndexOutOfRange):
@@ -1107,10 +1122,13 @@ class TestGuardrails:
                              ids=["affine", "finite"])
     def test_shadows_are_projected_once_on_first_read(self, make,
                                                       monkeypatch):
+        # one elimination chain per window: the controls are projected from
+        # the refined window and the starts from the controls, whichever
+        # shadow is read first, and each shadow at most once
         calls = []
 
         def counting(source, axes):
-            calls.append(axes)
+            calls.append((source, axes))
             return project_set(source, axes)
 
         monkeypatch.setattr("reachnet.reachability.project_set", counting)
@@ -1118,17 +1136,22 @@ class TestGuardrails:
         sols, _ = run_distributed_reachability(spec)
         cent = centralized_reachability(spec)
         assert calls == []  # building either solution projects nothing
-        for sol, source in [(s, s.refined_trajectories) for s in sols] \
-                + [(cent, cent.trajectories)]:
-            for name, axes in (("start_states", sol.start_axes),
-                               ("admissible_controls", sol.control_axes)):
-                before = len(calls)
-                shadow = getattr(sol, name)
-                assert calls[before:] == [axes]
-                assert getattr(sol, name) is shadow
-                assert len(calls) == before + 1
-                assert _set_bytes(shadow) == _set_bytes(
-                    project_set(source, axes))
+        for k, sol in enumerate([*sols, cent]):
+            source = sol.refined_trajectories
+            before = len(calls)
+            if k % 2:
+                controls, start = sol.admissible_controls, sol.start_states
+            else:
+                start, controls = sol.start_states, sol.admissible_controls
+            (src_c, axes_c), (src_s, axes_s) = calls[before:]
+            assert src_c is source and axes_c == sol.control_axes
+            assert src_s is controls and axes_s == sol.start_axes
+            assert sol.start_states is start
+            assert sol.admissible_controls is controls
+            assert len(calls) == before + 2
+            assert _set_bytes(controls) == _set_bytes(
+                project_set(source, sol.control_axes))
+            assert sets_equal(start, project_set(source, sol.start_axes))
 
     @pytest.mark.parametrize("make", [chain_spec, finite_toy_spec],
                              ids=["affine", "finite"])
