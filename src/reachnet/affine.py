@@ -32,6 +32,7 @@ from .errors import (
     MAX_COORDINATES,
     DimensionMismatch,
     EmptySet,
+    NumericalFailure,
     ShapeMismatch,
     UnboundedDisturbance,
     ValidationError,
@@ -373,6 +374,9 @@ def robust_margin(spec, i: int, G: np.ndarray, *,
     if not np.any(L):
         return margins
     C = G @ L
+    if not np.isfinite(C).all():  # before any LP, which refuses inf data
+        raise NumericalFailure(f"agent {i}: the disturbance response "
+                               f"overflows over horizon {H}")
     v_dims = [spec.dynamics[j].disturbance_dim for j in range(spec.n_agents)]
     v_offs = np.concatenate([[0], np.cumsum(v_dims)])
     total_v = int(v_offs[-1])
@@ -402,14 +406,19 @@ def robust_margin(spec, i: int, G: np.ndarray, *,
 def assemble_robust_system(spec, i: int, *, task: str = "pre",
                            disturbance_lag: str = "paper") -> RobustLocalSystem:
     """Build the complete (possibly disturbance-tightened) local system of
-    agent ``i`` for ``task`` (see ``NetworkSpec.window_sets``)."""
-    F, f = build_equalities(spec, i)
+    agent ``i`` for ``task`` (see ``NetworkSpec.window_sets``).  Matrix
+    powers that overflow raise NumericalFailure before any margin LP."""
     G, g = build_inequalities(spec, i, task=task)
     margins = np.zeros(G.shape[0])
-    if any(agent.has_disturbance() for agent in spec.dynamics):
-        margins = robust_margin(spec, i, G,
-                                disturbance_lag=disturbance_lag)
-        if np.any(margins):
-            logger.info("agent %d: disturbance margins tighten %d of %d rows",
-                        i, int(np.count_nonzero(margins)), G.shape[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        F, f = build_equalities(spec, i)
+        if not (np.isfinite(F).all() and np.isfinite(f).all()):
+            raise NumericalFailure(f"agent {i}: the closed-form dynamics "
+                                   f"overflow over horizon {spec.horizon}")
+        if any(agent.has_disturbance() for agent in spec.dynamics):
+            margins = robust_margin(spec, i, G,
+                                    disturbance_lag=disturbance_lag)
+    if np.any(margins):
+        logger.info("agent %d: disturbance margins tighten %d of %d rows",
+                    i, int(np.count_nonzero(margins)), G.shape[0])
     return RobustLocalSystem(F, f, G, g, margins)

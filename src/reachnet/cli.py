@@ -41,6 +41,7 @@ import argparse
 import csv
 import json
 import logging
+import math
 import sys
 import time
 from dataclasses import dataclass, replace
@@ -62,6 +63,7 @@ from .axisset import (
     sets_equal,
 )
 from .errors import (
+    MAX_COORDINATES,
     MaxRoundsExceeded,
     ParseError,
     ReachnetError,
@@ -162,11 +164,13 @@ def _check_keys(obj: dict, where: str, required: tuple, optional: tuple = ()):
         _fail(where, f"missing required keys {missing}")
 
 
-def _int_field(obj: dict, key: str, where: str) -> int:
-    val = obj[key]
-    if isinstance(val, bool) or not isinstance(val, int):
-        _fail(where, f"'{key}' must be an integer, got {val!r}")
-    return int(val)
+def _count(value, where: str, least: int, most: float = math.inf) -> int:
+    """``errors.check_count`` refusing with a ParseError that names the file
+    field ``where``."""
+    try:
+        return check_count(value, where, least, most)
+    except ValidationError as exc:
+        raise ParseError(str(exc)) from None
 
 
 def _array(value, where: str, ndim: int) -> np.ndarray:
@@ -245,27 +249,15 @@ def _parse_points(obj, where: str) -> tuple:
     return val
 
 
-def _id_keyed(obj, n_agents: int, where: str) -> dict:
-    """Convert a ``{"<1-based id>": value}`` mapping to 0-based int keys."""
+def _id_keyed(obj, ids: dict, where: str) -> dict:
+    """Convert a ``{"<1-based id>": value}`` mapping to 0-based int keys.
+
+    ``ids`` maps each id's canonical decimal spelling to the id, so "01",
+    " 1" and "+1" are refused, as is any id outside 1..N."""
     if not isinstance(obj, dict):
         _fail(where, "expected an object keyed by agent ids")
-    out = {}
-    for key, val in obj.items():
-        try:
-            ident = int(key)
-        except (TypeError, ValueError):
-            _fail(where, f"key {key!r} is not an agent id")
-        if not 1 <= ident <= n_agents:
-            _fail(where, f"agent id {ident} out of range 1..{n_agents}")
-        out[ident - 1] = val
-    return out
-
-
-def _agent_index(obj: dict, key: str, n_agents: int, where: str) -> int:
-    ident = _int_field(obj, key, where)
-    if not 1 <= ident <= n_agents:
-        _fail(where, f"'{key}' id {ident} out of range 1..{n_agents}")
-    return ident - 1
+    return {_count(ids.get(key, key), f"{where} key", 1, len(ids)) - 1: val
+            for key, val in obj.items()}
 
 
 # -- loading -------------------------------------------------------------------
@@ -318,16 +310,12 @@ def _parse_axis_problem(obj) -> FixpointProblem:
         nwhere = f"{where}.nodes[{k}]"
         _check_keys(node, nwhere, ("axes", "set"))
         labels = _list_of(node["axes"], f"{nwhere}.axes", "axis labels")
-        for label in labels:
-            if isinstance(label, bool) or not isinstance(label, int):
-                _fail(f"{nwhere}.axes",
-                      f"axis label {label!r} is not an integer")
-        if len(set(labels)) != len(labels):
-            _fail(f"{nwhere}.axes", "repeated axis label")
         try:
             axes = AxisSet(labels)
         except ReachnetError as exc:
             _fail(f"{nwhere}.axes", str(exc))
+        if len(axes) != len(labels):  # AxisSet merges repeats
+            _fail(f"{nwhere}.axes", "repeated axis label")
         kind, val = _parse_set(node["set"], f"{nwhere}.set")
         try:
             sets.append(finite_set(axes, val) if kind == "finite"
@@ -342,7 +330,7 @@ def _parse_axis_problem(obj) -> FixpointProblem:
     return FixpointProblem(axis_sets, sets, tolerance=tolerance)
 
 
-def _parse_dynamics(obj, n_agents: int, where: str):
+def _parse_dynamics(obj, ids: dict, where: str):
     if not isinstance(obj, dict) or "type" not in obj:
         _fail(where, "dynamics needs a 'type' of 'affine' or 'finite'")
     kind = obj["type"]
@@ -350,9 +338,9 @@ def _parse_dynamics(obj, n_agents: int, where: str):
         _check_keys(obj, where, ("type", "A"),
                     optional=("B", "K", "E", "disturbance_set"))
         A = {j: _array(v, f"{where}.A[{j + 1}]", 2)
-             for j, v in _id_keyed(obj["A"], n_agents, f"{where}.A").items()}
+             for j, v in _id_keyed(obj["A"], ids, f"{where}.A").items()}
         B = {j: _array(v, f"{where}.B[{j + 1}]", 2)
-             for j, v in _id_keyed(obj.get("B", {}), n_agents,
+             for j, v in _id_keyed(obj.get("B", {}), ids,
                                    f"{where}.B").items()}
         K = (None if "K" not in obj
              else _array(obj["K"], f"{where}.K", 1))
@@ -383,6 +371,7 @@ def _parse_network(doc) -> NetworkSpec:
     if not isinstance(agents, list) or not agents:
         _fail("agents", "must be a non-empty list")
     N = len(agents)
+    ids = {str(k): k for k in range(1, N + 1)}
     dims, idims, dyn_nb, con_nb = [], [], [], []
     state_payloads, input_payloads, dyn_payloads = [], [], []
     kinds = set()
@@ -391,22 +380,17 @@ def _parse_network(doc) -> NetworkSpec:
         _check_keys(ag, where, ("id", "state_dim", "input_dim", "dynamics"),
                     optional=("dynamics_neighbors", "constraint_neighbors",
                               "state_set", "input_set"))
-        if _int_field(ag, "id", where) != k + 1:
+        if _count(ag["id"], f"{where}.id", 1, N) != k + 1:
             _fail(f"{where}.id", f"agent ids must be 1..{N} in order, "
                                  f"got {ag['id']}")
-        dims.append(_int_field(ag, "state_dim", where))
-        idims.append(_int_field(ag, "input_dim", where))
+        for key, least, dest in (("state_dim", 1, dims), ("input_dim", 0, idims)):
+            dest.append(_count(ag[key], f"{where}.{key}", least, MAX_COORDINATES))
         for key, dest in (("dynamics_neighbors", dyn_nb),
                           ("constraint_neighbors", con_nb)):
-            entry = []
-            for ident in _list_of(ag.get(key, []), f"{where}.{key}", "agent ids"):
-                if isinstance(ident, bool) or not isinstance(ident, int) or \
-                        not 1 <= ident <= N:
-                    _fail(f"{where}.{key}",
-                          f"agent id {ident!r} out of range 1..{N}")
-                entry.append(ident - 1)
-            dest.append(tuple(entry))
-        kind, payload = _parse_dynamics(ag["dynamics"], N,
+            idents = _list_of(ag.get(key, []), f"{where}.{key}", "agent ids")
+            dest.append(tuple(_count(j, f"{where}.{key}[{n}]", 1, N) - 1
+                              for n, j in enumerate(idents)))
+        kind, payload = _parse_dynamics(ag["dynamics"], ids,
                                         f"{where}.dynamics")
         kinds.add(kind)
         dyn_payloads.append(payload)
@@ -445,12 +429,12 @@ def _parse_network(doc) -> NetworkSpec:
         _check_keys(row, where, ("agent",),
                     optional=("state_coefs", "input_coefs", "offset",
                               "relation"))
-        i = _agent_index(row, "agent", N, where)
+        i = _count(row["agent"], f"{where}.agent", 1, N) - 1
         sc = {j: _array(v, f"{where}.state_coefs[{j + 1}]", 1)
-              for j, v in _id_keyed(row.get("state_coefs", {}), N,
+              for j, v in _id_keyed(row.get("state_coefs", {}), ids,
                                     f"{where}.state_coefs").items()}
         ic = {j: _array(v, f"{where}.input_coefs[{j + 1}]", 1)
-              for j, v in _id_keyed(row.get("input_coefs", {}), N,
+              for j, v in _id_keyed(row.get("input_coefs", {}), ids,
                                     f"{where}.input_coefs").items()}
         offset = float(_array(row.get("offset", 0.0), f"{where}.offset", 0))
         try:
@@ -468,7 +452,7 @@ def _parse_network(doc) -> NetworkSpec:
         where = f"targets[{k}]"
         _check_keys(tgt, where, ("agent", "goal"),
                     optional=("over", *_TARGET_KEYS.values()))
-        i = _agent_index(tgt, "agent", N, where)
+        i = _count(tgt["agent"], f"{where}.agent", 1, N) - 1
         if goal[i] is not None:
             _fail(where, f"agent {i + 1} already has a targets entry")
         target_at[i] = k
@@ -500,7 +484,7 @@ def _parse_network(doc) -> NetworkSpec:
         return NetworkSpec(
             state_dims=tuple(dims), input_dims=tuple(idims),
             dyn_neighbors=tuple(dyn_nb), con_neighbors=tuple(con_nb),
-            horizon=_int_field(doc, "horizon", "document"),
+            horizon=_count(doc["horizon"], "horizon", 0),
             state_sets=tuple(state_sets), input_sets=tuple(input_sets),
             dynamics=tuple(dynamics),
             couplings=tuple(tuple(rows) for rows in couplings),

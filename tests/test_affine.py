@@ -10,6 +10,7 @@ explicit vertex enumeration over the disturbance product.
 from __future__ import annotations
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from reachnet.errors import (
     DimensionMismatch,
     EmptySet,
     NonlinearConstraint,
+    NumericalFailure,
     ShapeMismatch,
     UnboundedDisturbance,
     ValidationError,
@@ -39,6 +41,7 @@ from reachnet.reachability import (
     NetworkSpec,
     centralized_reachability,
     local_system_solution,
+    run_distributed_reachability,
 )
 
 from .oracles import (
@@ -543,6 +546,16 @@ class TestRobustMargin:
 # ---------------------------------------------------------------------------
 
 
+#: No disturbance, a box and a non-box (triangle) disturbance set.
+_DISTURBANCES = [
+    {},
+    {"E": [[1.0]], "disturbance_set": box(-0.1, 0.1)},
+    {"E": [[1.0, 0.5]],
+     "disturbance_set": HPolytope([[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]],
+                                  [0.0, 0.0, 0.1])},
+]
+
+
 class TestAssembledSystem:
     def test_zero_map_bitwise_equals_disturbance_free(self):
         with_zero = scalar_spec(
@@ -598,6 +611,45 @@ class TestAssembledSystem:
             assert abs(slack) <= 1e-7
             checked += 1
         assert checked >= 1
+
+    @pytest.mark.parametrize("solve", [run_distributed_reachability,
+                                       centralized_reachability],
+                             ids=["distributed", "centralized"])
+    @pytest.mark.parametrize("disturbance", _DISTURBANCES,
+                             ids=["undisturbed", "box", "non-box"])
+    def test_overflowing_dynamics_raise_numerical_failure(self, solve,
+                                                          disturbance):
+        # 1e120 is a valid coefficient, but its cube overflows; the margin
+        # LPs of a non-box set would otherwise run on 1e120-scale rows
+        spec = scalar_spec(AffineAgent(1, 1, A={0: [[1e120]]},
+                                       B={0: [[1.0]]}, **disturbance),
+                           horizon=3)
+        with pytest.raises(NumericalFailure, match=re.escape(
+                "agent 0: the closed-form dynamics overflow over horizon 3")):
+            solve(spec)
+
+    @pytest.mark.parametrize("solve", [run_distributed_reachability,
+                                       centralized_reachability],
+                             ids=["distributed", "centralized"])
+    @pytest.mark.parametrize("disturbance", _DISTURBANCES[1:],
+                             ids=["box", "non-box"])
+    def test_overflowing_disturbance_response_raises_numerical_failure(
+            self, solve, disturbance):
+        # each agent's own block is zero, so its closed-form rows stay
+        # finite, but the network's third power of A overflows
+        agents = (AffineAgent(1, 1, A={1: [[1e120]]}, B={0: [[1.0]]},
+                              **disturbance),
+                  AffineAgent(1, 0, A={0: [[1e120]]}, **disturbance))
+        spec = NetworkSpec(
+            state_dims=(1, 1), input_dims=(1, 0),
+            dyn_neighbors=((1,), (0,)), con_neighbors=((), ()),
+            horizon=5,
+            state_sets=(box(-10, 10), box(-10, 10)),
+            input_sets=(box(-1, 1), None),
+            goal_sets=(box([-1, -1], [1, 1]),) * 2, dynamics=agents)
+        with pytest.raises(NumericalFailure, match=re.escape(
+                "the disturbance response overflows over horizon 5")):
+            solve(spec)
 
 
 # ---------------------------------------------------------------------------

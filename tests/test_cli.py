@@ -50,12 +50,22 @@ from reachnet.reachability import NetworkSpec, start_join
 from .test_reachability import box, finite_toy_spec, integrator_spec
 
 FIXTURES = Path(__file__).parent / "fixtures"
-NETWORK_FIXTURES = ("integrator.json", "two_agent_affine.json")
+NETWORK_FIXTURES = ("integrator.json", "two_agent_affine.json",
+                    "finite_pair.json")
 AXIS_FIXTURES = ("five_node_points.json", "five_node_polytopes.json")
 
 
 def load_fixture_doc(name: str) -> dict:
     return json.loads((FIXTURES / name).read_text())
+
+
+def _disturbed_integrator_doc() -> dict:
+    """The integrator with a drift K and a disturbance E d, d in a triangle."""
+    doc = load_fixture_doc("integrator.json")
+    doc["agents"][0]["dynamics"].update(
+        K=[0.25], E=[[1.0, 0.5]],
+        disturbance_set={"vertices": [[0.0, 0.0], [0.1, 0.0], [0.0, 0.1]]})
+    return doc
 
 
 def write_doc(tmp_path: Path, doc: dict, name: str = "spec.json") -> Path:
@@ -74,16 +84,28 @@ class TestLoadSpec:
         assert isinstance(load_spec(FIXTURES / "integrator.json"), NetworkSpec)
         assert isinstance(load_spec(FIXTURES / "two_agent_affine.json"),
                           NetworkSpec)
+        assert load_spec(FIXTURES / "finite_pair.json").backend == "finite"
         assert isinstance(load_spec(FIXTURES / "five_node_points.json"),
                           FixpointProblem)
         assert isinstance(load_spec(FIXTURES / "five_node_polytopes.json"),
                           FixpointProblem)
 
-    @pytest.mark.parametrize("name", NETWORK_FIXTURES + AXIS_FIXTURES)
+    @pytest.mark.parametrize("name", NETWORK_FIXTURES + AXIS_FIXTURES
+                             + ("disturbed",))
     def test_serialize_round_trip_is_idempotent(self, name):
-        first = serialize(parse_document(load_fixture_doc(name)))
+        doc = (_disturbed_integrator_doc() if name == "disturbed"
+               else load_fixture_doc(name))
+        first = serialize(parse_document(doc))
         second = serialize(parse_document(first))
         assert first == second
+
+    def test_disturbed_agent_round_trip_keeps_its_disturbance(self):
+        before = parse_document(_disturbed_integrator_doc()).dynamics[0]
+        after = parse_document(serialize(parse_document(
+            _disturbed_integrator_doc()))).dynamics[0]
+        assert np.array_equal(after.K, before.K)
+        assert np.array_equal(after.E, before.E)
+        assert set_equal(after.disturbance_set, before.disturbance_set)
 
     def test_finite_network_round_trip(self):
         doc = serialize(finite_toy_spec())
@@ -227,9 +249,9 @@ class TestLoadSpec:
             parse_document(doc)
 
     @pytest.mark.parametrize("axes, message", [
-        ([1.7, 5], "axis label 1.7 is not an integer"),
-        ([True, 5], "axis label True is not an integer"),
-        (["3", 5], "axis label '3' is not an integer"),
+        ([1.7, 5], "axis labels must be positive integers, got (1.7, 5)"),
+        ([True, 5], "axis labels must be positive integers, got (True, 5)"),
+        (["3", 5], "axis labels must be positive integers, got ('3', 5)"),
         ([3, 3], "repeated axis label"),
         ([0, 5], "axis labels must be positive integers"),
         (3, "must be a list of axis labels"),
@@ -240,6 +262,58 @@ class TestLoadSpec:
         with pytest.raises(ParseError) as info:
             parse_document(doc)
         assert str(info.value) == f"axis_problem.nodes[1].axes: {message}"
+
+    @pytest.mark.parametrize("key", ["01", " 1", "+1", "1.0", "3"])
+    @pytest.mark.parametrize("base, field, where", [
+        ("integrator.json", ("agents", 0, "dynamics", "A"),
+         "agents[0].dynamics.A"),
+        ("finite_pair.json", ("coupling", 0, "state_coefs"),
+         "coupling[0].state_coefs"),
+    ], ids=["dynamics-block", "coupling-coefs"])
+    def test_id_key_not_in_canonical_form_is_refused(self, base, field,
+                                                     where, key):
+        # int() reads each of the first three as 1, which once let "01"
+        # silently replace the block keyed "1"
+        doc = load_fixture_doc(base)
+        keyed = functools.reduce(operator.getitem, field, doc)
+        keyed[key] = keyed["1"]
+        N = len(doc["agents"])
+        with pytest.raises(ParseError) as info:
+            parse_document(doc)
+        assert str(info.value) == (f"{where} key must be an integer in "
+                                   f"1..{N}, got {key!r}")
+
+    @pytest.mark.parametrize("path, value, message", [
+        (("agents", 0, "state_dim"), 0,
+         "agents[0].state_dim must be an integer in 1..1048576, got 0"),
+        (("agents", 0, "input_dim"), -1,
+         "agents[0].input_dim must be an integer in 0..1048576, got -1"),
+        (("agents", 0, "state_dim"), 2 ** 40,
+         "agents[0].state_dim must be an integer in 1..1048576, "
+         "got 1099511627776"),
+        (("agents", 0, "id"), True,
+         "agents[0].id must be an integer in 1..2, got True"),
+        (("agents", 1, "dynamics_neighbors", 0), 3,
+         "agents[1].dynamics_neighbors[0] must be an integer in 1..2, got 3"),
+        (("agents", 1, "constraint_neighbors", 0), 1.0,
+         "agents[1].constraint_neighbors[0] must be an integer in 1..2, "
+         "got 1.0"),
+        (("coupling", 0, "agent"), 0,
+         "coupling[0].agent must be an integer in 1..2, got 0"),
+        (("targets", 1, "agent"), "2",
+         "targets[1].agent must be an integer in 1..2, got '2'"),
+        (("horizon",), -1, "horizon must be an integer >= 0, got -1"),
+    ], ids=["state-dim-zero", "input-dim-negative", "state-dim-huge",
+            "id-bool", "neighbor-out-of-range", "neighbor-float",
+            "coupling-agent-zero", "target-agent-string", "horizon-negative"])
+    def test_finite_counts_and_agent_ids_are_refused_naming_the_field(
+            self, path, value, message):
+        doc = load_fixture_doc("finite_pair.json")
+        *parents, key = path
+        functools.reduce(operator.getitem, parents, doc)[key] = value
+        with pytest.raises(ParseError) as info:
+            parse_document(doc)
+        assert str(info.value) == message
 
     def test_two_agent_axis_layout(self):
         spec = load_spec(FIXTURES / "two_agent_affine.json")
@@ -802,6 +876,21 @@ class TestExitCodes:
         assert code == 2
         err = json.loads((out / "error.json").read_text())
         assert (err["error"], err["message"]) == ("DimensionMismatch", message)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_assembler_overflow_exits_3(self, tmp_path, mode):
+        # every number is within the file's cap, but A's cube overflows
+        doc = load_fixture_doc("integrator.json")
+        doc["horizon"] = 3
+        doc["agents"][0]["dynamics"]["A"] = {"1": [[1e120]]}
+        out = tmp_path / "out"
+        code = run_cli("run", "--mode", mode, "--task", "pre",
+                       "--spec", str(write_doc(tmp_path, doc)), "--out", str(out))
+        assert code == 3
+        err = json.loads((out / "error.json").read_text())
+        assert (err["error"], err["message"]) == (
+            "NumericalFailure",
+            "agent 0: the closed-form dynamics overflow over horizon 3")
 
     def test_round_budget_exhaustion_exits_4_with_partial_trace(self, tmp_path):
         out = tmp_path / "out"
