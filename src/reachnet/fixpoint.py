@@ -11,7 +11,9 @@ monotonically and settle, in finitely many rounds for point tables, on
 exactly the global projections.  :func:`run_distributed` runs the
 synchronous rounds over the axis-overlap graph.  Convergence is declared
 when a whole round changes nothing anywhere; that confirming round stays in
-the trace, and the fixed point is the round before it.
+the trace, and the fixed point is the round before it.  A node whose
+component of that graph is a clique holds the projection of its
+component's join after round 1 and does no work after it.
 """
 
 from __future__ import annotations
@@ -156,6 +158,20 @@ def run_distributed(
     it so (see :func:`reachnet.polytope.eliminate`), and then a later node
     whose projection is the join itself checks it with no emptiness LP.
     The run stops after the first round in which no set changed.
+
+    A node is *settled* when every node of its neighbourhood has the same
+    neighbourhood, i.e. its component C is a clique.  From round 2 on a
+    settled node keeps its set object and records no change, with no
+    update and no check.  Proof that the update would give the same set:
+    write ext for the cylinder extension to C's label union, P_j for the
+    projection onto node j's labels, and J1 for the join of ext(S_j^0)
+    over j in C.  In round 1 every node of C joins all of C's initial sets,
+    so it gets J1 and keeps P_j(J1), a subset of S_j^0.  The round-2 join
+    is then the intersection of ext(P_j(J1)), which contains J1 (each
+    ext(P_j(J1)) does) and lies in the intersection of ext(S_j^0), which
+    is J1.  So it equals J1, every round-2 set is the round-1 set, and by
+    induction so is every later one.  Recomputing would only re-round it.
+
     Returns the fixed-point sets (equal to the centralized projections) and
     the full trace.  Raises MaxRoundsExceeded (partial trace attached) if
     the budget, defaulting to 10 * n_nodes, runs out first.
@@ -164,6 +180,8 @@ def run_distributed(
     if max_rounds is None:
         max_rounds = 10 * problem.n_nodes
     graph = graph_from_axis_overlap(problem.axis_sets)
+    settled = [all(graph.neighborhood(j) == graph.neighborhood(i)
+                   for j in graph.neighborhood(i)) for i in range(problem.n_nodes)]
     tol = problem.tolerance
 
     # round 0: neighbours learn each other's axis labels (carried by every
@@ -181,6 +199,10 @@ def run_distributed(
         trace.messages_sent += sent
         new_states, changed, joins = [], [], {}
         for i in range(problem.n_nodes):
+            if rnd > 1 and settled[i]:
+                new_states.append(states[i])
+                changed.append(False)
+                continue
             new = local_update(i, inboxes[i], joins)
             changed.append(not sets_equal(new, states[i], tol))
             new_states.append(new)

@@ -21,10 +21,12 @@ from reachnet import fixpoint
 from reachnet.affine import AffineAgent, CouplingRow
 from reachnet.axisset import (
     AxisSet,
+    LabeledSet,
     PointTable,
     empty_set,
     finite_set,
     polytope_set,
+    project_set,
     sets_equal,
 )
 from reachnet.cli import load_spec
@@ -36,11 +38,18 @@ from reachnet.fixpoint import (
     local_update,
     run_distributed,
 )
+from reachnet.netgraph import graph_from_axis_overlap
 from reachnet.polytope import HPolytope, from_vertices, vertices
-from reachnet.reachability import NetworkSpec, local_system_solution
+from reachnet.reachability import (
+    NetworkSpec,
+    centralized_reachability,
+    local_system_solution,
+    run_distributed_reachability,
+)
 
 from .oracles import brute_join, hausdorff, lifted_support, per_node_fixpoint
 from .test_axisset import AXES_5, JOIN_5, PROJ_5, as_tuple_set, five_node_sets
+from .test_reachability import overlapping_finite_spec, random_affine_spec
 
 # ---------------------------------------------------------------------------
 # frozen iterates of the five-node point example
@@ -516,24 +525,108 @@ def test_run_distributed_matches_a_per_node_loop_byte_for_byte(name):
     assert [_bytes(s) for s in final] == [_bytes(s) for s in want[-1][0]]
 
 
-@pytest.mark.parametrize("make, distinct", [
-    (lambda: network_problem(affine_chain_spec(3)), 1),
-    (lambda: network_problem(affine_chain_spec(5, [(2, 0)])), 3),
-    (five_node_problem, 4),
-    (poly_problem, 5),
-    (lambda: network_problem(affine_chain_spec(5)), 5),
+def _log_rounds(monkeypatch) -> list:
+    """Per exchange (round 0 first): the nodes that ran ``local_update``
+    and the number of joins built, as ``[nodes, joins]``."""
+    log = []
+    join, update, exchange = (fixpoint.join_extrusions, fixpoint.local_update,
+                              fixpoint.exchange)
+
+    def logged_join(sets, target):
+        log[-1][1] += 1
+        return join(sets, target)
+
+    monkeypatch.setattr(fixpoint, "exchange",
+                        lambda *args: log.append([[], 0]) or exchange(*args))
+    monkeypatch.setattr(fixpoint, "join_extrusions", logged_join)
+    monkeypatch.setattr(fixpoint, "local_update",
+                        lambda i, *args: log[-1][0].append(i) or update(i, *args))
+    return log
+
+
+@pytest.mark.parametrize("make, distinct, settled", [
+    (lambda: network_problem(affine_chain_spec(3)), 1, True),
+    (lambda: network_problem(affine_chain_spec(5, [(2, 0)])), 3, False),
+    (five_node_problem, 4, False),
+    (poly_problem, 5, False),
+    (lambda: network_problem(affine_chain_spec(5)), 5, False),
 ], ids=["three_agent_chain", "five_agent_chain_with_a_skip", "five_node_points",
         "five_node_polytopes", "five_agent_chain"])
-def test_one_join_per_distinct_sender_tuple_per_round(monkeypatch, make, distinct):
+def test_one_join_per_distinct_sender_tuple_per_round(monkeypatch, make, distinct,
+                                                      settled):
+    # the 3-agent chain's windows all overlap: every node updates in round 1
+    # and no node after it
     problem = make()
-    joins, updates = [], []
-    join, update = fixpoint.join_extrusions, fixpoint.local_update
-    monkeypatch.setattr(fixpoint, "join_extrusions",
-                        lambda sets, target: joins.append(target) or join(sets, target))
-    monkeypatch.setattr(fixpoint, "local_update",
-                        lambda i, *args: updates.append(i) or update(i, *args))
+    log = _log_rounds(monkeypatch)
     _, trace = run_distributed(problem)
     rounds = trace.rounds_executed
     assert rounds > 1  # so a memo kept from round to round would show
-    assert updates == list(range(problem.n_nodes)) * rounds
-    assert len(joins) == distinct * rounds
+    every = [list(range(problem.n_nodes)), distinct]
+    later = [[], 0] if settled else every
+    assert log == [[[], 0], every] + [later] * (rounds - 1)
+
+
+# ---------------------------------------------------------------------------
+# settled nodes: a clique component does no work after round 1
+# ---------------------------------------------------------------------------
+
+
+def clique_beside_chain_problem() -> FixpointProblem:
+    """The windows of a 3-agent chain, which all overlap, beside those of a
+    5-agent chain, which do not, relabelled past the first's labels."""
+    clique = network_problem(affine_chain_spec(3))
+    chain = network_problem(affine_chain_spec(5))
+    shift = max(clique.union_axes)
+    moved = [LabeledSet(AxisSet(k + shift for k in s.axes), s.data)
+             for s in chain.initial_sets]
+    return FixpointProblem(clique.axis_sets + tuple(s.axes for s in moved),
+                           clique.initial_sets + tuple(moved))
+
+
+def test_a_clique_component_keeps_its_round_one_sets(monkeypatch):
+    log = _log_rounds(monkeypatch)
+    _, trace = run_distributed(clique_beside_chain_problem())
+    monkeypatch.undo()
+    want = per_node_fixpoint(clique_beside_chain_problem())
+    assert trace.converged
+    assert trace.rounds_executed == len(want) - 1 > 2
+    assert trace.fixed_point_round == len(want) - 2
+    assert [nodes for nodes, _ in log] == [[], list(range(8))] + [
+        list(range(3, 8))] * (trace.rounds_executed - 1)
+    first = trace.records[1].sets
+    for rec, (sets, changed) in zip(trace.records, want):
+        assert rec.changed == changed
+        if rec.round_index > 1:
+            assert all(a is b for a, b in zip(rec.sets[:3], first))
+        assert all(sets_equal(a, b) for a, b in zip(rec.sets[:3], sets))
+        assert [_bytes(s) for s in rec.sets[3:]] == [_bytes(s) for s in sets[3:]]
+
+
+@pytest.mark.parametrize("make", [lambda: affine_chain_spec(3),
+                                  lambda: random_affine_spec(2)],
+                         ids=["three_agent_chain", "random_affine_spec_2"])
+def test_a_settled_network_converges_at_a_tolerance_below_rounding(make):
+    # recomputing a settled set re-rounds its last bits, which a check at
+    # 1e-16 sees as a change in every round
+    _, trace = run_distributed_reachability(make(), tolerance=1e-16)
+    assert trace.converged
+    assert trace.rounds_executed == 2
+    assert trace.fixed_point_round == 1
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_a_network_whose_windows_all_overlap_is_exact_in_one_round(seed):
+    spec = overlapping_finite_spec(seed)
+    index = spec.index
+    problem = network_problem(spec)
+    graph = graph_from_axis_overlap(problem.axis_sets)
+    nodes = tuple(range(spec.n_agents))
+    assert all(graph.neighborhood(i) == nodes for i in nodes)
+    sols, trace = run_distributed_reachability(spec)
+    cent = centralized_reachability(spec).trajectories
+    for sol in sols:
+        want = project_set(cent, index.horizon_axes(sol.node))
+        assert sol.refined_trajectories.table() == want.table()
+    assert trace.fixed_point_round <= 1
+    assert [rec.changed for rec in trace.records] == [
+        changed for _, changed in per_node_fixpoint(problem)]

@@ -769,6 +769,46 @@ def _random_finite_spec(seed: int) -> NetworkSpec:
         goal_sets=tuple(goal_sets), dynamics=tuple(dynamics))
 
 
+def overlapping_finite_spec(seed: int) -> NetworkSpec:
+    """Seeded finite network whose windows all overlap, horizon 1: on even
+    seeds a star of 3-5 agents whose leaves read agent 0, on odd seeds a
+    ring of 4-5 agents, agent i reading agent i-1.  Any two agents of
+    either shape have a common neighbour, so any two windows share that
+    neighbour's axes.  Scalar states over 2-3 values; one agent has a
+    scalar input."""
+    rng = np.random.default_rng(3000 + seed)
+    star = seed % 2 == 0
+    n = int(rng.integers(3, 6)) if star else int(rng.integers(4, 6))
+    values = [float(v) for v in range(int(rng.integers(2, 4)))]
+    dyn_nb = ([()] + [(0,)] * (n - 1) if star
+              else [((i - 1) % n,) for i in range(n)])
+    input_dims = [0] * n
+    input_dims[int(rng.integers(0, n))] = 1
+    members = [graph_from_dynamics(dyn_nb).neighborhood(i) for i in range(n)]
+
+    dynamics = []
+    for i in range(n):
+        who = tuple(sorted(set(dyn_nb[i]) | {i}))
+        rows = {(xs, us, (nxt,))
+                for xs in itertools.product(values, repeat=len(who))
+                for us in itertools.product(
+                    values, repeat=sum(input_dims[j] for j in who))
+                for nxt in values if rng.random() < 0.6}
+        dynamics.append(FiniteDynamics(frozenset(rows)))
+    goal_sets = []
+    for i in range(n):
+        stacks = list(itertools.product(values, repeat=len(members[i])))
+        goal_sets.append([s for s in stacks if rng.random() < 0.8] or stacks[:1])
+    return NetworkSpec(
+        state_dims=(1,) * n, input_dims=tuple(input_dims),
+        dyn_neighbors=tuple(dyn_nb), con_neighbors=((),) * n,
+        horizon=1,
+        state_sets=tuple([(v,) for v in values] for _ in range(n)),
+        input_sets=tuple([(v,) for v in values] if m else ()
+                         for m in input_dims),
+        goal_sets=tuple(goal_sets), dynamics=tuple(dynamics))
+
+
 def _coupled_finite_spec(seed: int) -> NetworkSpec:
     """Finite chain with coupling rows, start sets and start partitions.
 
