@@ -198,37 +198,34 @@ def _list_of(value, where: str, what: str) -> list:
     return value
 
 
-_SET_KINDS = ("polytope", "vertices", "box", "points")
+_SET_FORMS = ("polytope", "vertices", "box", "points")
 
 
-def _parse_set(obj, where: str) -> tuple[str, Any]:
-    """Parse one set payload.
-
-    Returns ``("polytope", HPolytope)`` for the ``polytope`` (text block),
-    ``vertices`` (convex hull) and ``box`` ([[lo, hi], ...]) forms, and
-    ``("finite", tuple_of_tuples)`` for the ``points`` form.
-    """
+def _parse_set(obj, where: str) -> HPolytope | tuple:
+    """Parse one set payload as written: an HPolytope for the ``polytope``
+    (text block), ``vertices`` (convex hull) and ``box`` ([[lo, hi], ...])
+    forms, a tuple of point tuples for the ``points`` form."""
     if not isinstance(obj, dict):
         _fail(where, f"expected an object, got {type(obj).__name__}")
-    kinds = [k for k in _SET_KINDS if k in obj]
-    if len(kinds) != 1:
-        _fail(where, f"exactly one of {list(_SET_KINDS)} is required")
-    kind = kinds[0]
-    _check_keys(obj, where, (kind,))
+    forms = [k for k in _SET_FORMS if k in obj]
+    if len(forms) != 1:
+        _fail(where, f"exactly one of {list(_SET_FORMS)} is required")
+    form = forms[0]
+    _check_keys(obj, where, (form,))
     try:
-        if kind == "polytope":
-            if not isinstance(obj[kind], str):
+        if form == "polytope":
+            if not isinstance(obj[form], str):
                 _fail(where, "'polytope' must hold the text block as a string")
-            return "polytope", from_text(obj[kind])
-        if kind == "vertices":
-            return "polytope", from_vertices(_array(obj[kind], where, 2))
-        if kind == "box":
-            rows = _array(obj[kind], where, 2)
+            return from_text(obj[form])
+        if form == "vertices":
+            return from_vertices(_array(obj[form], where, 2))
+        if form == "box":
+            rows = _array(obj[form], where, 2)
             if rows.shape[1] != 2:
                 _fail(where, "'box' rows must be [lo, hi] pairs")
-            return "polytope", HPolytope.from_box(rows[:, 0], rows[:, 1])
-        return "finite", tuple(tuple(map(float, row))
-                               for row in _array(obj[kind], where, 2))
+            return HPolytope.from_box(rows[:, 0], rows[:, 1])
+        return tuple(tuple(map(float, row))
+                     for row in _array(obj[form], where, 2))
     except ParseError:
         raise
     except ReachnetError as exc:
@@ -236,16 +233,9 @@ def _parse_set(obj, where: str) -> tuple[str, Any]:
 
 
 def _parse_polytope(obj, where: str) -> HPolytope:
-    kind, val = _parse_set(obj, where)
-    if kind != "polytope":
+    val = _parse_set(obj, where)
+    if not isinstance(val, HPolytope):
         _fail(where, "a polytope payload is required here, not a point list")
-    return val
-
-
-def _parse_points(obj, where: str) -> tuple:
-    kind, val = _parse_set(obj, where)
-    if kind != "finite":
-        _fail(where, "a 'points' payload is required here, not a polytope")
     return val
 
 
@@ -316,10 +306,10 @@ def _parse_axis_problem(obj) -> FixpointProblem:
             _fail(f"{nwhere}.axes", str(exc))
         if len(axes) != len(labels):  # AxisSet merges repeats
             _fail(f"{nwhere}.axes", "repeated axis label")
-        kind, val = _parse_set(node["set"], f"{nwhere}.set")
+        val = _parse_set(node["set"], f"{nwhere}.set")
         try:
-            sets.append(finite_set(axes, val) if kind == "finite"
-                        else polytope_set(axes, val))
+            sets.append(polytope_set(axes, val) if isinstance(val, HPolytope)
+                        else finite_set(axes, val))
         except ReachnetError as exc:
             raise type(exc)(f"{nwhere}.set: {exc}") from exc
         axis_sets.append(axes)
@@ -330,7 +320,8 @@ def _parse_axis_problem(obj) -> FixpointProblem:
     return FixpointProblem(axis_sets, sets, tolerance=tolerance)
 
 
-def _parse_dynamics(obj, ids: dict, where: str):
+def _parse_dynamics(obj, ids: dict, state_dim: int, input_dim: int,
+                    where: str) -> AffineAgent | FiniteDynamics:
     if not isinstance(obj, dict) or "type" not in obj:
         _fail(where, "dynamics needs a 'type' of 'affine' or 'finite'")
     kind = obj["type"]
@@ -351,7 +342,11 @@ def _parse_dynamics(obj, ids: dict, where: str):
                                      f"{where}.disturbance_set"))
         if dset is not None and dset.is_empty():
             _fail(f"{where}.disturbance_set", "disturbance set is empty")
-        return "affine", dict(A=A, B=B, K=K, E=E, disturbance_set=dset)
+        try:
+            return AffineAgent(state_dim, input_dim, A=A, B=B, K=K, E=E,
+                               disturbance_set=dset)
+        except ReachnetError as exc:
+            raise type(exc)(f"{where}: {exc}") from exc
     if kind == "finite":
         _check_keys(obj, where, ("type", "transitions"))
         rows = _list_of(obj["transitions"], f"{where}.transitions", "triples")
@@ -362,7 +357,7 @@ def _parse_dynamics(obj, ids: dict, where: str):
                 _fail(rwhere, "each transition is [states, inputs, next_state]")
             triples.add(tuple(tuple(map(float, _array(part, rwhere, 1)))
                               for part in row))
-        return "finite", frozenset(triples)
+        return FiniteDynamics(frozenset(triples))
     _fail(f"{where}.type", f"unknown dynamics type {kind!r}")
 
 
@@ -373,8 +368,7 @@ def _parse_network(doc) -> NetworkSpec:
     N = len(agents)
     ids = {str(k): k for k in range(1, N + 1)}
     dims, idims, dyn_nb, con_nb = [], [], [], []
-    state_payloads, input_payloads, dyn_payloads = [], [], []
-    kinds = set()
+    state_sets, input_sets, dynamics = [], [], []
     for k, ag in enumerate(agents):
         where = f"agents[{k}]"
         _check_keys(ag, where, ("id", "state_dim", "input_dim", "dynamics"),
@@ -390,36 +384,17 @@ def _parse_network(doc) -> NetworkSpec:
             idents = _list_of(ag.get(key, []), f"{where}.{key}", "agent ids")
             dest.append(tuple(_count(j, f"{where}.{key}[{n}]", 1, N) - 1
                               for n, j in enumerate(idents)))
-        kind, payload = _parse_dynamics(ag["dynamics"], ids,
-                                        f"{where}.dynamics")
-        kinds.add(kind)
-        dyn_payloads.append(payload)
-        state_payloads.append(ag.get("state_set"))
-        input_payloads.append(ag.get("input_set"))
-    if len(kinds) > 1:
-        _fail("agents", "all agents must share one dynamics type")
-    backend = kinds.pop()
-    parse = _parse_polytope if backend == "affine" else _parse_points
-
-    state_sets, input_sets, dynamics = [], [], []
-    for k in range(N):
-        where = f"agents[{k}]"
-        if state_payloads[k] is None:
+        dynamics.append(_parse_dynamics(ag["dynamics"], ids, dims[k], idims[k],
+                                        f"{where}.dynamics"))
+        if ag.get("state_set") is None:
             _fail(f"{where}.state_set", "is required")
-        state_sets.append(parse(state_payloads[k], f"{where}.state_set"))
-        if input_payloads[k] is not None:
-            input_sets.append(parse(input_payloads[k], f"{where}.input_set"))
+        state_sets.append(_parse_set(ag["state_set"], f"{where}.state_set"))
+        if ag.get("input_set") is not None:
+            input_sets.append(_parse_set(ag["input_set"], f"{where}.input_set"))
         elif idims[k] > 0:
             _fail(f"{where}.input_set", "is required when input_dim > 0")
         else:
-            input_sets.append(None if backend == "affine" else ())
-        if backend == "finite":
-            dynamics.append(FiniteDynamics(dyn_payloads[k]))
-            continue
-        try:
-            dynamics.append(AffineAgent(dims[k], idims[k], **dyn_payloads[k]))
-        except ReachnetError as exc:
-            raise type(exc)(f"{where}.dynamics: {exc}") from exc
+            input_sets.append(None)
 
     couplings = [[] for _ in range(N)]
     coupling_at = [[] for _ in range(N)]  # each row's index in the file
@@ -465,17 +440,17 @@ def _parse_network(doc) -> NetworkSpec:
             if key not in tgt:
                 continue
             family, fwhere = families[name], f"{where}.{key}"
-            family[i] = parse(tgt[key], fwhere)
+            family[i] = _parse_set(tgt[key], fwhere)
             if over != "own":
                 continue
-            if backend == "affine":
+            if isinstance(family[i], HPolytope):
                 family[i] = _extrude_own(family[i], dims, members, i, fwhere)
             elif members != (i,):
                 raise ValidationError(
-                    f"{fwhere}: finite sets over own coordinates cannot "
+                    f"{fwhere}: a point list over own coordinates cannot "
                     f"be extended to the neighbourhood stack "
-                    f"{tuple(j + 1 for j in members)}; list the stacked "
-                    "points explicitly")
+                    f"{tuple(j + 1 for j in members)}; give the set over "
+                    "the stacked coordinates")
     for i in range(N):
         if goal[i] is None:
             _fail("targets", f"agent {i + 1} has no goal set")

@@ -152,7 +152,8 @@ class NetworkSpec:
       an agent (IndexOutOfRange), and the trajectory vector has at most
       ``MAX_COORDINATES`` coordinates (ValidationError);
     * each dynamics payload is an ``AffineAgent`` or ``FiniteDynamics``
-      (UnsupportedDynamics), all of one kind (ValidationError);
+      (UnsupportedDynamics), all of agent 0's kind (ValidationError, naming
+      the first agent whose kind differs);
     * affine A/B blocks have the declared shapes and finite entries
       (ShapeMismatch); finite transitions have the lengths of the agent's
       dynamic neighbourhood and finite entries (DimensionMismatch);
@@ -162,8 +163,8 @@ class NetworkSpec:
       and input lengths (ValidationError);
     * every state, input, goal, start and partition entry, by one check
       for both backends, is of the backend's type (ValidationError; only
-      the start and partition entries, and an affine agent's input set
-      when it has no inputs, may be None) and of the right dimension
+      the start and partition entries, and the input set of an agent
+      without inputs, may be None) and of the right dimension
       (DimensionMismatch); a point family also has finite coordinates
       (DimensionMismatch), no duplicate points, and an alphabet has at
       least one point (ValidationError);
@@ -247,11 +248,13 @@ class NetworkSpec:
                     raise ValidationError(f"{opt} must list all {N} agents")
                 set_attr(self, opt, tuple(val))
 
-        kinds = {_payload_kind(i, d) for i, d in enumerate(self.dynamics)}
-        if len(kinds) > 1:
-            raise ValidationError(
-                "all agents must share one dynamics payload kind")
-        set_attr(self, "_backend", kinds.pop())
+        kinds = [_payload_kind(i, d) for i, d in enumerate(self.dynamics)]
+        for i, kind in enumerate(kinds):
+            if kind != kinds[0]:
+                raise _spec_error(
+                    ValidationError, ("dynamics", i), f"agent {i}",
+                    "all agents must share one dynamics payload kind")
+        set_attr(self, "_backend", kinds[0])
 
         graph = graph_from_dynamics(self.dyn_neighbors, self.con_neighbors)
         members = tuple(graph.neighborhood(i) for i in range(N))
@@ -398,14 +401,16 @@ class NetworkSpec:
         dim = (self.state_dims[i] if name == "state_sets" else
                self.input_dims[i] if name == "input_sets" else
                sum(self.state_dims[j] for j in self.members(i)))
-        if entry is None and name in _OPTIONAL_SETS:
-            return None
+        no_inputs = name == "input_sets" and not dim
+        if entry is None and (no_inputs or name in _OPTIONAL_SETS):
+            # a finite agent without inputs has the one empty input vector
+            return ((),) if no_inputs and self._backend == "finite" else None
         if self._backend == "affine":
-            if name == "input_sets" and not dim:
-                return entry  # an agent without inputs has no input set
             if not isinstance(entry, HPolytope):
                 raise _spec_error(ValidationError, field, what,
                                   "expected a polytope")
+            if no_inputs:
+                return entry  # an agent without inputs never reads it
             if entry.dim != dim:
                 raise _spec_error(DimensionMismatch, field, what,
                                   f"dimension {entry.dim}, expected {dim}")

@@ -29,6 +29,7 @@ from reachnet.cli import (
     TASKS,
     RunConfig,
     _array,
+    _check_start_sets,
     _compare_sets,
     load_spec,
     main,
@@ -65,6 +66,13 @@ def _disturbed_integrator_doc() -> dict:
     doc["agents"][0]["dynamics"].update(
         K=[0.25], E=[[1.0, 0.5]],
         disturbance_set={"vertices": [[0.0, 0.0], [0.1, 0.0], [0.0, 0.1]]})
+    return doc
+
+
+def _finite_pair_with(edit) -> dict:
+    """The finite_pair fixture after ``edit``."""
+    doc = load_fixture_doc("finite_pair.json")
+    edit(doc)
     return doc
 
 
@@ -193,6 +201,105 @@ class TestLoadSpec:
         doc["targets"][0]["over"] = "own"
         with pytest.raises(ValidationError, match="own"):
             parse_document(doc)
+
+    @pytest.mark.parametrize("base, edit, message", [
+        ("integrator.json",
+         lambda doc: doc["agents"][0].update(state_set={"points": [[0.0]]}),
+         "agents[0].state_set: expected a polytope"),
+        ("integrator.json",
+         lambda doc: doc["agents"][0].update(input_set={"points": [[0.0]]}),
+         "agents[0].input_set: expected a polytope"),
+        ("integrator.json",
+         lambda doc: doc["targets"][0].update(goal={"points": [[0.0]]}),
+         "targets[0].goal: expected a polytope"),
+        ("finite_pair.json",
+         lambda doc: doc["agents"][0].update(state_set={"box": [[0, 1]]}),
+         "agents[0].state_set: expected a list of points"),
+        ("finite_pair.json",
+         lambda doc: doc["targets"][0].update(goal={"box": [[0, 1], [0, 1]]}),
+         "targets[0].goal: expected a list of points"),
+        ("two_agent_affine.json",
+         lambda doc: doc["agents"][1].update(dynamics=load_fixture_doc(
+             "finite_pair.json")["agents"][0]["dynamics"]),
+         "agents[1].dynamics: all agents must share one dynamics payload "
+         "kind"),
+        ("two_agent_affine.json",
+         lambda doc: doc["targets"][1].update(goal={"points": [[0.0]]}),
+         "targets[1].goal: a point list over own coordinates cannot be "
+         "extended to the neighbourhood stack (1, 2); give the set over the "
+         "stacked coordinates"),
+    ], ids=["affine-state-points", "affine-input-points", "affine-goal-points",
+            "finite-state-box", "finite-goal-box", "mixed-dynamics",
+            "affine-own-points"])
+    def test_payload_of_the_other_backend_is_refused_naming_the_field(
+            self, base, edit, message):
+        doc = load_fixture_doc(base)
+        edit(doc)
+        with pytest.raises(ValidationError) as info:
+            parse_document(doc)
+        assert (type(info.value), str(info.value)) == (ValidationError,
+                                                       message)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc["agents"].__setitem__(0, 5),
+         "agents[0]: expected an object, got int"),
+        (lambda doc: doc["agents"][0].pop("dynamics"),
+         "agents[0]: missing required keys ['dynamics']"),
+        (lambda doc: doc["agents"][0].update(state_set=5),
+         "agents[0].state_set: expected an object, got int"),
+        (lambda doc: doc["agents"][0].update(state_set={}),
+         "agents[0].state_set: exactly one of ['polytope', 'vertices', 'box', "
+         "'points'] is required"),
+        (lambda doc: doc["agents"][0]["state_set"].update(points=[[0.0]]),
+         "agents[0].state_set: exactly one of ['polytope', 'vertices', 'box', "
+         "'points'] is required"),
+        (lambda doc: doc["agents"][0].update(state_set={"polytope": 5}),
+         "agents[0].state_set: 'polytope' must hold the text block as a "
+         "string"),
+        (lambda doc: doc["agents"][0].update(state_set={"box": [[0, 1, 2]]}),
+         "agents[0].state_set: 'box' rows must be [lo, hi] pairs"),
+        (lambda doc: doc["agents"][0]["dynamics"].update(A=[]),
+         "agents[0].dynamics.A: expected an object keyed by agent ids"),
+        (lambda doc: doc["agents"][0]["dynamics"].pop("type"),
+         "agents[0].dynamics: dynamics needs a 'type' of 'affine' or "
+         "'finite'"),
+        (lambda doc: doc.update(agents=[]), "agents: must be a non-empty list"),
+        (lambda doc: doc["agents"][0].update(id=2),
+         "agents[0].id: agent ids must be 1..2 in order, got 2"),
+        (lambda doc: doc["targets"][1].update(goal={"box": [[-1, 1], [-1, 1]]}),
+         "targets[1].goal: own-coordinate set has dimension 2, agent state "
+         "dimension is 1"),
+    ], ids=["entry-not-object", "entry-key-missing", "set-not-object",
+            "set-without-form", "set-with-two-forms", "polytope-not-text",
+            "box-row-not-pair", "id-map-not-object", "dynamics-without-type",
+            "no-agents", "ids-out-of-order", "own-set-dimension"])
+    def test_affine_reader_refusals_name_their_field(self, edit, message):
+        doc = load_fixture_doc("two_agent_affine.json")
+        edit(doc)
+        with pytest.raises(ParseError) as info:
+            parse_document(doc)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("refuse, message", [
+        (lambda: parse_document([]), "document: top level must be an object"),
+        (lambda: parse_document({"axis_problem": {"nodes": []}}),
+         "axis_problem: 'nodes' must be a non-empty list"),
+        (lambda: parse_document(_finite_pair_with(
+            lambda doc: doc["agents"][0]["dynamics"]["transitions"]
+            .__setitem__(0, [[0], [0]]))),
+         "agents[0].dynamics.transitions[0]: each transition is [states, "
+         "inputs, next_state]"),
+        (lambda: serialize(5), "cannot serialize a int"),
+        (lambda: _check_start_sets(parse_document(_finite_pair_with(
+            lambda doc: doc["targets"][1].pop("start")))),
+         "task 'reach-check' with finite sets needs a start set for every "
+         "agent; missing for [2]"),
+    ], ids=["document-not-object", "no-axis-nodes", "transition-not-triple",
+            "serialize-other-type", "finite-reach-check-start-missing"])
+    def test_other_refusals_name_what_they_refuse(self, refuse, message):
+        with pytest.raises(ValidationError) as info:
+            refuse()
+        assert str(info.value) == message
 
     def test_payload_forms_agree(self):
         base = load_fixture_doc("integrator.json")
@@ -761,6 +868,18 @@ class TestExitCodes:
         err = json.loads((out / "error.json").read_text())
         assert err["error"] == "ValidationError"
         assert "have length 2, expected 1" in err["message"]
+
+    def test_payload_of_the_other_backend_exits_2(self, tmp_path):
+        doc = _finite_pair_with(
+            lambda doc: doc["agents"][0].update(state_set={"box": [[0, 1]]}))
+        out = tmp_path / "out"
+        code = run_cli("run", "--mode", "distributed", "--task", "pre",
+                       "--spec", str(write_doc(tmp_path, doc)), "--out", str(out))
+        assert code == 2
+        err = json.loads((out / "error.json").read_text())
+        assert err == {"error": "ValidationError", "exit_code": 2,
+                       "message": "agents[0].state_set: expected a list of "
+                                  "points"}
 
     @pytest.mark.parametrize("edit, error, message", [
         (lambda doc: doc["agents"][0]["dynamics"].update(A={"1": [[1.0, 2.0]]}),

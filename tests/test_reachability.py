@@ -340,6 +340,60 @@ class TestNetworkSpecValidation:
             chain_spec(), horizon=MAX_COORDINATES // 4 - 1).horizon == \
             MAX_COORDINATES // 4 - 1
 
+    @pytest.mark.parametrize("refuse, error, message", [
+        (lambda: dataclasses.replace(integrator_spec(), state_dims=(),
+                                     input_dims=()),
+         ValidationError, "at least one agent is required"),
+        (lambda: dataclasses.replace(integrator_spec(), input_dims=(1, 1)),
+         ValidationError, "state_dims and input_dims lengths differ"),
+        (lambda: dataclasses.replace(integrator_spec(),
+                                     dyn_neighbors=((), ())),
+         ValidationError, "dyn_neighbors must list all 1 agents"),
+        (lambda: dataclasses.replace(integrator_spec(), goal_sets=()),
+         ValidationError, "goal_sets must list all 1 agents"),
+        (lambda: dataclasses.replace(integrator_spec(), couplings=((), ())),
+         ValidationError, "couplings must list all agents"),
+        (lambda: dataclasses.replace(integrator_spec(), start_sets=()),
+         ValidationError, "start_sets must list all 1 agents"),
+        (lambda: FiniteDynamics(frozenset({((0,), (0,))})),
+         ValidationError, "each transition must be (states, inputs, "
+                          "next_state)"),
+        (lambda: dataclasses.replace(integrator_spec(), dynamics=(
+            AffineAgent(1, 0, A={0: [[1.0]]}),)),
+         ValidationError, "agent 0: dynamics dims (1, 0) disagree with "
+                          "declared (1, 1)"),
+        (lambda: local_system_solution(integrator_spec(),
+                                       integrator_spec(horizon=2).index, 0),
+         ValidationError, "index must be the spec's own axis index"),
+    ], ids=["no-agents", "dim-lengths-differ", "neighbor-lists-short",
+            "set-family-short", "couplings-short", "optional-family-short",
+            "transition-not-triple", "dynamics-dims-disagree",
+            "foreign-index"])
+    def test_structural_refusals(self, refuse, error, message):
+        with pytest.raises(error) as info:
+            refuse()
+        assert (type(info.value), str(info.value)) == (error, message)
+
+    def test_mixed_kinds_name_the_first_agent_that_differs(self):
+        fin = finite_toy_spec()
+        with pytest.raises(ValidationError) as info:
+            dataclasses.replace(fin, dynamics=(
+                fin.dynamics[0], AffineAgent(1, 0, A={1: [[1.0]]})))
+        assert (str(info.value), info.value.field) == (
+            "agent 1: all agents must share one dynamics payload kind",
+            ("dynamics", 1))
+
+    def test_missing_input_set_of_an_agent_without_inputs(self):
+        # both backends take None; a finite agent keeps its one empty input
+        fin = finite_toy_spec()
+        spec = dataclasses.replace(fin, input_sets=(fin.input_sets[0], None))
+        assert spec.input_sets == fin.input_sets
+        assert spec.input_sets[1] == ((),)
+        with pytest.raises(ValidationError) as info:
+            dataclasses.replace(fin, input_sets=(None, None))
+        assert str(info.value) == ("input set of agent 0: expected a list of "
+                                   "points")
+
     def test_neighbor_out_of_range(self):
         with pytest.raises(IndexOutOfRange):
             NetworkSpec(
